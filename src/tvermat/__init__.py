@@ -55,7 +55,6 @@ from .homology import (
     betti_reduced,
     boundary_matrix,
     conjecture_scan,
-    conjecture_scan_batch,
     homologically_connected,
     verify_claim,
     verify_corollary,

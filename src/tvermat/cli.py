@@ -43,7 +43,7 @@ from .complexes import (
 from .errors import HypothesisViolation, InputError, ResourceLimitError
 from .lp import hulls_intersect
 from .homology import (
-    ConnectivityReport,
+    _vacuous_report,
     betti_reduced,
     conjecture_scan,
     homologically_connected,
@@ -252,6 +252,10 @@ def _report_conn(rep):
 
 def dispatch(args, inputs, params):
     cmd = args.command
+    if args.max_faces < 0:
+        raise InputError(f"--max-faces must be >= 0, got {args.max_faces}")
+    if args.threads < 1:
+        raise InputError(f"--threads must be >= 1, got {args.threads}")
 
     def load_matroid(path):
         inputs[path] = _digest(path)
@@ -397,11 +401,7 @@ def dispatch(args, inputs, params):
         M = load_matroid(args.matroid)
         c = M.rank() - 2
         if c < -1:  # rank-0 matroid: the claim is vacuous
-            rep = ConnectivityReport(
-                bound=c, verified=True, vanishing=(), first_nonvanishing=None,
-                f_vector=(), num_faces=0, betti_checked=(),
-                note="bound below -1 is vacuous",
-            )
+            rep = _vacuous_report(c, "bound below -1 is vacuous")
         else:
             X = as_complex(M, max(c + 1, 0))
             rep = homologically_connected(X, c)

@@ -1,11 +1,20 @@
 """Exact reduced rational homology and the connectivity verifiers built on it.
 
-Boundary matrices are sparse with entries +-1; ranks are computed over a large
-prime field first (a sound *vanishing* certificate: the mod-p defect bounds
-the rational Betti number from above, and Betti numbers are nonnegative) and
-confirmed with exact division-free integer elimination before any
-nonvanishing is reported.  Wrong Betti numbers would manufacture false
-counterexamples, so the exact route is never skipped when it matters.
+Boundary matrices are sparse with entries +-1.  Ranks are first computed over
+a large prime field.  That is a sound *vanishing* certificate: the mod-p
+defect bounds the rational Betti number from above, and Betti numbers are
+nonnegative.  The mod-p filter eliminates the coboundary, bottom-up with
+clearing: the rows of the faces that led a pivot of one map are skipped in
+the next.
+
+Any apparent nonvanishing is confirmed with exact division-free integer
+elimination on the boundary columns, with pair clearing: the rank of map i+1
+comes first, and its pivot leads name columns of map i that are dependent
+over Q.  Only exact pivots may clear an exact rank: a mod-p pivot shows a
+dependence mod p only, and rows dependent mod p can be independent over Q
+wherever p divides a torsion coefficient (chessboard complexes carry
+3-torsion).  Wrong Betti numbers would manufacture false counterexamples, so
+the exact route is never skipped when it matters.
 """
 
 from dataclasses import dataclass, field
@@ -29,17 +38,6 @@ class SparseIntMatrix:
 
     def column(self, j):
         return self.cols[j]
-
-    def multiply_columns(self, other):
-        """Compose self @ other symbolically; used to test boundary-of-boundary = 0."""
-        out = []
-        for col in other.cols:
-            acc = {}
-            for r, v in col:
-                for rr, vv in self.cols[r]:
-                    acc[rr] = acc.get(rr, 0) + v * vv
-            out.append([(r, v) for r, v in sorted(acc.items()) if v])
-        return SparseIntMatrix(self.nrows, other.ncols, out)
 
     def triplets(self):
         for j, col in enumerate(self.cols):
@@ -78,6 +76,8 @@ def _reduce_rows(rows, combine):
     column from the cohabiting rows, whose new leading columns are strictly
     larger, so columns are processed once, in ascending (canonical) order.
     Pivot choice within a bucket: fewest entries, first among ties.
+    Returns the leading columns of the pivots, ascending; their number is
+    the rank.
     """
     buckets = {}
     for r in rows:
@@ -85,7 +85,7 @@ def _reduce_rows(rows, combine):
             buckets.setdefault(min(r), []).append(r)
     heap = sorted(buckets)
     heapify(heap)
-    rank = 0
+    leads = []
     while heap:
         c = heappop(heap)
         group = buckets.pop(c, None)
@@ -93,7 +93,7 @@ def _reduce_rows(rows, combine):
             continue
         pi = min(range(len(group)), key=lambda i: len(group[i]))
         pivot = group[pi]
-        rank += 1
+        leads.append(c)
         for idx, r in enumerate(group):
             if idx == pi:
                 continue
@@ -104,15 +104,19 @@ def _reduce_rows(rows, combine):
                     heappush(heap, mc)
                     buckets[mc] = []
                 buckets[mc].append(nr)
-    return rank
+    return leads
 
 
-def _rank_sparse_mod_p(cols, p):
-    """Rank of a sparse integer matrix mod p; the elimination runs on the
-    input columns as rows (rank is transpose-invariant)."""
+def _rank_sparse_mod_p(rows, p):
+    """Pivot leads mod p of sparse integer rows (dicts col -> value, each
+    value nonzero mod p)."""
+    inverse = {}  # pivot column -> inverse of the pivot's leading entry
 
     def combine(pivot, r, c):
-        m = r[c] * pow(pivot[c], p - 2, p) % p
+        inv = inverse.get(c)
+        if inv is None:
+            inv = inverse[c] = pow(pivot[c], p - 2, p)
+        m = r[c] * inv % p
         nr = dict(r)
         for col, v in pivot.items():
             nv = (nr.get(col, 0) - m * v) % p
@@ -122,43 +126,61 @@ def _rank_sparse_mod_p(cols, p):
                 nr.pop(col, None)
         return nr
 
-    rows = []
-    for col in cols:
-        row = {r: v % p for r, v in col if v % p}
-        if row:
-            rows.append(row)
     return _reduce_rows(rows, combine)
 
 
-def _rank_sparse_exact(cols):
-    """Exact rank over Q: integer rows, division-free combination with gcd
-    normalization to keep entries small."""
+def _rank_sparse_exact(rows):
+    """Pivot leads over Q of sparse integer rows (dicts col -> nonzero value):
+    division-free combination with gcd normalization to keep entries small."""
 
     def combine(pivot, r, c):
         a, b = pivot[c], r[c]
         g = gcd(a, b)
         ca, cb = a // g, b // g
-        nr = {col: ca * v for col, v in r.items()}
+        nr = dict(r) if ca == 1 else {col: ca * v for col, v in r.items()}
         for col, v in pivot.items():
             nv = nr.get(col, 0) - cb * v
             if nv:
                 nr[col] = nv
             else:
                 nr.pop(col, None)
-        if nr:
-            gg = 0
-            for v in nr.values():
-                gg = gcd(gg, v)
-            if gg > 1:
-                nr = {col: v // gg for col, v in nr.items()}
-        return nr
+        gg = 0
+        for v in nr.values():
+            gg = gcd(gg, v)
+            if gg == 1:
+                return nr
+        return {col: v // gg for col, v in nr.items()}
 
-    rows = []
-    for col in cols:
-        row = {r: v for r, v in col if v}
-        if row:
-            rows.append(row)
     return _reduce_rows(rows, combine)
+
+
+def _coboundary_leads(mat, cleared, p):
+    """Mod-p pivot leads of the boundary map ``mat`` (None if it has no
+    columns), eliminated as its transpose: one coboundary row per face of the
+    lower dimension, keyed by the faces of the upper one.  The rows named in
+    ``cleared`` are skipped.
+    """
+    if mat is None:
+        return set()
+    rows = [{} for _ in range(mat.nrows)]
+    for j, col in enumerate(mat.cols):
+        for r, v in col:
+            rows[r][j] = v
+    return set(_rank_sparse_mod_p(
+        [row for r, row in enumerate(rows) if r not in cleared], p
+    ))
+
+
+def _boundary_leads(mat, cleared):
+    """Exact pivot leads of the boundary map ``mat`` (None if it has no
+    columns), eliminated on its columns; the columns named in ``cleared``
+    are skipped.
+    """
+    if mat is None:
+        return set()
+    return set(_rank_sparse_exact(
+        [dict(col) for j, col in enumerate(mat.cols) if j not in cleared]
+    ))
 
 
 @dataclass
@@ -183,6 +205,8 @@ def betti_reduced(X, up_to, exact_only=False):
     Requires materialization through dimension up_to+1 (the image of the next
     boundary map).  Mod-p ranks certify zeros outright; any apparent
     nonvanishing is recomputed with exact integer elimination.
+    ``exact_only`` computes every rank exactly with no clearing: the
+    reference the fast path is tested against.
     """
     if up_to < 0:
         raise InputError(f"up_to must be >= 0, got {up_to}")
@@ -191,33 +215,37 @@ def betti_reduced(X, up_to, exact_only=False):
             f"betti through {up_to} needs faces at dimension {up_to + 1}"
         )
     f = [len(X.faces(d)) for d in range(up_to + 2)]
-    matrices = {}
 
-    def cols_of(i):
-        if i not in matrices:
-            matrices[i] = boundary_matrix(X, i) if f[i] else None
-        return matrices[i]
-
-    def rank_of(i, exact):
-        mat = cols_of(i)
-        if mat is None or not mat.ncols:
-            return 0
-        if exact:
-            return _rank_sparse_exact(mat.cols)
-        return _rank_sparse_mod_p(mat.cols, FILTER_PRIME)
-
-    ranks = [rank_of(i, exact_only) for i in range(up_to + 2)]
+    # The mod-p filter runs bottom-up with clearing: the rows of the faces
+    # that led a pivot of map i-1 are skipped in map i.  The reduced row with
+    # lead c is a coboundary dx, and ddx = 0 puts the coboundary of c in the
+    # span of the rows after it, so the skipped rows leave the rank unchanged.
+    mats, ranks, leads = [], [], set()
+    for i in range(up_to + 2):
+        mats.append(boundary_matrix(X, i) if f[i] else None)
+        if exact_only:
+            ranks.append(len(_boundary_leads(mats[i], ())))
+        else:
+            leads = _coboundary_leads(mats[i], leads, FILTER_PRIME)
+            ranks.append(len(leads))
     betti = [f[i] - ranks[i] - ranks[i + 1] for i in range(up_to + 1)]
     confirmations = 0
     if not exact_only:
-        exact_rank = {}
+        exact = {}  # dimension -> exact pivot leads of its boundary map
+
+        def exact_rank(i):
+            # pair clearing: the exact leads of map i+1, when known, name
+            # columns of map i that dd = 0 makes dependent over Q
+            nonlocal confirmations
+            if i not in exact:
+                exact[i] = _boundary_leads(mats[i], exact.get(i + 1, ()))
+                confirmations += 1
+            return len(exact[i])
+
         for i in range(up_to + 1):
             if betti[i] > 0:
-                for j in (i, i + 1):
-                    if j not in exact_rank:
-                        exact_rank[j] = rank_of(j, True)
-                        confirmations += 1
-                betti[i] = f[i] - exact_rank[i] - exact_rank[i + 1]
+                upper = exact_rank(i + 1)
+                betti[i] = f[i] - exact_rank(i) - upper
     if any(b < 0 for b in betti):
         raise RuntimeError("negative Betti number: rank computation inconsistent")
     return BettiVector(tuple(betti), up_to, tuple(f[: up_to + 1]),
@@ -255,6 +283,15 @@ class ConnectivityReport:
         if self.context:
             out["context"] = dict(self.context)
         return out
+
+
+def _vacuous_report(bound, note, context=None):
+    """The verified report of a bound that asks for nothing."""
+    return ConnectivityReport(
+        bound=bound, verified=True, vanishing=(), first_nonvanishing=None,
+        f_vector=(), num_faces=0, betti_checked=(), note=note,
+        context=context or {},
+    )
 
 
 def homologically_connected(X, c):
@@ -340,12 +377,7 @@ def verify_claim(matroids, sets, m, cap=DEFAULT_FACE_CAP):
     c = _ceil_div(total, m + 1) - 2
     context = {"k": len(matroids), "m": m, "total": total}
     if c < -1:
-        rep = ConnectivityReport(
-            bound=c, verified=True, vanishing=(), first_nonvanishing=None,
-            f_vector=(), num_faces=0, betti_checked=(),
-            note="bound below -1 is vacuous", context=context,
-        )
-        return rep
+        return _vacuous_report(c, "bound below -1 is vacuous", context)
     Y = matroid_deleted_join(matroids, max(c + 1, 0), cap)
     rep = homologically_connected(Y, c)
     rep.context.update(context)
@@ -366,12 +398,7 @@ def verify_corollary(M, k, cap=DEFAULT_FACE_CAP):
     rho = M.rank()
     context = {"b": b, "rank": rho, "k": k}
     if b == 0:
-        rep = ConnectivityReport(
-            bound=-2, verified=True, vanishing=(), first_nonvanishing=None,
-            f_vector=(), num_faces=0, betti_checked=(),
-            note="rank-0 matroid: bound is vacuous", context=context,
-        )
-        return rep
+        return _vacuous_report(-2, "rank-0 matroid: bound is vacuous", context)
     groups = partition_almost_equal(b, k)
     unions = [
         frozenset().union(*(packing.bases[j - 1] for j in grp)) if grp else frozenset()
@@ -386,12 +413,7 @@ def verify_corollary(M, k, cap=DEFAULT_FACE_CAP):
     c = (b * rho) // (m + 1) - 2
     context["m"] = m
     if c < -1:
-        rep = ConnectivityReport(
-            bound=c, verified=True, vanishing=(), first_nonvanishing=None,
-            f_vector=(), num_faces=0, betti_checked=(),
-            note="bound below -1 is vacuous", context=context,
-        )
-        return rep
+        return _vacuous_report(c, "bound below -1 is vacuous", context)
     Y = matroid_deleted_join([M] * k, max(c + 1, 0), cap)
     rep = homologically_connected(Y, c)
     rep.context.update(context)
@@ -420,19 +442,10 @@ def conjecture_scan(M, k, cap=DEFAULT_FACE_CAP):
     b, _, _ = max_disjoint_bases(M)
     c = k * rho - 2
     if c < -1:
-        rep = ConnectivityReport(
-            bound=c, verified=True, vanishing=(), first_nonvanishing=None,
-            f_vector=(), num_faces=0, betti_checked=(),
-            note="bound below -1 is vacuous",
-        )
+        rep = _vacuous_report(c, "bound below -1 is vacuous")
     else:
         Y = matroid_deleted_join([M] * k, max(c + 1, 0), cap)
         rep = homologically_connected(Y, c)
     rep.context.update({"b": b, "rank": rho, "k": k, "target": c})
     return ConjectureRecord(b=b, rank=rho, k=k, target=c, verified=rep.verified,
                             report=rep)
-
-
-def conjecture_scan_batch(matroids, k, cap=DEFAULT_FACE_CAP):
-    """Run conjecture_scan over an iterable of (name, matroid) pairs."""
-    return [(name, conjecture_scan(M, k, cap)) for name, M in matroids]

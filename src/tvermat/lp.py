@@ -136,8 +136,10 @@ def hulls_intersect(point_sets):
         for ell in range(dim)
     )
     for i in range(t):
-        assert sum(lambdas[i]) == 1 and all(l >= 0 for l in lambdas[i])
+        if sum(lambdas[i]) != 1 or any(l < 0 for l in lambdas[i]):
+            raise RuntimeError("LP witness is not a convex combination")
         for ell in range(dim):
             s = sum((lam * p[ell] for lam, p in zip(lambdas[i], pts[i])), Fraction(0))
-            assert s == point[ell]
+            if s != point[ell]:
+                raise RuntimeError("LP witness hulls do not meet at one point")
     return point, lambdas

@@ -235,6 +235,21 @@ def colourful_matroid(r, d):
     return PartitionMatroid(blocks, [1] * (d + 1))
 
 
+def _is_prime(p):
+    if p < 2:
+        return False
+    if p < 4:
+        return True
+    if p % 2 == 0:
+        return False
+    q = 3
+    while q * q <= p:
+        if p % q == 0:
+            return False
+        q += 2
+    return True
+
+
 def _scale_to_int(col):
     """Clear denominators of a rational column; scaling preserves dependence."""
     den = 1
@@ -252,7 +267,7 @@ class LinearMatroid(Matroid):
 
     def __init__(self, columns, field=None):
         super().__init__(len(columns))
-        if field is not None and (field < 2 or any(field % q == 0 for q in range(2, field) if q * q <= field)):
+        if field is not None and not _is_prime(field):
             raise InputError(f"field must be None (rationals) or a prime, got {field}")
         self.field = field
         if not columns:

@@ -203,7 +203,8 @@ def pack_into_independent(M, A, m):
             return cert
     cover = [frozenset(p) for p in parts if p]
     union = frozenset().union(*cover) if cover else frozenset()
-    assert union == A
+    if union != A:
+        raise RuntimeError("independent cover does not cover its target")
     return cover
 
 

@@ -17,6 +17,7 @@ from math import isqrt
 
 from .errors import InputError, PreconditionError, ResourceLimitError
 from .lp import hulls_intersect
+from .matroids import _is_prime
 from .packing import max_disjoint_bases
 
 _CHUNK = 1024
@@ -128,12 +129,11 @@ class _TupleStream:
     boxes only shrink as faces are added.
     """
 
-    def __init__(self, faces, supports, boxes, t, dim):
+    def __init__(self, faces, supports, boxes, t):
         self.faces = faces
         self.supports = supports
         self.boxes = boxes
         self.t = t
-        self.dim = dim
 
     def __iter__(self):
         n = len(self.faces)
@@ -180,11 +180,6 @@ class _TupleStream:
             chosen.pop()
 
 
-def _evaluate(point_sets_for, idxs):
-    res = hulls_intersect(point_sets_for(idxs))
-    return res
-
-
 def find_tverberg(M, cfg, t, threads=1, max_tuples=None, time_limit_s=None):
     """First Tverberg witness at size t in canonical tuple order, or None
     after certified exhaustive enumeration.
@@ -210,7 +205,7 @@ def find_tverberg(M, cfg, t, threads=1, max_tuples=None, time_limit_s=None):
     supports = [frozenset(f) for f in faces]
     pts = {e: cfg.point(e) for e in non_loops}
     boxes = [_bbox([pts[e] for e in f]) for f in faces]
-    stream = _TupleStream(faces, supports, boxes, t, cfg.dim)
+    stream = _TupleStream(faces, supports, boxes, t)
 
     def point_sets_for(idxs):
         return [[pts[e] for e in faces[i]] for i in idxs]
@@ -245,7 +240,7 @@ def find_tverberg(M, cfg, t, threads=1, max_tuples=None, time_limit_s=None):
             check_limits()
             if not feasible:
                 continue
-            res = _evaluate(point_sets_for, idxs)
+            res = hulls_intersect(point_sets_for(idxs))
             if res is not None:
                 return SearchResult(make_witness(idxs, res), examined, len(faces))
         return SearchResult(None, examined, len(faces))
@@ -253,7 +248,7 @@ def find_tverberg(M, cfg, t, threads=1, max_tuples=None, time_limit_s=None):
     def eval_chunk(chunk):
         for off, (idxs, feasible) in enumerate(chunk):
             if feasible:
-                res = _evaluate(point_sets_for, idxs)
+                res = hulls_intersect(point_sets_for(idxs))
                 if res is not None:
                     return off, idxs, res
         return None
@@ -295,21 +290,6 @@ def max_affine_t(M, cfg, cap, threads=1, max_tuples=None):
         if find_tverberg(M, cfg, t, threads=threads, max_tuples=max_tuples).witness:
             return t
     return 0
-
-
-def _is_prime(p):
-    if p < 2:
-        return False
-    if p < 4:
-        return True
-    if p % 2 == 0:
-        return False
-    q = 3
-    while q * q <= p:
-        if p % q == 0:
-            return False
-        q += 2
-    return True
 
 
 def choose_prime(b):

@@ -155,6 +155,13 @@ def test_input_error_exit_two(capsys):
     assert json.loads(out)["outcome"] == "input-error"
 
 
+def test_bad_budgets_are_input_errors(capsys):
+    for flags in (("--max-faces", "-1"), ("--threads", "0")):
+        code, out = run(capsys, "homology", "--chessboard", "3,4", "--up-to", "1", *flags)
+        assert code == 2
+        assert json.loads(out)["outcome"] == "input-error"
+
+
 def test_resource_limit_exit_three(files, capsys):
     code, out = run(
         capsys, "verify-corollary", "--matroid", files["k4.matroid"],

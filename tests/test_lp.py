@@ -75,3 +75,19 @@ def test_agreement_with_fourier_motzkin():
         assert (lp is not None) == fm, sets
         hits += lp is not None
     assert 0 < hits < 120  # both outcomes exercised
+
+
+def test_corrupted_solver_result_raises(monkeypatch):
+    import tvermat.lp
+
+    # a solution that is not a convex combination: the witness check must
+    # reject it even under ``python -O``
+    monkeypatch.setattr(tvermat.lp, "solve_equality_feasibility",
+                        lambda rows, rhs: [Fraction(2), Fraction(-1), Fraction(1)])
+    with pytest.raises(RuntimeError):
+        hulls_intersect([[(0,), (2,)], [(1,)]])
+    # convex coefficients whose hulls do not meet at the reported point
+    monkeypatch.setattr(tvermat.lp, "solve_equality_feasibility",
+                        lambda rows, rhs: [Fraction(1), Fraction(0), Fraction(1)])
+    with pytest.raises(RuntimeError):
+        hulls_intersect([[(0,), (2,)], [(1,)]])

@@ -1,5 +1,6 @@
 """Matroid oracle tests: built-in families, axioms, minors, validation."""
 
+import time
 from itertools import chain, combinations
 
 import pytest
@@ -215,3 +216,12 @@ def test_input_errors():
         PartitionMatroid([[0, 1], [1, 2]], [1, 1])
     with pytest.raises(InputError):
         LinearMatroid([(1, 0)], field=4)
+
+
+def test_linear_field_primality_is_fast():
+    start = time.perf_counter()
+    M = LinearMatroid([(1, 0), (0, 1), (1, 1)], field=(1 << 31) - 1)
+    assert time.perf_counter() - start < 1.0
+    assert M.rank() == 2
+    with pytest.raises(InputError):
+        LinearMatroid([(1, 0)], field=9)
