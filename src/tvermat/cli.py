@@ -256,6 +256,10 @@ def dispatch(args, inputs, params):
         raise InputError(f"--max-faces must be >= 0, got {args.max_faces}")
     if args.threads < 1:
         raise InputError(f"--threads must be >= 1, got {args.threads}")
+    if args.max_tuples is not None and args.max_tuples < 0:
+        raise InputError(f"--max-tuples must be >= 0, got {args.max_tuples}")
+    if args.time_limit_s is not None and args.time_limit_s < 0:
+        raise InputError(f"--time-limit-s must be >= 0, got {args.time_limit_s}")
 
     def load_matroid(path):
         inputs[path] = _digest(path)

@@ -17,6 +17,7 @@ from .matroids import (
     LinearMatroid,
     PartitionMatroid,
     UniformMatroid,
+    validate_matroid,
 )
 
 FORMAT_VERSION = 1
@@ -88,10 +89,15 @@ def matroid_from_record(rec):
             cols = [[Fraction(str(x)) for x in col] for col in rec["columns"]]
             return LinearMatroid(cols, field=p)
         if kind == "explicit":
-            return ExplicitMatroid(
-                int(rec["size"]),
-                [[int(e) for e in s] for s in rec["maximal_independent_sets"]],
-            )
+            n = int(rec["size"])
+            sets = [[int(e) for e in s] for s in rec["maximal_independent_sets"]]
+            ok, witness = validate_matroid(n, sets)
+            if not ok:
+                small, large = (sorted(s) for s in witness)
+                raise InputError(
+                    f"not a matroid: independent {small} cannot grow from {large}"
+                )
+            return ExplicitMatroid(n, sets)
     except (KeyError, TypeError, ValueError) as exc:
         raise InputError(f"malformed {kind!r} matroid record: {exc}") from exc
     raise InputError(f"unknown matroid type {kind!r}")

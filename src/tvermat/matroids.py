@@ -65,6 +65,19 @@ class Matroid:
             self._full_rank = r
         return r
 
+    def fundamental_circuit(self, part, x):
+        """Exchange partners of x (not in ``part``) for the independent set ``part``.
+
+        None when part + x is independent.  Otherwise the sorted elements y
+        of ``part`` with part - y + x independent: with x they form the
+        unique circuit of part + x.  Subclasses with a closed form override
+        this oracle-call loop.
+        """
+        base = frozenset(part)
+        if self._indep(base | {x}):
+            return None
+        return [y for y in sorted(base) if self._indep((base - {y}) | {x})]
+
     def is_loop(self, e):
         return not self.is_independent((e,))
 
@@ -133,6 +146,9 @@ class UniformMatroid(Matroid):
         k = self.n if A is None else len(_as_idset(A, self.n))
         return min(k, self.r)
 
+    def fundamental_circuit(self, part, x):
+        return None if len(part) < self.r else sorted(part)
+
     def __repr__(self):
         return f"UniformMatroid({self.r}, {self.n})"
 
@@ -181,6 +197,36 @@ class GraphicMatroid(Matroid):
     def rank(self, A=None):
         ids = frozenset(range(self.n)) if A is None else _as_idset(A, self.n)
         return self._merge_count(ids)
+
+    def fundamental_circuit(self, part, x):
+        """The edges of the forest ``part`` on the path between the ends of x.
+
+        One walk from one end; None when the other end lies in another tree.
+        """
+        u, v = self.edges[x]
+        if u == v:
+            return []
+        adj = {}
+        for e in part:
+            a, b = self.edges[e]
+            adj.setdefault(a, []).append((b, e))
+            adj.setdefault(b, []).append((a, e))
+        via = {u: None}  # vertex -> (previous vertex, edge walked to reach it)
+        stack = [u]
+        while stack and v not in via:
+            w = stack.pop()
+            for nxt, e in adj.get(w, ()):
+                if nxt not in via:
+                    via[nxt] = (w, e)
+                    stack.append(nxt)
+        if v not in via:
+            return None
+        path = []
+        w = v
+        while w != u:
+            w, e = via[w]
+            path.append(e)
+        return sorted(path)
 
 
 class PartitionMatroid(Matroid):
@@ -339,6 +385,15 @@ def _rank_fraction_free(cols, height):
     return rank
 
 
+def _maximal_sets(n, sets):
+    """The listed sets that no other listed set contains, deduped, in sorted order."""
+    sets = {_as_idset(s, n, "maximal set") for s in sets} or {frozenset()}
+    top = max(map(len, sets))  # a set of the largest size has no proper superset
+    return sorted(
+        (s for s in sets if len(s) == top or not any(s < t for t in sets)), key=sorted
+    )
+
+
 class ExplicitMatroid(Matroid):
     """Matroid given by its list of maximal independent sets (bases).
 
@@ -348,15 +403,7 @@ class ExplicitMatroid(Matroid):
 
     def __init__(self, n, maximal_sets):
         super().__init__(n)
-        sets = [_as_idset(s, n, "maximal set") for s in maximal_sets]
-        if not sets:
-            sets = [frozenset()]
-        # drop entries dominated by another listed set; they add nothing
-        self.maximal_sets = [
-            s for s in sets if not any(s < t for t in sets)
-        ]
-        # dedupe, deterministic order
-        self.maximal_sets = sorted(set(self.maximal_sets), key=sorted)
+        self.maximal_sets = _maximal_sets(n, maximal_sets)
 
     def _indep(self, ids):
         return any(ids <= b for b in self.maximal_sets)
@@ -367,31 +414,29 @@ class ExplicitMatroid(Matroid):
 
 
 def validate_matroid(n, maximal_sets):
-    """Check the exchange axiom on the down-closure of ``maximal_sets``.
+    """Check that the undominated sets of ``maximal_sets`` are a matroid's bases.
 
-    Returns (True, None) or (False, (I, J)) where I, J are independent,
-    |I| < |J|, and no x in J - I keeps I + x independent.  Exhaustive, so
-    only meant for small ground sets.
+    They must share one size and satisfy basis exchange: for listed B1, B2
+    and x in B1 - B2, some y in B2 - B1 makes B1 - x + y listed.  Returns
+    (True, None) or (False, (I, J)) where I, J are independent, |I| < |J|,
+    and no x in J - I keeps I + x independent.  Time is polynomial in the
+    size of the list.
     """
-    sets = [_as_idset(s, n, "maximal set") for s in maximal_sets]
-    if not sets:
-        sets = [frozenset()]
-    family = set()
-    for s in sets:
-        for k in range(len(s) + 1):
-            family.update(frozenset(c) for c in combinations(sorted(s), k))
-    by_size = {}
-    for s in family:
-        by_size.setdefault(len(s), []).append(s)
-    sizes = sorted(by_size)
-    for si in sizes:
-        for sj in sizes:
-            if si >= sj:
-                continue
-            for smaller in by_size[si]:
-                for larger in by_size[sj]:
-                    if not any(smaller | {x} in family for x in larger - smaller):
-                        return False, (smaller, larger)
+    bases = _maximal_sets(n, maximal_sets)
+    small = min(bases, key=len)
+    large = max(bases, key=len)
+    if len(small) < len(large):
+        return False, (small, large)
+    # exchange for (B1, x) says: every listed B2 meets the y with B1 - x + y
+    # listed (x is one of them), so it depends on B1 - x alone
+    completions = {}
+    for b in bases:
+        for x in sorted(b):
+            completions.setdefault(b - {x}, set()).add(x)
+    for rest, ys in completions.items():
+        for b in bases:
+            if ys.isdisjoint(b):
+                return False, (rest, b)
     return True, None
 
 

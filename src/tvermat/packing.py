@@ -5,9 +5,12 @@ digraph: maintain k pairwise disjoint independent sets, and per augmentation
 grow their total size by one.  Sources are uncovered elements; following an
 arc x -> y (y in part i, y in the fundamental circuit of x w.r.t. part i)
 means "swap x into part i, y out"; a sink is an element insertable into some
-part outright.  Applying a BFS-shortest path keeps all swaps simultaneously
-valid.  When no augmenting path exists, the set of reachable elements is an
-exact Edmonds-style certificate of maximality.
+part outright.  Both come from one query per (x, part),
+``Matroid.fundamental_circuit``, which graphic and uniform matroids answer in
+closed form and the other oracles by independence calls.  Applying a
+BFS-shortest path keeps all swaps simultaneously valid.  When no augmenting
+path exists, the set of reachable elements is an exact Edmonds-style
+certificate of maximality.
 """
 
 from collections import deque
@@ -73,15 +76,6 @@ class CoverCertificate:
         return True
 
 
-def _fundamental_circuit(M, part, x):
-    """Elements y of the independent set ``part`` with part - y + x independent.
-
-    Assumes part + x is dependent; the circuit of x is {x} plus exactly these y.
-    """
-    base = frozenset(part)
-    return [y for y in sorted(part) if M._indep((base - {y}) | {x})]
-
-
 def _augment(M, parts, universe):
     """One BFS augmentation over the exchange digraph.
 
@@ -105,11 +99,14 @@ def _augment(M, parts, universe):
 
     while queue:
         x = queue.popleft()
-        # sink test: some part accepts x directly (fixed part order => determinism)
+        # the first part (fixed order => determinism) that accepts x is the
+        # sink; the arcs of x are enqueued, in part order, only if none does
+        circuits = []
         for i, part in enumerate(parts):
             if x in part:
                 continue
-            if M._indep(frozenset(part) | {x}):
+            circuit = M.fundamental_circuit(part, x)
+            if circuit is None:
                 # unwind: insert x into part i, then replay the recorded swaps
                 parts[i].add(x)
                 cur = x
@@ -124,10 +121,9 @@ def _augment(M, parts, universe):
                         raise RuntimeError("augmentation produced an invalid family")
                     seen |= p
                 return True, None
-        for i, part in enumerate(parts):
-            if x in part:
-                continue
-            for y in _fundamental_circuit(M, part, x):
+            circuits.append((i, circuit))
+        for i, circuit in circuits:
+            for y in circuit:
                 if y not in reached:
                     reached.add(y)
                     parent[y] = (x, i)
@@ -139,7 +135,9 @@ def pack_k_bases(M, k, warm_start=None):
     """k pairwise disjoint bases of M, or a PackingCertificate that none exist.
 
     ``warm_start`` may carry disjoint independent sets to resume from (they
-    are re-checked).  Oracle-call count is polynomial in n*k per augmentation.
+    are re-checked).  Each augmentation makes at most n*k
+    ``M.fundamental_circuit`` queries for its exchange arcs, plus k
+    independence calls to re-check the grown family.
     """
     if k < 1:
         raise InputError(f"k must be positive, got {k}")

@@ -10,7 +10,6 @@ t* = ceil(sqrt(b)/4), which is computed by pure integer comparisons.
 import random
 import time
 import warnings
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
 from fractions import Fraction
 from math import isqrt
@@ -19,8 +18,6 @@ from .errors import InputError, PreconditionError, ResourceLimitError
 from .lp import hulls_intersect
 from .matroids import _is_prime
 from .packing import max_disjoint_bases
-
-_CHUNK = 1024
 
 
 @dataclass(frozen=True)
@@ -185,9 +182,9 @@ def find_tverberg(M, cfg, t, threads=1, max_tuples=None, time_limit_s=None):
     after certified exhaustive enumeration.
 
     Faces are nonempty independent sets of at most min(rank, d+1) elements
-    (by Caratheodory, larger faces never enlarge the witness set).  Workers
-    race over fixed chunks of the canonical stream; the reported witness is
-    min-reduced by enumeration index, so output is thread-count independent.
+    (by Caratheodory, larger faces never enlarge the witness set).  The
+    stream is searched in order on the calling thread; ``threads`` is
+    accepted for compatibility and the output does not depend on it.
     """
     if t < 1:
         raise InputError(f"t must be positive, got {t}")
@@ -207,9 +204,6 @@ def find_tverberg(M, cfg, t, threads=1, max_tuples=None, time_limit_s=None):
     boxes = [_bbox([pts[e] for e in f]) for f in faces]
     stream = _TupleStream(faces, supports, boxes, t)
 
-    def point_sets_for(idxs):
-        return [[pts[e] for e in faces[i]] for i in idxs]
-
     deadline = time.monotonic() + time_limit_s if time_limit_s else None
     examined = 0
 
@@ -225,60 +219,19 @@ def find_tverberg(M, cfg, t, threads=1, max_tuples=None, time_limit_s=None):
                 progress={"tuples_examined": examined, "faces": len(faces)},
             )
 
-    def make_witness(idxs, res):
-        point, lambdas = res
-        w = TverbergWitness(
-            faces=[faces[i] for i in idxs], point=point, coefficients=lambdas
-        )
-        w.validate(M, cfg)
-        return w
-
-    it = iter(stream)
-    if threads <= 1:
-        for idxs, feasible in it:
-            examined += 1
-            check_limits()
-            if not feasible:
-                continue
-            res = hulls_intersect(point_sets_for(idxs))
-            if res is not None:
-                return SearchResult(make_witness(idxs, res), examined, len(faces))
-        return SearchResult(None, examined, len(faces))
-
-    def eval_chunk(chunk):
-        for off, (idxs, feasible) in enumerate(chunk):
-            if feasible:
-                res = hulls_intersect(point_sets_for(idxs))
-                if res is not None:
-                    return off, idxs, res
-        return None
-
-    with ThreadPoolExecutor(max_workers=threads) as pool:
-        pending = []
-        exhausted = False
-        while not exhausted or pending:
-            while not exhausted and len(pending) < threads * 2:
-                chunk = []
-                for _ in range(_CHUNK):
-                    try:
-                        chunk.append(next(it))
-                    except StopIteration:
-                        exhausted = True
-                        break
-                if chunk:
-                    pending.append((len(chunk), pool.submit(eval_chunk, chunk)))
-            if not pending:
-                break
-            size, fut = pending.pop(0)
-            hit = fut.result()
-            if hit is not None:
-                off, idxs, res = hit
-                examined += off + 1
-                for _, f in pending:
-                    f.cancel()
-                return SearchResult(make_witness(idxs, res), examined, len(faces))
-            examined += size
-            check_limits()
+    for idxs, feasible in stream:
+        examined += 1
+        check_limits()
+        if not feasible:
+            continue
+        res = hulls_intersect([[pts[e] for e in faces[i]] for i in idxs])
+        if res is not None:
+            point, lambdas = res
+            w = TverbergWitness(
+                faces=[faces[i] for i in idxs], point=point, coefficients=lambdas
+            )
+            w.validate(M, cfg)
+            return SearchResult(w, examined, len(faces))
     return SearchResult(None, examined, len(faces))
 
 

@@ -156,10 +156,22 @@ def test_input_error_exit_two(capsys):
 
 
 def test_bad_budgets_are_input_errors(capsys):
-    for flags in (("--max-faces", "-1"), ("--threads", "0")):
+    for flags in (("--max-faces", "-1"), ("--threads", "0"),
+                  ("--max-tuples", "-1"), ("--time-limit-s", "-1")):
         code, out = run(capsys, "homology", "--chessboard", "3,4", "--up-to", "1", *flags)
         assert code == 2
         assert json.loads(out)["outcome"] == "input-error"
+
+
+def test_explicit_non_matroid_is_input_error(tmp_path, capsys):
+    path = tmp_path / "bad.matroid"
+    path.write_text(json.dumps({
+        "format-version": 1, "type": "explicit", "size": 3,
+        "maximal_independent_sets": [[0, 1], [2]],
+    }))
+    code, out = run(capsys, "bases", "--matroid", str(path))
+    assert code == 2
+    assert json.loads(out)["outcome"] == "input-error"
 
 
 def test_resource_limit_exit_three(files, capsys):

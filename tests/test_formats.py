@@ -38,7 +38,7 @@ ROUND_TRIP = [
     PartitionMatroid([[0, 1], [2, 3, 4]], [1, 2]),
     LinearMatroid([(1, 0), (0, 1), (Fraction(1, 2), Fraction(2, 3))], field=None),
     LinearMatroid([(1, 0), (0, 1), (1, 1)], field=3),
-    ExplicitMatroid(4, [(0, 1), (1, 2), (2, 3)]),
+    ExplicitMatroid(4, [(0, 1), (0, 2), (1, 2), (1, 3), (2, 3)]),  # 0 and 3 parallel
 ]
 
 

@@ -1,5 +1,6 @@
 """Matroid oracle tests: built-in families, axioms, minors, validation."""
 
+import random
 import time
 from itertools import chain, combinations
 
@@ -11,6 +12,7 @@ from tvermat import (
     GraphicMatroid,
     InputError,
     LinearMatroid,
+    Matroid,
     PartitionMatroid,
     PreconditionError,
     UniformMatroid,
@@ -149,6 +151,52 @@ def test_validate_matroid():
     assert witness == (frozenset({2}), frozenset({0, 1}))
     ok, _ = validate_matroid(3, [()])
     assert ok  # rank-0 matroid, all loops
+
+
+def _random_independent(M, rng):
+    """A random independent set of M, grown greedily from a shuffled order."""
+    order = list(range(M.n))
+    rng.shuffle(order)
+    part = set()
+    for e in order[:rng.randint(0, M.n)]:
+        if M.is_independent(part | {e}):
+            part.add(e)
+    return part
+
+
+def test_graphic_fundamental_circuit_matches_generic():
+    rng = random.Random(41)
+    for _ in range(60):
+        nv = rng.randint(1, 7)
+        edges = [(rng.randrange(nv), rng.randrange(nv)) for _ in range(rng.randint(1, 14))]
+        edges += [edges[rng.randrange(len(edges))]]  # at least one parallel pair
+        M = GraphicMatroid(nv, edges)
+        for _ in range(8):
+            part = _random_independent(M, rng)
+            for x in range(M.n):
+                if x not in part:
+                    assert M.fundamental_circuit(part, x) == Matroid.fundamental_circuit(
+                        M, part, x
+                    ), (edges, part, x)
+    # a self-loop closes a circuit alone; a parallel edge closes one with its twin
+    G = GraphicMatroid(3, [(0, 1), (1, 1), (1, 0), (1, 2)])
+    assert G.fundamental_circuit({0, 3}, 1) == []
+    assert G.fundamental_circuit({0, 3}, 2) == [0]
+    assert G.fundamental_circuit({3}, 2) is None
+
+
+def test_uniform_fundamental_circuit_matches_generic():
+    rng = random.Random(43)
+    for n in range(0, 7):
+        for r in range(0, n + 1):
+            M = UniformMatroid(r, n)
+            for _ in range(6):
+                part = _random_independent(M, rng)
+                for x in range(n):
+                    if x not in part:
+                        assert M.fundamental_circuit(part, x) == Matroid.fundamental_circuit(
+                            M, part, x
+                        ), (r, n, part, x)
 
 
 def test_explicit_matches_builtins():

@@ -78,6 +78,23 @@ def test_warm_start():
         pack_k_bases(M, 2, warm_start=[{0, 1}, {1, 2}])
 
 
+def test_graphic_packing_oracle_calls_bounded(monkeypatch):
+    # forest-path circuits need about 620 oracle calls here; testing each
+    # exchange arc with the oracle needs about 97,000
+    K16 = GraphicMatroid(16, [(u, v) for u in range(16) for v in range(u + 1, 16)])
+    calls = []
+    indep = GraphicMatroid._indep
+
+    def counted(self, ids):
+        calls.append(1)
+        return indep(self, ids)
+
+    monkeypatch.setattr(GraphicMatroid, "_indep", counted)
+    b, packing, cert = max_disjoint_bases(K16)
+    assert b == 8 and cert.check(K16)
+    assert len(calls) < 2000, len(calls)
+
+
 def test_colourful_b_equals_r():
     for r in range(1, 5):
         for d in range(1, 4):
