@@ -8,9 +8,10 @@ Every invocation emits exactly one structured report record on stdout
   2  input error
   3  resource limit
 
-Identical inputs and seed give byte-identical stdout at any ``--threads``
-value; wall time is reported only under ``--timings`` (it is the one
-intentionally nondeterministic field, so it defaults to null).
+Identical inputs and seed give byte-identical stdout; wall time is reported
+only under ``--timings`` (it is the one intentionally nondeterministic field,
+so it defaults to null).  ``--threads`` is accepted and ignored: every search
+runs on the calling thread.
 
 File formats (all versioned with a leading format-version field):
 
@@ -137,7 +138,8 @@ def build_parser():
     common.add_argument("--format", choices=("json", "text"), default="json")
     common.add_argument("--seed", type=int, default=0,
                         help="seed for any randomized configuration generation")
-    common.add_argument("--threads", type=int, default=1)
+    common.add_argument("--threads", type=int, default=1,
+                        help="accepted and ignored (searches are single-threaded)")
     common.add_argument("--max-faces", type=int, default=DEFAULT_FACE_CAP,
                         help="per-dimension face cap (default 5e6)")
     common.add_argument("--max-tuples", type=int, default=None,
@@ -245,6 +247,18 @@ def _load_config(args, inputs):
     raise InputError("provide --points FILE or --random-points N --dim D")
 
 
+def _complex_payload(X, export):
+    payload = {
+        "f_vector": [1, *X.f_vector()],
+        "complete": X.complete,
+        "num_faces": X.num_faces(),
+    }
+    if export:
+        formats.write_faces(export, X)
+        payload["exported"] = export
+    return payload
+
+
 def _report_conn(rep):
     outcome = "verified" if rep.verified else "falsification-candidate"
     return outcome, rep.to_payload()
@@ -318,29 +332,13 @@ def dispatch(args, inputs, params):
     if cmd == "complex":
         M = load_matroid(args.matroid)
         params["max-dim"] = args.max_dim
-        X = as_complex(M, args.max_dim)
-        payload = {
-            "f_vector": [1, *X.f_vector()],
-            "complete": X.complete,
-            "num_faces": X.num_faces(),
-        }
-        if args.export:
-            formats.write_faces(args.export, X)
-            payload["exported"] = args.export
-        return "verified", payload
+        X = as_complex(M, args.max_dim, args.max_faces)
+        return "verified", _complex_payload(X, args.export)
 
     if cmd == "chessboard":
         params["k"], params["m"] = args.k, args.m
         X = chessboard(args.k, args.m, trunc=args.max_dim, cap=args.max_faces)
-        payload = {
-            "f_vector": [1, *X.f_vector()],
-            "complete": X.complete,
-            "num_faces": X.num_faces(),
-        }
-        if args.export:
-            formats.write_faces(args.export, X)
-            payload["exported"] = args.export
-        return "verified", payload
+        return "verified", _complex_payload(X, args.export)
 
     if cmd == "homology":
         given = [x for x in (args.matroid, args.chessboard, args.faces) if x]
@@ -349,7 +347,7 @@ def dispatch(args, inputs, params):
         params["up-to"] = args.up_to
         if args.matroid:
             M = load_matroid(args.matroid)
-            X = as_complex(M, args.up_to + 1)
+            X = as_complex(M, args.up_to + 1, args.max_faces)
         elif args.chessboard:
             try:
                 k, m = (int(t) for t in args.chessboard.split(","))
@@ -407,7 +405,7 @@ def dispatch(args, inputs, params):
         if c < -1:  # rank-0 matroid: the claim is vacuous
             rep = _vacuous_report(c, "bound below -1 is vacuous")
         else:
-            X = as_complex(M, max(c + 1, 0))
+            X = as_complex(M, max(c + 1, 0), args.max_faces)
             rep = homologically_connected(X, c)
         rep.context["rank"] = M.rank()
         return _report_conn(rep)
@@ -456,10 +454,8 @@ def dispatch(args, inputs, params):
         M = load_matroid(args.matroid)
         cfg = _load_config(args, inputs)
         params["t"] = args.t
-        res = find_tverberg(
-            M, cfg, args.t, threads=args.threads,
-            max_tuples=args.max_tuples, time_limit_s=args.time_limit_s,
-        )
+        res = find_tverberg(M, cfg, args.t, max_tuples=args.max_tuples,
+                            time_limit_s=args.time_limit_s)
         payload = {
             "t": args.t,
             "witness": _witness_payload(res.witness),
@@ -474,10 +470,8 @@ def dispatch(args, inputs, params):
     if cmd == "verify-theorem":
         M = load_matroid(args.matroid)
         cfg = _load_config(args, inputs)
-        rep = verify_theorem(
-            M, cfg, threads=args.threads, max_tuples=args.max_tuples,
-            time_limit_s=args.time_limit_s,
-        )
+        rep = verify_theorem(M, cfg, max_tuples=args.max_tuples,
+                             time_limit_s=args.time_limit_s)
         payload = rep.to_payload()
         payload["witness"] = _witness_payload(rep.witness)
         if rep.falsification_candidate:

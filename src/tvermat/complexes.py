@@ -126,32 +126,40 @@ def empty_complex(n_labels=0):
     return SimplicialComplex(n_labels, {}, trunc=-1, complete=True)
 
 
-def as_complex(M, max_dim):
+def independent_sets(M, max_dim, cap=None):
+    """Nonempty independent sets of M with at most max_dim+1 elements.
+
+    Returns dim -> lexicographically sorted faces.  Faces of size s+1 extend
+    faces of size s by a larger element, so enumeration is exhaustive by
+    hereditarity; loops never appear.  A level is abandoned with a
+    ResourceLimitError as soon as it holds more than ``cap`` faces.
+    """
+    by_dim = {}
+    level = [()]
+    for d in range(max_dim + 1):
+        nxt = []
+        for face in level:
+            base = frozenset(face)
+            for e in range(face[-1] + 1 if face else 0, M.n):
+                if M._indep(base | {e}):
+                    nxt.append(face + (e,))
+                    if cap is not None and len(nxt) > cap:
+                        _check_cap(len(nxt), d, cap)
+        if not nxt:
+            break
+        by_dim[d] = level = nxt
+    return by_dim
+
+
+def as_complex(M, max_dim, cap=DEFAULT_FACE_CAP):
     """Independence complex of a matroid, materialized through ``max_dim``.
 
-    Vertices are the non-loops.  Faces of size s+1 extend faces of size s by
-    a larger element, so enumeration is exhaustive by hereditarity.
+    Vertices are the non-loops; ``cap`` bounds the faces of each dimension.
     """
     if max_dim < -1:
         raise InputError(f"max_dim must be >= -1, got {max_dim}")
-    by_dim = {}
-    if max_dim >= 0:
-        level = [(e,) for e in range(M.n) if M._indep(frozenset((e,)))]
-        d = 0
-        while level:
-            by_dim[d] = level
-            if d == max_dim:
-                break
-            nxt = []
-            for face in level:
-                base = frozenset(face)
-                for e in range(face[-1] + 1, M.n):
-                    if M._indep(base | {e}):
-                        nxt.append(face + (e,))
-            level = nxt
-            d += 1
-    full = M.rank()
-    complete = max_dim >= full - 1
+    by_dim = independent_sets(M, max_dim, cap)
+    complete = max_dim >= M.rank() - 1
     return SimplicialComplex(M.n, by_dim, trunc=max_dim, complete=complete)
 
 
@@ -311,7 +319,7 @@ def matroid_deleted_join(matroids, trunc, cap=DEFAULT_FACE_CAP):
     n = mats[0].n
     if any(M.n != n for M in mats):
         raise InputError("matroids must share the ground set")
-    factors = [as_complex(M, trunc) for M in mats]
+    factors = [as_complex(M, trunc, cap) for M in mats]
     return deleted_join(factors, trunc, cap)
 
 

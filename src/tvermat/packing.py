@@ -10,7 +10,8 @@ part outright.  Both come from one query per (x, part),
 closed form and the other oracles by independence calls.  Applying a
 BFS-shortest path keeps all swaps simultaneously valid.  When no augmenting
 path exists, the set of reachable elements is an exact Edmonds-style
-certificate of maximality.
+certificate of maximality.  b(M) comes from one such run that appends an
+empty part each time the parts have grown into bases.
 """
 
 from collections import deque
@@ -81,8 +82,8 @@ def _augment(M, parts, universe):
 
     parts: list of disjoint independent sets (mutated on success).
     universe: elements allowed to participate (sources drawn from here).
-    Returns (True, None) after growing total size by one, or
-    (False, reached) with the reachable element set when no path exists.
+    Returns None after growing total size by one, or the frozenset of
+    reachable elements when no augmenting path exists.
     """
     covered = {}
     for i, part in enumerate(parts):
@@ -120,7 +121,7 @@ def _augment(M, parts, universe):
                     if seen & p or not M._indep(frozenset(p)):
                         raise RuntimeError("augmentation produced an invalid family")
                     seen |= p
-                return True, None
+                return None
             circuits.append((i, circuit))
         for i, circuit in circuits:
             for y in circuit:
@@ -128,37 +129,36 @@ def _augment(M, parts, universe):
                     reached.add(y)
                     parent[y] = (x, i)
                     queue.append(y)
-    return False, frozenset(reached)
+    return frozenset(reached)
 
 
-def pack_k_bases(M, k, warm_start=None):
+def _grow(M, parts, universe, target):
+    """Augment ``parts`` until they hold ``target`` elements in total.
+
+    Returns None on success, or the reached set of the first augmentation
+    that finds no path.
+    """
+    while sum(len(p) for p in parts) < target:
+        reached = _augment(M, parts, universe)
+        if reached is not None:
+            return reached
+    return None
+
+
+def pack_k_bases(M, k):
     """k pairwise disjoint bases of M, or a PackingCertificate that none exist.
 
-    ``warm_start`` may carry disjoint independent sets to resume from (they
-    are re-checked).  Each augmentation makes at most n*k
-    ``M.fundamental_circuit`` queries for its exchange arcs, plus k
-    independence calls to re-check the grown family.
+    Each augmentation makes at most n*k ``M.fundamental_circuit`` queries for
+    its exchange arcs, plus k independence calls to re-check the grown family.
     """
     if k < 1:
         raise InputError(f"k must be positive, got {k}")
-    full = M.rank()
     parts = [set() for _ in range(k)]
-    if warm_start is not None:
-        for i, s in enumerate(warm_start[:k]):
-            parts[i] = set(s)
-        seen = set()
-        for part in parts:
-            if seen & part or not M._indep(frozenset(part)):
-                raise InputError("warm start is not a disjoint independent family")
-            seen |= part
-    target = k * full
-    universe = range(M.n)
-    while sum(len(p) for p in parts) < target:
-        ok, reached = _augment(M, parts, universe)
-        if not ok:
-            cert = PackingCertificate(reached, k)
-            cert.check(M)
-            return cert
+    reached = _grow(M, parts, range(M.n), k * M.rank())
+    if reached is not None:
+        cert = PackingCertificate(reached, k)
+        cert.check(M)
+        return cert
     packing = BasePacking([frozenset(p) for p in parts], M)
     packing.check()
     return packing
@@ -167,20 +167,27 @@ def pack_k_bases(M, k, warm_start=None):
 def max_disjoint_bases(M):
     """(b, packing, certificate) with b = b(M) maximal.
 
-    The packing holds b disjoint bases; the certificate proves b+1 are
-    impossible.  Rank-0 matroids return b = 0 with no certificate (degenerate:
-    the empty set is the unique basis).
+    One matroid-union run: after the parts have grown into k bases, an empty
+    part is appended and the k+1 parts are grown to (k+1)*rank elements.  The
+    first growth that finds no augmenting path leaves the k bases as the
+    packing and its reached set as the certificate that k+1 are impossible.
+    Rank-0 matroids return b = 0 with no certificate (degenerate: the empty
+    set is the unique basis).
     """
-    if M.rank() == 0:
+    full = M.rank()
+    if full == 0:
         return 0, BasePacking([], M), None
-    k = 1
-    packing = pack_k_bases(M, 1)
+    parts = []
     while True:
-        nxt = pack_k_bases(M, k + 1, warm_start=[set(b) for b in packing.bases])
-        if isinstance(nxt, PackingCertificate):
-            return k, packing, nxt
-        packing = nxt
-        k += 1
+        bases = [frozenset(p) for p in parts]
+        parts.append(set())
+        reached = _grow(M, parts, range(M.n), len(parts) * full)
+        if reached is not None:
+            packing = BasePacking(bases, M)
+            packing.check()
+            cert = PackingCertificate(reached, len(parts))
+            cert.check(M)
+            return len(bases), packing, cert
 
 
 def pack_into_independent(M, A, m):
@@ -193,12 +200,11 @@ def pack_into_independent(M, A, m):
         raise InputError(f"m must be positive, got {m}")
     A = _as_idset(A, M.n, "cover target")
     parts = [set() for _ in range(m)]
-    while sum(len(p) for p in parts) < len(A):
-        ok, reached = _augment(M, parts, A)
-        if not ok:
-            cert = CoverCertificate(reached, m)
-            cert.check(M)
-            return cert
+    reached = _grow(M, parts, A, len(A))
+    if reached is not None:
+        cert = CoverCertificate(reached, m)
+        cert.check(M)
+        return cert
     cover = [frozenset(p) for p in parts if p]
     union = frozenset().union(*cover) if cover else frozenset()
     if union != A:

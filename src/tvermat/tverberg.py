@@ -13,8 +13,10 @@ import warnings
 from dataclasses import dataclass
 from fractions import Fraction
 from math import isqrt
+from operator import le
 
 from .errors import InputError, PreconditionError, ResourceLimitError
+from .complexes import independent_sets
 from .lp import hulls_intersect
 from .matroids import _is_prime
 from .packing import max_disjoint_bases
@@ -97,18 +99,10 @@ class SearchResult:
 
 def enumerate_faces(M, max_size):
     """Nonempty independent sets of size <= max_size in lexicographic order
-    ((0,) < (0,1) < (0,2) < (1,) ...), which preorder DFS yields directly."""
-
-    def rec(prefix, base):
-        for e in range(prefix[-1] + 1 if prefix else 0, M.n):
-            ext = base | {e}
-            if M._indep(ext):
-                face = prefix + (e,)
-                yield face
-                if len(face) < max_size:
-                    yield from rec(face, ext)
-
-    yield from rec((), frozenset())
+    ((0,) < (0,1) < (0,2) < (1,) ...), which is plain tuple order across the
+    levels of ``independent_sets``."""
+    levels = independent_sets(M, max_size - 1)
+    yield from sorted(face for faces in levels.values() for face in faces)
 
 
 def _bbox(points):
@@ -117,74 +111,39 @@ def _bbox(points):
     return lo, hi
 
 
-class _TupleStream:
+def _tuples(supports, boxes, t, start=0, used=frozenset(), box=None, chosen=()):
     """Canonical enumeration of strictly increasing disjoint face tuples.
 
-    Yields (faces, candidate) where ``candidate`` is False when the running
-    bounding-box intersection is already empty (the LP is then skipped but the
-    tuple still counts as examined).  Box pruning also cuts whole subtrees:
-    boxes only shrink as faces are added.
+    Yields (indices, candidate) where ``candidate`` is False when the
+    bounding boxes of the faces have an empty intersection (the LP is then
+    skipped but the tuple still counts as examined).  ``box`` is the running
+    intersection of the chosen faces' boxes: None at the root, False once it
+    is empty, which holds for every completion since boxes only shrink.
     """
-
-    def __init__(self, faces, supports, boxes, t):
-        self.faces = faces
-        self.supports = supports
-        self.boxes = boxes
-        self.t = t
-
-    def __iter__(self):
-        n = len(self.faces)
-        t = self.t
-
-        def rec(start, used, lo, hi, chosen):
-            depth = len(chosen)
-            for i in range(start, n - (t - depth) + 1):
-                if not used.isdisjoint(self.supports[i]):
-                    continue
-                blo, bhi = self.boxes[i]
-                if lo is None:
-                    nlo, nhi = blo, bhi
-                else:
-                    nlo = tuple(max(a, b) for a, b in zip(lo, blo))
-                    nhi = tuple(min(a, b) for a, b in zip(hi, bhi))
-                feasible = all(a <= b for a, b in zip(nlo, nhi))
-                chosen.append(i)
-                if depth + 1 == t:
-                    yield list(chosen), feasible
-                elif feasible:
-                    yield from rec(i + 1, used | self.supports[i], nlo, nhi, chosen)
-                else:
-                    # box already empty: every completion is examined, none viable
-                    yield from self._complete_infeasible(i + 1, used | self.supports[i],
-                                                         chosen)
-                chosen.pop()
-
-        yield from rec(0, frozenset(), None, None, [])
-
-    def _complete_infeasible(self, start, used, chosen):
-        n = len(self.faces)
-        t = self.t
-        depth = len(chosen)
-        for i in range(start, n - (t - depth) + 1):
-            if not used.isdisjoint(self.supports[i]):
-                continue
-            chosen.append(i)
-            if depth + 1 == t:
-                yield list(chosen), False
-            else:
-                yield from self._complete_infeasible(i + 1, used | self.supports[i],
-                                                     chosen)
-            chosen.pop()
+    depth = len(chosen)
+    for i in range(start, len(supports) - (t - depth) + 1):
+        if not used.isdisjoint(supports[i]):
+            continue
+        nbox = box
+        if box is None:
+            nbox = boxes[i]
+        elif box:
+            lo = tuple(map(max, box[0], boxes[i][0]))
+            hi = tuple(map(min, box[1], boxes[i][1]))
+            nbox = (lo, hi) if all(map(le, lo, hi)) else False
+        if depth + 1 == t:
+            yield [*chosen, i], nbox is not False
+        else:
+            yield from _tuples(supports, boxes, t, i + 1, used | supports[i], nbox,
+                               (*chosen, i))
 
 
-def find_tverberg(M, cfg, t, threads=1, max_tuples=None, time_limit_s=None):
+def find_tverberg(M, cfg, t, max_tuples=None, time_limit_s=None):
     """First Tverberg witness at size t in canonical tuple order, or None
     after certified exhaustive enumeration.
 
     Faces are nonempty independent sets of at most min(rank, d+1) elements
-    (by Caratheodory, larger faces never enlarge the witness set).  The
-    stream is searched in order on the calling thread; ``threads`` is
-    accepted for compatibility and the output does not depend on it.
+    (by Caratheodory, larger faces never enlarge the witness set).
     """
     if t < 1:
         raise InputError(f"t must be positive, got {t}")
@@ -202,7 +161,6 @@ def find_tverberg(M, cfg, t, threads=1, max_tuples=None, time_limit_s=None):
     supports = [frozenset(f) for f in faces]
     pts = {e: cfg.point(e) for e in non_loops}
     boxes = [_bbox([pts[e] for e in f]) for f in faces]
-    stream = _TupleStream(faces, supports, boxes, t)
 
     deadline = time.monotonic() + time_limit_s if time_limit_s else None
     examined = 0
@@ -219,7 +177,7 @@ def find_tverberg(M, cfg, t, threads=1, max_tuples=None, time_limit_s=None):
                 progress={"tuples_examined": examined, "faces": len(faces)},
             )
 
-    for idxs, feasible in stream:
+    for idxs, feasible in _tuples(supports, boxes, t):
         examined += 1
         check_limits()
         if not feasible:
@@ -235,12 +193,12 @@ def find_tverberg(M, cfg, t, threads=1, max_tuples=None, time_limit_s=None):
     return SearchResult(None, examined, len(faces))
 
 
-def max_affine_t(M, cfg, cap, threads=1, max_tuples=None):
+def max_affine_t(M, cfg, cap, max_tuples=None):
     """Largest t <= cap admitting a witness, by descending search; 0 if none."""
     if cap < 1:
         raise InputError(f"cap must be positive, got {cap}")
     for t in range(cap, 0, -1):
-        if find_tverberg(M, cfg, t, threads=threads, max_tuples=max_tuples).witness:
+        if find_tverberg(M, cfg, t, max_tuples=max_tuples).witness:
             return t
     return 0
 
@@ -313,7 +271,7 @@ class TheoremReport:
         return out
 
 
-def verify_theorem(M, cfg, threads=1, max_tuples=None, time_limit_s=None):
+def verify_theorem(M, cfg, max_tuples=None, time_limit_s=None):
     """Verify the threshold t* = ceil(sqrt(b)/4) on one affine instance.
 
     Computes b(M), the prime choice and its closing inequality as a
@@ -331,10 +289,8 @@ def verify_theorem(M, cfg, threads=1, max_tuples=None, time_limit_s=None):
     t_star = threshold_t(b)
     prime = choose_prime(b)
     ineq = dold_inequality_holds(b, cfg.dim, prime) if prime is not None else None
-    search = find_tverberg(
-        M, cfg, t_star, threads=threads, max_tuples=max_tuples,
-        time_limit_s=time_limit_s,
-    )
+    search = find_tverberg(M, cfg, t_star, max_tuples=max_tuples,
+                           time_limit_s=time_limit_s)
     missing = search.witness is None
     note = ""
     if missing:

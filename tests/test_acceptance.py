@@ -1,9 +1,9 @@
 """Acceptance suite: one test per criterion, exact arithmetic, zero tolerance.
 
-Each criterion is a function (threads) -> (passed, canonical_report) so the
-determinism criterion can re-run the lot at several thread counts and compare
-reports byte for byte.  Reports carry no timing, so they are reproducible;
-wall-clock budgets are asserted separately per criterion.
+Each criterion is a function () -> (passed, canonical_report) so the
+determinism criterion can re-run the lot and compare reports byte for byte.
+Reports carry no timing, so they are reproducible; wall-clock budgets are
+asserted separately per criterion.
 """
 
 import time
@@ -42,7 +42,7 @@ def _family():
     return _cache["family"]
 
 
-def criterion_1(threads=1):
+def criterion_1():
     """Base-packing oracle equivalence plus certificate validity on the sweep."""
     rows = []
     ok = True
@@ -61,7 +61,7 @@ def criterion_1(threads=1):
     return ok, render_json({"criterion": 1, "pass": ok, "matroids": rows})
 
 
-def criterion_2(threads=1):
+def criterion_2():
     """C(2,3) is 0-connected and C(3,5) is 1-connected, homologically."""
     r1 = homologically_connected(chessboard(2, 3), 0)
     r2 = homologically_connected(chessboard(3, 5), 1)
@@ -72,7 +72,7 @@ def criterion_2(threads=1):
     })
 
 
-def criterion_3(threads=1):
+def criterion_3():
     """Nonvanishing at the chessboard threshold: C(2,2) and C(3,4)."""
     b22 = betti_reduced(chessboard(2, 2), 1).betti
     c34 = chessboard(3, 4)
@@ -94,7 +94,7 @@ def criterion_3(threads=1):
     })
 
 
-def criterion_4(threads=1):
+def criterion_4():
     """Every sweep matroid's complex is (rank-2)-connected, homologically."""
     rows = []
     ok = True
@@ -107,7 +107,7 @@ def criterion_4(threads=1):
     return ok, render_json({"criterion": 4, "pass": ok, "matroids": rows})
 
 
-def criterion_5(threads=1):
+def criterion_5():
     """verify_claim and verify_corollary hold on the sweep for k in {2,3};
     instances whose truncated deleted joins exceed 1e5 faces are skipped."""
     rows = []
@@ -143,7 +143,7 @@ def criterion_5(threads=1):
     return ok, render_json({"criterion": 5, "pass": ok, "instances": rows})
 
 
-def criterion_6(threads=1):
+def criterion_6():
     """Conjecture evidence: rank-1 on 2k-2 points fails at degree k-2 and on
     2k-1 points verifies, for k in {2, 3}."""
     rows = []
@@ -167,7 +167,7 @@ def criterion_6(threads=1):
     return ok, render_json({"criterion": 6, "pass": ok, "cases": rows})
 
 
-def criterion_7(threads=1):
+def criterion_7():
     """Classical Tverberg instances: witness at t = k for 100 seeded random
     configurations per (d, k); every witness re-validates exactly."""
     combos = [(1, 2), (1, 3), (2, 2), (2, 3)]
@@ -179,7 +179,7 @@ def criterion_7(threads=1):
         found = 0
         for i in range(100):
             cfg = random_point_config(n_points, d, seed=(d * 13 + k) * 1000 + i)
-            res = find_tverberg(M, cfg, k, threads=threads)
+            res = find_tverberg(M, cfg, k)
             if res.witness is not None:
                 res.witness.validate(M, cfg)  # raises on any inexactness
                 found += 1
@@ -188,7 +188,7 @@ def criterion_7(threads=1):
     return ok, render_json({"criterion": 7, "pass": ok, "combos": rows})
 
 
-def criterion_8(threads=1):
+def criterion_8():
     """Theorem threshold end to end on U(2,128) and U(2,32): witness at t*
     every time, with consistent prime choice and closing inequality."""
     rows = []
@@ -197,7 +197,7 @@ def criterion_8(threads=1):
         M = UniformMatroid(2, n)
         for i in range(20):
             cfg = random_point_config(n, 1, seed=7000 + 37 * n + i)
-            rep = verify_theorem(M, cfg, threads=threads)
+            rep = verify_theorem(M, cfg)
             consistent = (
                 rep.b == expect_b
                 and rep.t_star == expect_t
@@ -234,7 +234,7 @@ def _random_hull_instance(rng):
     ]
 
 
-def criterion_9(threads=1):
+def criterion_9():
     """hulls_intersect agrees with Fourier-Motzkin on 500 seeded instances."""
     import random
 
@@ -263,18 +263,17 @@ CRITERIA = {
 }
 
 
-def _run(n, threads=1):
-    key = (n, threads)
-    if key not in _cache:
+def _run(n):
+    if n not in _cache:
         t0 = time.monotonic()
-        passed, report = CRITERIA[n](threads=threads)
+        passed, report = CRITERIA[n]()
         elapsed = time.monotonic() - t0
-        _cache[key] = (passed, report, elapsed)
-    return _cache[key]
+        _cache[n] = (passed, report, elapsed)
+    return _cache[n]
 
 
 def _check(n):
-    passed, report, elapsed = _run(n, threads=1)
+    passed, report, elapsed = _run(n)
     status = "PASS" if passed else "FAIL"
     print(f"criterion {n}: {status} ({elapsed:.1f}s)")
     assert passed, f"criterion {n} failed:\n{report}"
@@ -317,14 +316,13 @@ def test_criterion_09_lp_oracle_equivalence():
     _check(9)
 
 
-def test_criterion_10_determinism_across_threads():
+def test_criterion_10_determinism_rerun():
     mismatches = []
     for n in sorted(CRITERIA):
-        base_passed, base_report, _ = _run(n, threads=1)
-        for threads in (2, 8):
-            passed, report, _ = _run(n, threads=threads)
-            if report != base_report or passed != base_passed:
-                mismatches.append((n, threads))
+        base_passed, base_report, _ = _run(n)
+        passed, report = CRITERIA[n]()
+        if report != base_report or passed != base_passed:
+            mismatches.append(n)
     status = "PASS" if not mismatches else "FAIL"
     print(f"criterion 10: {status}")
     assert not mismatches, f"nondeterministic criteria: {mismatches}"

@@ -183,6 +183,18 @@ def test_resource_limit_exit_three(files, capsys):
     assert json.loads(out)["outcome"] == "resource-limit"
 
 
+def test_matroid_complex_commands_honour_face_cap(tmp_path, capsys):
+    # U(3,40) has 780 edges and 9880 triangles, both over the cap
+    path = tmp_path / "u3_40.matroid"
+    write_matroid(path, UniformMatroid(3, 40))
+    for argv in (("complex", "--max-dim", "2"), ("homology", "--up-to", "1"),
+                 ("verify-matroid-conn",)):
+        code, out = run(capsys, *argv, "--matroid", str(path), "--max-faces", "500")
+        rep = json.loads(out)
+        assert code == 3 and rep["outcome"] == "resource-limit", argv
+        assert rep["payload"]["progress"] == {"dimension": 1, "cap": 500}, argv
+
+
 def test_pack_modes(files, capsys):
     code, out = run(capsys, "pack", "--matroid", files["k4.matroid"], "--k", "2")
     assert code == 0 and json.loads(out)["payload"]["packed"] is True

@@ -69,15 +69,6 @@ def test_rank_zero_degenerate():
     assert b == 0 and packing.bases == [] and cert is None
 
 
-def test_warm_start():
-    M = UniformMatroid(2, 8)
-    first = pack_k_bases(M, 2)
-    res = pack_k_bases(M, 3, warm_start=[set(b) for b in first.bases])
-    assert isinstance(res, BasePacking) and len(res.bases) == 3
-    with pytest.raises(InputError):
-        pack_k_bases(M, 2, warm_start=[{0, 1}, {1, 2}])
-
-
 def test_graphic_packing_oracle_calls_bounded(monkeypatch):
     # forest-path circuits need about 620 oracle calls here; testing each
     # exchange arc with the oracle needs about 97,000
@@ -93,6 +84,23 @@ def test_graphic_packing_oracle_calls_bounded(monkeypatch):
     b, packing, cert = max_disjoint_bases(K16)
     assert b == 8 and cert.check(K16)
     assert len(calls) < 2000, len(calls)
+
+
+def test_uniform_packing_oracle_calls_bounded(monkeypatch):
+    # one union run re-checks the grown family once per augmentation; restarting
+    # the run for every k re-validated every earlier part (13,040 calls here)
+    calls = []
+    indep = UniformMatroid._indep
+
+    def counted(self, ids):
+        calls.append(1)
+        return indep(self, ids)
+
+    monkeypatch.setattr(UniformMatroid, "_indep", counted)
+    M = UniformMatroid(2, 160)
+    b, packing, cert = max_disjoint_bases(M)
+    assert b == 80 and cert.k == 81 and cert.check(M)
+    assert len(calls) < 7000, len(calls)
 
 
 def test_colourful_b_equals_r():

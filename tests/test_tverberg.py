@@ -1,7 +1,9 @@
 """Witness search, prime selection, threshold arithmetic, end-to-end theorem."""
 
+import random
 import warnings
 from fractions import Fraction
+from itertools import combinations
 
 import pytest
 
@@ -22,6 +24,8 @@ from tvermat import (
     threshold_t,
     verify_theorem,
 )
+from tvermat.generator import small_matroid_family
+from tvermat.tverberg import _bbox, _tuples
 
 LINE4 = PointConfig(1, {i: (Fraction(i),) for i in range(4)})
 
@@ -31,6 +35,35 @@ def test_enumerate_faces_lex_order():
     assert list(enumerate_faces(M, 2)) == [
         (0,), (0, 1), (0, 2), (1,), (1, 2), (2,)
     ]
+    for name, M in small_matroid_family(explicit_count=6):
+        for max_size in range(1, M.rank() + 2):
+            brute = sorted(
+                face
+                for s in range(1, max_size + 1)
+                for face in combinations(range(M.n), s)
+                if M.is_independent(face)
+            )
+            assert list(enumerate_faces(M, max_size)) == brute, (name, max_size)
+
+
+def test_tuples_match_brute_force():
+    for seed in range(8):
+        rng = random.Random(seed)
+        n, d, t = rng.randint(4, 7), rng.randint(1, 2), rng.randint(2, 3)
+        M = UniformMatroid(rng.randint(1, d + 1), n)
+        cfg = random_point_config(n, d, seed=seed, low=-4, high=4, max_den=2)
+        faces = list(enumerate_faces(M, d + 1))
+        supports = [frozenset(f) for f in faces]
+        boxes = [_bbox([cfg.point(e) for e in f]) for f in faces]
+        brute = []
+        for idxs in combinations(range(len(faces)), t):
+            union = frozenset().union(*(supports[i] for i in idxs))
+            if len(union) != sum(len(supports[i]) for i in idxs):
+                continue
+            lo = [max(boxes[i][0][ell] for i in idxs) for ell in range(d)]
+            hi = [min(boxes[i][1][ell] for i in idxs) for ell in range(d)]
+            brute.append((list(idxs), all(a <= b for a, b in zip(lo, hi))))
+        assert list(_tuples(supports, boxes, t)) == brute, seed
 
 
 def test_rank_one_distinct_points_no_pair():
@@ -68,16 +101,6 @@ def test_witness_monotone_in_t():
     if res3.witness is not None:
         for smaller in (2, 1):
             assert find_tverberg(M, cfg, smaller).witness is not None
-
-
-def test_threads_do_not_change_result():
-    M = UniformMatroid(3, 7)
-    cfg = random_point_config(7, 2, seed=42)
-    base = find_tverberg(M, cfg, 3, threads=1)
-    for threads in (2, 8):
-        other = find_tverberg(M, cfg, 3, threads=threads)
-        assert other.witness.faces == base.witness.faces
-        assert other.tuples_examined == base.tuples_examined
 
 
 def test_resource_caps():
