@@ -31,6 +31,7 @@ File formats (all versioned with a leading format-version field):
 """
 
 import argparse
+import functools
 import hashlib
 import sys
 import time
@@ -129,6 +130,7 @@ def _cert_payload(cert):
     return out
 
 
+@functools.cache
 def build_parser():
     top = argparse.ArgumentParser(
         prog="tvermat",

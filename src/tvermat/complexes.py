@@ -337,21 +337,20 @@ def chessboard(k, m, trunc=None, cap=DEFAULT_FACE_CAP):
         raise InputError(f"need k >= 1 and m >= 1, got k={k}, m={m}")
     top = min(k, m) - 1 if trunc is None else min(trunc, min(k, m) - 1)
     by_dim = {}
-    level = [((v,), 1 << (v // m), 1 << (v % m)) for v in range(k * m)]
-    d = 0
-    while level and d <= top:
-        by_dim[d] = [face for face, _, _ in level]
-        _check_cap(len(by_dim[d]), d, cap)
-        if d == top:
-            break
+    level = [((), 0, 0)]
+    for d in range(top + 1):
         nxt = []
         for face, rows, cols in level:
-            for v in range(face[-1] + 1, k * m):
+            for v in range(face[-1] + 1 if face else 0, k * m):
                 r, c = 1 << (v // m), 1 << (v % m)
                 if not (rows & r) and not (cols & c):
                     nxt.append((face + (v,), rows | r, cols | c))
+                    if cap is not None and len(nxt) > cap:
+                        _check_cap(len(nxt), d, cap)
+        if not nxt:
+            break
+        by_dim[d] = [face for face, _, _ in nxt]
         level = nxt
-        d += 1
     complete = top == min(k, m) - 1
     return SimplicialComplex(k * m, by_dim, trunc=top, complete=complete,
                              labels=(k, m))

@@ -1,12 +1,16 @@
 """Exact rational linear feasibility via phase-1 simplex.
 
-Decides {x : Ax = b, x >= 0} with Fraction arithmetic and Bland's
-smallest-index anti-cycling rule, so answers are certificates rather than
-tolerance judgements.  Problem sizes here are tiny (convex-hull intersection
-systems), so a dense tableau is the right tool.
+Decides {x : Ax = b, x >= 0} with Bland's smallest-index anti-cycling rule,
+so answers are certificates rather than tolerance judgements.  The tableau
+is fraction-free (Edmonds 1967): integer rows over positive denominators,
+pivoted by integer row operations and reduced by their gcd.  It holds the
+values of the rational tableau, so pivots and answers are the rational ones.
+An infeasible answer carries a Farkas ray, re-checked in integers.  Problem
+sizes here are tiny, so a dense tableau is the right tool.
 """
 
 from fractions import Fraction
+from math import gcd, lcm
 
 from .errors import InputError
 
@@ -16,71 +20,88 @@ def solve_equality_feasibility(A, b):
 
     A is a list of m rows of length n; entries anything Fraction() accepts.
     Phase-1 simplex: minimize the sum of artificial variables; feasibility
-    holds iff the optimum is zero.
+    holds iff the optimum is zero, and otherwise the final simplex
+    multipliers are a Farkas ray, checked before None is returned.
     """
     m = len(A)
     n = len(A[0]) if m else 0
-    rows = []
-    rhs = []
+    rows = []  # [a_i1 .. a_in, b_i] times scales[i], integers, b_i >= 0
+    scales = []
     for i in range(m):
         if len(A[i]) != n:
             raise InputError("ragged constraint matrix")
-        row = [Fraction(x) for x in A[i]]
-        r = Fraction(b[i])
-        if r < 0:
+        row = [Fraction(x) for x in A[i]] + [Fraction(b[i])]
+        if row[-1] < 0:
             row = [-x for x in row]
-            r = -r
-        rows.append(row)
-        rhs.append(r)
+        scale = lcm(*(x.denominator for x in row))
+        rows.append([x.numerator * (scale // x.denominator) for x in row])
+        scales.append(scale)
     if m == 0:
         return [Fraction(0)] * n
 
-    # tableau columns: n original + m artificial; artificials start basic
-    tab = [rows[i] + [Fraction(1) if j == i else Fraction(0) for j in range(m)]
-           for i in range(m)]
+    # tableau row i is T[i] / den[i]: n original columns, m artificial
+    # columns (basic at the start), then the rhs.  Row m is the phase-1 cost
+    # row [reduced costs | -objective] for costs (0..0, 1..1).
+    T = [row[:n] + [scales[i] if j == i else 0 for j in range(m)] + row[n:]
+         for i, row in enumerate(rows)]
+    top = lcm(*scales)
+    weights = [top // s for s in scales]
+    cost = [-sum(row[j] * w for row, w in zip(rows, weights)) for j in range(n + 1)]
+    T.append(cost[:n] + [0] * m + cost[n:])
+    den = scales + [top]
     basis = [n + i for i in range(m)]
-    # reduced costs for cost vector (0..0, 1..1) with artificial basis
-    red = [-sum(tab[i][j] for i in range(m)) for j in range(n)] + [Fraction(0)] * m
-    obj = sum(rhs)
 
     while True:
-        enter = next((j for j in range(n + m) if red[j] < 0), None)
+        enter = next((j for j in range(n + m) if T[m][j] < 0), None)
         if enter is None:
             break
         leave = None
-        best = None
         for i in range(m):
-            a = tab[i][enter]
-            if a > 0:
-                ratio = rhs[i] / a
-                if best is None or ratio < best or (
-                    ratio == best and basis[i] < basis[leave]
-                ):
-                    best = ratio
-                    leave = i
+            a = T[i][enter]
+            if a <= 0:
+                continue
+            if leave is None:
+                leave = i
+                continue
+            # ratio rhs/a (the denominators cancel), cross-multiplied
+            diff = T[i][-1] * T[leave][enter] - T[leave][-1] * a
+            if diff < 0 or (diff == 0 and basis[i] < basis[leave]):
+                leave = i
         if leave is None:
             # cost is bounded below by 0, so phase-1 cannot be unbounded
             raise RuntimeError("phase-1 simplex reported unbounded descent")
-        piv = tab[leave][enter]
-        tab[leave] = [x / piv for x in tab[leave]]
-        rhs[leave] /= piv
-        for i in range(m):
-            if i != leave and tab[i][enter]:
-                f = tab[i][enter]
-                tab[i] = [x - f * y for x, y in zip(tab[i], tab[leave])]
-                rhs[i] -= f * rhs[leave]
-        f = red[enter]
-        red = [x - f * y for x, y in zip(red, tab[leave])]
-        obj += f * rhs[leave]  # entering by theta changes cost by red[enter]*theta
+        g = gcd(*T[leave])
+        prow = T[leave] = [x // g for x in T[leave]]
+        piv = den[leave] = prow[enter]
+        for i in range(m + 1):
+            f = T[i][enter]
+            if i != leave and f:
+                row = [piv * x - f * y for x, y in zip(T[i], prow)]
+                d = den[i] * piv
+                g = gcd(d, *row)
+                T[i] = [x // g for x in row]
+                den[i] = d // g
         basis[leave] = enter
 
-    if obj != 0:
+    if T[m][-1] != 0:
+        # y_i = 1 - (reduced cost of artificial i), times den[m] * top /
+        # scales[i] to fit the integer rows
+        y = [(den[m] - c) * w for c, w in zip(T[m][n:n + m], weights)]
+        _check_farkas(rows, y)
         return None
     x = [Fraction(0)] * n
     for i, j in enumerate(basis):
         if j < n:
-            x[j] = rhs[i]
+            x[j] = Fraction(T[i][-1], den[i])
     return x
+
+
+def _check_farkas(rows, y):
+    """Raise unless y^T A <= 0 < y^T b for the integer rows [A | b], which
+    proves {x >= 0 : Ax = b} empty: y^T b = y^T A x <= 0 for a feasible x."""
+    sums = [sum(c * yi for c, yi in zip(col, y)) for col in zip(*rows)]
+    if any(s > 0 for s in sums[:-1]) or sums[-1] <= 0:
+        raise RuntimeError("infeasible LP answer without a valid Farkas ray")
 
 
 def _as_point(pt, dim):
@@ -112,20 +133,20 @@ def hulls_intersect(point_sets):
     rows = []
     rhs = []
     for i in range(t):
-        row = [Fraction(0)] * nvar
+        row = [0] * nvar
         for j in range(sizes[i]):
-            row[offsets[i] + j] = Fraction(1)
+            row[offsets[i] + j] = 1
         rows.append(row)
-        rhs.append(Fraction(1))
+        rhs.append(1)
     for i in range(1, t):
         for ell in range(dim):
-            row = [Fraction(0)] * nvar
+            row = [0] * nvar
             for j, p in enumerate(pts[i]):
                 row[offsets[i] + j] = p[ell]
             for j, p in enumerate(pts[0]):
                 row[offsets[0] + j] -= p[ell]
             rows.append(row)
-            rhs.append(Fraction(0))
+            rhs.append(0)
 
     x = solve_equality_feasibility(rows, rhs)
     if x is None:

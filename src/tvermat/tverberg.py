@@ -12,7 +12,7 @@ import time
 import warnings
 from dataclasses import dataclass
 from fractions import Fraction
-from math import isqrt
+from math import isqrt, lcm
 from operator import le
 
 from .errors import InputError, PreconditionError, ResourceLimitError
@@ -111,7 +111,19 @@ def _bbox(points):
     return lo, hi
 
 
-def _tuples(supports, boxes, t, start=0, used=frozenset(), box=None, chosen=()):
+class _LazyBoxes(dict):
+    """Face index -> bounding box of its points, built when first asked for."""
+
+    def __init__(self, faces, points):
+        self.faces = faces
+        self.points = points
+
+    def __missing__(self, i):
+        box = self[i] = _bbox([self.points[e] for e in self.faces[i]])
+        return box
+
+
+def _tuples(faces, boxes, t, start=0, used=frozenset(), box=None, chosen=()):
     """Canonical enumeration of strictly increasing disjoint face tuples.
 
     Yields (indices, candidate) where ``candidate`` is False when the
@@ -121,8 +133,8 @@ def _tuples(supports, boxes, t, start=0, used=frozenset(), box=None, chosen=()):
     is empty, which holds for every completion since boxes only shrink.
     """
     depth = len(chosen)
-    for i in range(start, len(supports) - (t - depth) + 1):
-        if not used.isdisjoint(supports[i]):
+    for i in range(start, len(faces) - (t - depth) + 1):
+        if not used.isdisjoint(faces[i]):
             continue
         nbox = box
         if box is None:
@@ -134,7 +146,7 @@ def _tuples(supports, boxes, t, start=0, used=frozenset(), box=None, chosen=()):
         if depth + 1 == t:
             yield [*chosen, i], nbox is not False
         else:
-            yield from _tuples(supports, boxes, t, i + 1, used | supports[i], nbox,
+            yield from _tuples(faces, boxes, t, i + 1, used.union(faces[i]), nbox,
                                (*chosen, i))
 
 
@@ -143,7 +155,11 @@ def find_tverberg(M, cfg, t, max_tuples=None, time_limit_s=None):
     after certified exhaustive enumeration.
 
     Faces are nonempty independent sets of at most min(rank, d+1) elements
-    (by Caratheodory, larger faces never enlarge the witness set).
+    (by Caratheodory, larger faces never enlarge the witness set).  A tuple
+    goes to the exact LP only when the bounding boxes of its faces meet.
+    The boxes are taken on the integer lattice of the least common
+    denominator of the coordinates, which keeps their order, and a face's
+    box is built when a tuple first reaches the face.
     """
     if t < 1:
         raise InputError(f"t must be positive, got {t}")
@@ -158,9 +174,11 @@ def find_tverberg(M, cfg, t, max_tuples=None, time_limit_s=None):
         )
     max_size = min(rho, cfg.dim + 1)
     faces = list(enumerate_faces(M, max_size))
-    supports = [frozenset(f) for f in faces]
-    pts = {e: cfg.point(e) for e in non_loops}
-    boxes = [_bbox([pts[e] for e in f]) for f in faces]
+    pts = {e: tuple(map(Fraction, cfg.point(e))) for e in non_loops}
+    scale = lcm(*(c.denominator for p in pts.values() for c in p))
+    lattice = {e: tuple(c.numerator * (scale // c.denominator) for c in p)
+               for e, p in pts.items()}
+    boxes = _LazyBoxes(faces, lattice)
 
     deadline = time.monotonic() + time_limit_s if time_limit_s else None
     examined = 0
@@ -177,7 +195,7 @@ def find_tverberg(M, cfg, t, max_tuples=None, time_limit_s=None):
                 progress={"tuples_examined": examined, "faces": len(faces)},
             )
 
-    for idxs, feasible in _tuples(supports, boxes, t):
+    for idxs, feasible in _tuples(faces, boxes, t):
         examined += 1
         check_limits()
         if not feasible:

@@ -2,7 +2,8 @@
 
 These deliberately share no code with the package internals: packing maxima
 by exhaustive set packing, Betti numbers via dense integer Smith reduction,
-hull intersection via Fourier-Motzkin elimination.
+hull intersection via Fourier-Motzkin elimination, and the rational-tableau
+phase-1 simplex that the fraction-free solver must match pivot for pivot.
 """
 
 from fractions import Fraction
@@ -226,3 +227,64 @@ def hulls_intersect_fm(point_sets):
                 coeffs[offsets[0] + j] -= Fraction(p[ell])
             add_eq(coeffs, 0)
     return fourier_motzkin_feasible(ineqs, nvar)
+
+
+def fraction_simplex(A, b):
+    """Phase-1 simplex on a Fraction tableau with Bland's rule: a feasible
+    point of {x >= 0 : Ax = b}, or None."""
+    m = len(A)
+    n = len(A[0]) if m else 0
+    rows = []
+    rhs = []
+    for i in range(m):
+        row = [Fraction(x) for x in A[i]]
+        r = Fraction(b[i])
+        if r < 0:
+            row = [-x for x in row]
+            r = -r
+        rows.append(row)
+        rhs.append(r)
+    if m == 0:
+        return [Fraction(0)] * n
+
+    tab = [rows[i] + [Fraction(1) if j == i else Fraction(0) for j in range(m)]
+           for i in range(m)]
+    basis = [n + i for i in range(m)]
+    red = [-sum(tab[i][j] for i in range(m)) for j in range(n)] + [Fraction(0)] * m
+    obj = sum(rhs)
+
+    while True:
+        enter = next((j for j in range(n + m) if red[j] < 0), None)
+        if enter is None:
+            break
+        leave = None
+        best = None
+        for i in range(m):
+            a = tab[i][enter]
+            if a > 0:
+                ratio = rhs[i] / a
+                if best is None or ratio < best or (
+                    ratio == best and basis[i] < basis[leave]
+                ):
+                    best = ratio
+                    leave = i
+        piv = tab[leave][enter]
+        tab[leave] = [x / piv for x in tab[leave]]
+        rhs[leave] /= piv
+        for i in range(m):
+            if i != leave and tab[i][enter]:
+                f = tab[i][enter]
+                tab[i] = [x - f * y for x, y in zip(tab[i], tab[leave])]
+                rhs[i] -= f * rhs[leave]
+        f = red[enter]
+        red = [x - f * y for x, y in zip(red, tab[leave])]
+        obj += f * rhs[leave]
+        basis[leave] = enter
+
+    if obj != 0:
+        return None
+    x = [Fraction(0)] * n
+    for i, j in enumerate(basis):
+        if j < n:
+            x[j] = rhs[i]
+    return x

@@ -5,7 +5,7 @@ import json
 import pytest
 
 from tvermat import GraphicMatroid, UniformMatroid, colourful_matroid
-from tvermat.cli import main
+from tvermat.cli import build_parser, main
 from tvermat.formats import write_matroid, write_points
 from tvermat.tverberg import PointConfig
 
@@ -241,6 +241,17 @@ def test_determinism_bytes(files, capsys):
         "--random-points", "4", "--dim", "1", "--seed", "8", "--t", "2",
     )
     assert json.loads(other_seed)["parameters"]["seed"] == 8
+
+
+def test_one_parser_per_process(files, capsys):
+    claim = ("verify-claim", "--matroid", files["u2_4.matroid"],
+             "--matroid", files["u2_4.matroid"], "--sets", "0,1;2,3", "--m", "1")
+    hulls = ("hulls", "--points", files["line4.pts"], "--sets", "0,2;1")
+    build_parser.cache_clear()
+    first = [run(capsys, *claim), run(capsys, *hulls)]
+    assert build_parser() is build_parser()
+    assert [run(capsys, *claim), run(capsys, *hulls)] == first
+    assert json.loads(first[0][1])["payload"]["context"]["k"] == 2  # two --matroid
 
 
 def test_text_format(files, capsys):

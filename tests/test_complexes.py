@@ -212,6 +212,18 @@ def test_truncation_and_cap():
     assert not P.complete
 
 
+def test_chessboard_cap_checked_while_a_level_grows():
+    # C(8, 20) has 10,640 edges; the level stops at cap + 1 of them
+    with pytest.raises(ResourceLimitError) as err:
+        chessboard(8, 20, trunc=3, cap=1000)
+    assert "1001 > 1000" in str(err.value)
+    assert err.value.progress == {"dimension": 1, "cap": 1000}
+    with pytest.raises(ResourceLimitError) as err:
+        chessboard(8, 20, cap=100)
+    assert err.value.progress == {"dimension": 0, "cap": 100}
+    assert chessboard(8, 20, trunc=0, cap=160).f_vector() == (160,)
+
+
 def test_colourful_complex_top_faces():
     for r in (1, 2, 3):
         for d in (1, 2):

@@ -1,12 +1,18 @@
 """Exact LP feasibility: hand-checked instances plus the Fourier-Motzkin oracle."""
 
+import os
 import random
+import subprocess
+import sys
 from fractions import Fraction
+from pathlib import Path
 
 import pytest
 
-from oracles import hulls_intersect_fm
+import tvermat.lp
+from oracles import fraction_simplex, hulls_intersect_fm
 from tvermat import InputError, hulls_intersect, solve_equality_feasibility
+from tvermat.lp import _check_farkas
 
 
 def test_segments_overlap():
@@ -91,3 +97,80 @@ def test_corrupted_solver_result_raises(monkeypatch):
                         lambda rows, rhs: [Fraction(1), Fraction(0), Fraction(1)])
     with pytest.raises(RuntimeError):
         hulls_intersect([[(0,), (2,)], [(1,)]])
+
+
+def _random_system(rng):
+    """Small entries and zero right-hand sides make ratio ties and
+    degenerate pivots common."""
+    m, n = rng.randint(1, 5), rng.randint(1, 7)
+    vals = (0, 0, 1, -1, 2, -2, Fraction(1, 2), Fraction(-3, 4), Fraction(5, 3))
+    A = [[rng.choice(vals) for _ in range(n)] for _ in range(m)]
+    b = [rng.choice((0, 0, 1, -1, 2, Fraction(1, 3))) for _ in range(m)]
+    return A, b
+
+
+def _degenerate_sets(rng):
+    """Point sets on a coarse integer grid, with repeated points."""
+    d = rng.randint(1, 3)
+    grid = [tuple(rng.randint(-2, 2) for _ in range(d)) for _ in range(4)]
+    return [[rng.choice(grid) for _ in range(rng.randint(1, 3))]
+            for _ in range(rng.randint(2, 3))]
+
+
+def test_integer_tableau_matches_fraction_reference(monkeypatch):
+    rng = random.Random(2024)
+    systems = [_random_system(rng) for _ in range(1500)]
+
+    def record(rows, rhs):
+        systems.append((rows, rhs))
+        return fraction_simplex(rows, rhs)
+
+    monkeypatch.setattr(tvermat.lp, "solve_equality_feasibility", record)
+    for _ in range(300):
+        hulls_intersect(_random_instance(rng))
+        hulls_intersect(_degenerate_sets(rng))
+    monkeypatch.undo()
+    assert len(systems) == 2100
+    outcomes = set()
+    for A, b in systems:
+        x = solve_equality_feasibility(A, b)
+        assert x == fraction_simplex(A, b), (A, b)
+        outcomes.add(x is None)
+    assert outcomes == {True, False}
+
+
+def test_wrong_farkas_ray_raises():
+    # x0 + x1 = 1, x0 - x1 = 3 over x >= 0: y = (-1, 1) gives y^T A = (0, -2)
+    # and y^T b = 2
+    rows = [[1, 1, 1], [1, -1, 3]]
+    _check_farkas(rows, [-1, 1])
+    for y in ([1, 0], [0, 0], [-1, 0], [1, -1]):
+        with pytest.raises(RuntimeError):
+            _check_farkas(rows, y)
+
+
+def test_certificate_checks_hold_under_optimize():
+    script = """
+import sys
+from fractions import Fraction
+import tvermat.lp
+from tvermat.lp import _check_farkas, hulls_intersect
+assert sys.flags.optimize == 1
+try:
+    _check_farkas([[1, 1, 1], [1, -1, 3]], [1, 0])
+    sys.exit("wrong Farkas ray accepted")
+except RuntimeError:
+    pass
+tvermat.lp.solve_equality_feasibility = lambda rows, rhs: [Fraction(2), Fraction(-1), Fraction(1)]
+try:
+    hulls_intersect([[(0,), (2,)], [(1,)]])
+    sys.exit("wrong solver result accepted")
+except RuntimeError:
+    pass
+print("ok")
+"""
+    src = Path(tvermat.lp.__file__).resolve().parents[1]
+    proc = subprocess.run([sys.executable, "-O", "-c", script], capture_output=True,
+                          text=True, env={**os.environ, "PYTHONPATH": str(src)}, timeout=60)
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout == "ok\n"

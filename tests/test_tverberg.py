@@ -25,6 +25,7 @@ from tvermat import (
     verify_theorem,
 )
 from tvermat.generator import small_matroid_family
+import tvermat.tverberg
 from tvermat.tverberg import _bbox, _tuples
 
 LINE4 = PointConfig(1, {i: (Fraction(i),) for i in range(4)})
@@ -64,6 +65,26 @@ def test_tuples_match_brute_force():
             hi = [min(boxes[i][1][ell] for i in idxs) for ell in range(d)]
             brute.append((list(idxs), all(a <= b for a, b in zip(lo, hi))))
         assert list(_tuples(supports, boxes, t)) == brute, seed
+
+
+def test_boxes_built_on_demand(monkeypatch):
+    built = []
+
+    def counting_bbox(points):
+        built.append(points)
+        return _bbox(points)
+
+    monkeypatch.setattr(tvermat.tverberg, "_bbox", counting_bbox)
+    res = find_tverberg(UniformMatroid(3, 60), random_point_config(60, 2, seed=3), 2)
+    assert res.faces_enumerated == 36050 and res.tuples_examined == 120
+    assert len(built) == 121
+    w = res.witness
+    assert w.faces == [(0,), (1, 4, 7)]
+    assert w.point == (Fraction(-8), Fraction(-3, 8))
+    assert w.coefficients == [
+        [Fraction(1)],
+        [Fraction(1307, 15890), Fraction(6281, 12712), Fraction(26927, 63560)],
+    ]
 
 
 def test_rank_one_distinct_points_no_pair():
