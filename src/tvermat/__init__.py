@@ -35,18 +35,9 @@ from .complexes import (
     SimplicialComplex,
     as_complex,
     chessboard,
-    cyclic_shift,
     deleted_join,
-    empty_complex,
     from_facets,
     full_simplex,
-    induced,
-    is_action_free,
-    join,
-    link,
-    power_deleted_join,
-    skeleton,
-    star,
 )
 from .homology import (
     BettiVector,
@@ -69,7 +60,6 @@ from .tverberg import (
     dold_inequality_holds,
     enumerate_faces,
     find_tverberg,
-    max_affine_t,
     random_point_config,
     threshold_t,
     verify_theorem,

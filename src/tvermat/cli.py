@@ -23,6 +23,8 @@ File formats (all versioned with a leading format-version field):
                            entries as exact integer/rational strings
                  partition {"blocks": [[ids], ...], "capacities": [c, ...]}
                  explicit  {"size": n, "maximal_independent_sets": [[...], ...]}
+             a uniform or explicit "size" above formats.MAX_GROUND_SIZE
+             (2**20) is an input error
   .pts       "format-version: 1", then "d=<dim>", then "id: r1 r2 ... rd"
              per element, rationals as "p/q" or integers
   .faces     one face per line, strictly increasing vertex ids; the listed

@@ -1,14 +1,16 @@
-"""Simplicial complexes: stars, links, skeleta, joins, deleted joins, chessboards.
+"""Simplicial complexes: matroid independence complexes, deleted joins, chessboards.
 
 Faces are sorted tuples of encoded vertex ids, stored per dimension in
 lexicographic order; the empty face is implicit (f_{-1} = 1).  Complexes built
 from k factors on a shared element space of size n carry labeled vertices
-encoded as copy*n + element (copies 0-based internally, reported 1-based).
+encoded as copy*n + element with 0-based copies.
 
 Materialization is dimension-truncated: ``trunc`` is the largest dimension
 enumerated, ``complete`` records whether any faces beyond it exist.  Counts at
 each materialized dimension are exact.  A per-dimension face cap (default
-5e6) turns combinatorial blowup into a distinct resource-limit error.
+5e6) turns combinatorial blowup into a distinct resource-limit error.  A
+d-face costs 48 + 8(d+1) bytes, its list slot included (87 bytes a face for
+C(6,8) through dimension 5), so a level of 5-faces at the cap holds 0.5 GB.
 """
 
 from itertools import combinations
@@ -41,7 +43,6 @@ class SimplicialComplex:
         self.trunc = trunc
         self.complete = complete
         self.labels = labels
-        self._face_sets = {d: set(fs) for d, fs in self.faces_by_dim.items()}
 
     # -- queries -----------------------------------------------------------
 
@@ -57,12 +58,6 @@ class SimplicialComplex:
         for d in sorted(self.faces_by_dim):
             yield from self.faces_by_dim[d]
 
-    def has_face(self, face):
-        face = tuple(sorted(face))
-        if not face:
-            return True
-        return face in self._face_sets.get(len(face) - 1, ())
-
     def f_vector(self):
         """(f_0, .., f_D) over materialized dimensions; f_{-1}=1 implicit."""
         top = self.dimension
@@ -71,21 +66,11 @@ class SimplicialComplex:
     def num_faces(self):
         return sum(len(fs) for fs in self.faces_by_dim.values())
 
-    def is_empty(self):
-        return not self.faces_by_dim
-
     def euler_characteristic(self):
         """Non-reduced Euler characteristic; requires a complete complex."""
         if not self.complete:
             raise PreconditionError("Euler characteristic needs a complete complex")
         return sum((-1) ** d * len(fs) for d, fs in self.faces_by_dim.items())
-
-    def decode(self, v):
-        """(copy, element) of an encoded vertex, 1-based copy; plain vertices pass through."""
-        if self.labels is None:
-            return v
-        k, n = self.labels
-        return (v // n + 1, v % n)
 
     def _materialized_to(self, d):
         return self.complete or self.trunc >= d
@@ -120,10 +105,6 @@ def full_simplex(num_vertices):
     if num_vertices < 0:
         raise InputError("vertex count must be nonnegative")
     return from_facets(num_vertices, [tuple(range(num_vertices))])
-
-
-def empty_complex(n_labels=0):
-    return SimplicialComplex(n_labels, {}, trunc=-1, complete=True)
 
 
 def independent_sets(M, max_dim, cap=None):
@@ -163,61 +144,6 @@ def as_complex(M, max_dim, cap=DEFAULT_FACE_CAP):
     return SimplicialComplex(M.n, by_dim, trunc=max_dim, complete=complete)
 
 
-# -- local operations --------------------------------------------------------
-
-
-def star(X, v):
-    """st(X, v): faces whose union with {v} is a face; on the original vertex space."""
-    if not X.has_face((v,)):
-        raise PreconditionError(f"{v} is not a vertex of the complex")
-    by_dim = {}
-    top = X.dimension if X.complete else X.trunc - 1
-    for d in range(top + 1):
-        kept = []
-        for face in X.faces(d):
-            if v in face:
-                kept.append(face)
-            else:
-                up = tuple(sorted(face + (v,)))
-                if up in X._face_sets.get(d + 1, ()):
-                    kept.append(face)
-        if kept:
-            by_dim[d] = kept
-    return SimplicialComplex(X.n_labels, by_dim, trunc=top, complete=X.complete,
-                             labels=X.labels)
-
-
-def link(X, v):
-    """lk(X, v): star faces avoiding v."""
-    st = star(X, v)
-    by_dim = {d: [f for f in fs if v not in f] for d, fs in st.faces_by_dim.items()}
-    return SimplicialComplex(X.n_labels, by_dim, trunc=st.trunc, complete=st.complete,
-                             labels=X.labels)
-
-
-def induced(X, keep):
-    """Induced subcomplex on the vertex subset ``keep``."""
-    keep = frozenset(keep)
-    by_dim = {}
-    for d, fs in X.faces_by_dim.items():
-        kept = [f for f in fs if keep.issuperset(f)]
-        if kept:
-            by_dim[d] = kept
-    return SimplicialComplex(X.n_labels, by_dim, trunc=X.trunc, complete=X.complete,
-                             labels=X.labels)
-
-
-def skeleton(X, d):
-    """Faces of X with at most d+1 vertices; always complete as its own complex."""
-    if d < -1:
-        raise InputError(f"skeleton dimension must be >= -1, got {d}")
-    if not X._materialized_to(d):
-        raise PreconditionError(f"complex materialized only to {X.trunc}, need {d}")
-    by_dim = {dd: fs for dd, fs in X.faces_by_dim.items() if dd <= d}
-    return SimplicialComplex(X.n_labels, by_dim, trunc=d, complete=True,
-                             labels=X.labels)
-
-
 # -- joins --------------------------------------------------------------------
 
 
@@ -229,8 +155,8 @@ def _factor_faces_by_size(X, max_size):
     return out
 
 
-def _combine(factors, n, trunc, cap, deleted):
-    """Enumerate union faces of (deleted) joins up to total size trunc+1."""
+def _combine(factors, n, trunc, cap):
+    """Enumerate union faces of the deleted join up to total size trunc+1."""
     k = len(factors)
     max_size = trunc + 1
     fac_faces = [_factor_faces_by_size(X, max_size) for X in factors]
@@ -251,17 +177,20 @@ def _combine(factors, n, trunc, cap, deleted):
         faces_i = fac_faces[i]
         for s in range(0, budget + 1):
             for sigma in faces_i.get(s, ()):
-                if deleted and s and not used.isdisjoint(sigma):
+                if not used.isdisjoint(sigma):
                     continue
                 encoded = [i * n + e for e in sigma]
-                rec(i + 1, used | frozenset(sigma) if deleted else used,
-                    acc + encoded, budget - s)
+                rec(i + 1, used.union(sigma), acc + encoded, budget - s)
 
     rec(0, frozenset(), [], max_size)
     return by_dim
 
 
-def _join_like(factors, trunc, cap, deleted):
+def deleted_join(factors, trunc=None, cap=DEFAULT_FACE_CAP):
+    """Join faces whose parts are pairwise disjoint as subsets of the element
+    space, on k labeled copies of it; ``deleted_join([X] * k)`` is the k-fold
+    deleted join of X."""
+    factors = list(factors)
     if not factors:
         raise InputError("need at least one factor")
     n = factors[0].n_labels
@@ -282,7 +211,7 @@ def _join_like(factors, trunc, cap, deleted):
             raise PreconditionError(
                 f"factor materialized to {X.trunc} cannot support join truncation {trunc}"
             )
-    by_dim = _combine(factors, n, trunc, cap, deleted)
+    by_dim = _combine(factors, n, trunc, cap)
     if all(X.complete for X in factors):
         bound = sum(X.dimension + 1 for X in factors) - 1
         complete = trunc >= bound
@@ -294,23 +223,6 @@ def _join_like(factors, trunc, cap, deleted):
     k = len(factors)
     return SimplicialComplex(k * n, by_dim, trunc=trunc, complete=complete,
                              labels=(k, n))
-
-
-def join(factors, trunc=None, cap=DEFAULT_FACE_CAP):
-    """Join X_1 * .. * X_k on k labeled copies of the shared element space."""
-    return _join_like(list(factors), trunc, cap, deleted=False)
-
-
-def deleted_join(factors, trunc=None, cap=DEFAULT_FACE_CAP):
-    """Join faces whose parts are pairwise disjoint as subsets of the element space."""
-    return _join_like(list(factors), trunc, cap, deleted=True)
-
-
-def power_deleted_join(X, k, trunc=None, cap=DEFAULT_FACE_CAP):
-    """k-fold deleted join of X with itself (carries the cyclic-shift action)."""
-    if k < 1:
-        raise InputError(f"k must be positive, got {k}")
-    return deleted_join([X] * k, trunc, cap)
 
 
 def matroid_deleted_join(matroids, trunc, cap=DEFAULT_FACE_CAP):
@@ -335,6 +247,8 @@ def chessboard(k, m, trunc=None, cap=DEFAULT_FACE_CAP):
     """
     if k < 1 or m < 1:
         raise InputError(f"need k >= 1 and m >= 1, got k={k}, m={m}")
+    if trunc is not None and trunc < -1:
+        raise InputError(f"max_dim must be >= -1, got {trunc}")
     top = min(k, m) - 1 if trunc is None else min(trunc, min(k, m) - 1)
     by_dim = {}
     level = [((), 0, 0)]
@@ -354,29 +268,3 @@ def chessboard(k, m, trunc=None, cap=DEFAULT_FACE_CAP):
     complete = top == min(k, m) - 1
     return SimplicialComplex(k * m, by_dim, trunc=top, complete=complete,
                              labels=(k, m))
-
-
-# -- cyclic-shift action -------------------------------------------------------
-
-
-def cyclic_shift(face, k, n, steps=1):
-    """Shift a labeled face by ``steps`` copies: (copy, v) -> (copy+steps mod k, v)."""
-    return tuple(sorted(((v // n + steps) % k) * n + v % n for v in face))
-
-
-def is_action_free(X, k, trunc, cap=DEFAULT_FACE_CAP):
-    """True iff no nonempty materialized face of the k-fold deleted join of X
-    is setwise invariant under a nontrivial cyclic shift."""
-    P = power_deleted_join(X, k, trunc, cap)
-    return _no_invariant_faces(P, k)
-
-
-def _no_invariant_faces(P, k):
-    if P.labels is None or P.labels[0] != k:
-        raise InputError("complex does not carry k labeled copies")
-    n = P.labels[1]
-    for face in P.all_faces():
-        for s in range(1, k):
-            if cyclic_shift(face, k, n, s) == face:
-                return False
-    return True

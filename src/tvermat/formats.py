@@ -21,6 +21,9 @@ from .matroids import (
 )
 
 FORMAT_VERSION = 1
+# Largest "size" a uniform or explicit record may declare.  Commands walk
+# the ground set, so a huge declared size would hang or exhaust memory.
+MAX_GROUND_SIZE = 1 << 20
 
 
 # -- matroid files (.matroid, JSON) -------------------------------------------
@@ -59,6 +62,13 @@ def matroid_to_record(M):
     return {"format-version": FORMAT_VERSION, **body}
 
 
+def _ground_size(rec):
+    n = int(rec["size"])
+    if n > MAX_GROUND_SIZE:
+        raise InputError(f"ground set size {n} exceeds the cap {MAX_GROUND_SIZE}")
+    return n
+
+
 def matroid_from_record(rec):
     if not isinstance(rec, dict):
         raise InputError("matroid record must be a JSON object")
@@ -68,7 +78,7 @@ def matroid_from_record(rec):
     kind = rec.get("type")
     try:
         if kind == "uniform":
-            return UniformMatroid(int(rec["rank"]), int(rec["size"]))
+            return UniformMatroid(int(rec["rank"]), _ground_size(rec))
         if kind == "graphic":
             return GraphicMatroid(
                 int(rec["vertices"]), [(int(u), int(v)) for u, v in rec["edges"]]
@@ -89,7 +99,7 @@ def matroid_from_record(rec):
             cols = [[Fraction(str(x)) for x in col] for col in rec["columns"]]
             return LinearMatroid(cols, field=p)
         if kind == "explicit":
-            n = int(rec["size"])
+            n = _ground_size(rec)
             sets = [[int(e) for e in s] for s in rec["maximal_independent_sets"]]
             ok, witness = validate_matroid(n, sets)
             if not ok:
@@ -98,7 +108,7 @@ def matroid_from_record(rec):
                     f"not a matroid: independent {small} cannot grow from {large}"
                 )
             return ExplicitMatroid(n, sets)
-    except (KeyError, TypeError, ValueError) as exc:
+    except (KeyError, TypeError, ValueError, OverflowError) as exc:
         raise InputError(f"malformed {kind!r} matroid record: {exc}") from exc
     raise InputError(f"unknown matroid type {kind!r}")
 

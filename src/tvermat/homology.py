@@ -36,9 +36,6 @@ class SparseIntMatrix:
     ncols: int
     cols: list
 
-    def column(self, j):
-        return self.cols[j]
-
     def triplets(self):
         for j, col in enumerate(self.cols):
             for r, v in col:
@@ -191,12 +188,6 @@ class BettiVector:
     up_to: int
     f_vector: tuple
     exact_confirmations: int = 0
-
-    def __iter__(self):
-        return iter(self.betti)
-
-    def __getitem__(self, i):
-        return self.betti[i]
 
 
 def betti_reduced(X, up_to, exact_only=False):

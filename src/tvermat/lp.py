@@ -18,7 +18,7 @@ from .errors import InputError
 def solve_equality_feasibility(A, b):
     """A feasible point of {x >= 0 : Ax = b}, or None.
 
-    A is a list of m rows of length n; entries anything Fraction() accepts.
+    A is a list of m rows of length n; int or Fraction entries, as is b.
     Phase-1 simplex: minimize the sum of artificial variables; feasibility
     holds iff the optimum is zero, and otherwise the final simplex
     multipliers are a Farkas ray, checked before None is returned.
@@ -30,11 +30,10 @@ def solve_equality_feasibility(A, b):
     for i in range(m):
         if len(A[i]) != n:
             raise InputError("ragged constraint matrix")
-        row = [Fraction(x) for x in A[i]] + [Fraction(b[i])]
-        if row[-1] < 0:
-            row = [-x for x in row]
+        row = [*A[i], b[i]]
+        sign = -1 if row[-1] < 0 else 1
         scale = lcm(*(x.denominator for x in row))
-        rows.append([x.numerator * (scale // x.denominator) for x in row])
+        rows.append([sign * x.numerator * (scale // x.denominator) for x in row])
         scales.append(scale)
     if m == 0:
         return [Fraction(0)] * n

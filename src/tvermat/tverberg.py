@@ -211,16 +211,6 @@ def find_tverberg(M, cfg, t, max_tuples=None, time_limit_s=None):
     return SearchResult(None, examined, len(faces))
 
 
-def max_affine_t(M, cfg, cap, max_tuples=None):
-    """Largest t <= cap admitting a witness, by descending search; 0 if none."""
-    if cap < 1:
-        raise InputError(f"cap must be positive, got {cap}")
-    for t in range(cap, 0, -1):
-        if find_tverberg(M, cfg, t, max_tuples=max_tuples).witness:
-            return t
-    return 0
-
-
 def choose_prime(b):
     """Largest prime p with sqrt(b)/4 <= p <= sqrt(b)/2, or None.
 

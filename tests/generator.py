@@ -9,7 +9,7 @@ against the exchange axiom before admission.
 import random
 from itertools import combinations
 
-from .matroids import (
+from tvermat.matroids import (
     ExplicitMatroid,
     GraphicMatroid,
     PartitionMatroid,

@@ -8,6 +8,7 @@ asserted separately per criterion.
 
 import time
 
+from generator import small_matroid_family
 from oracles import brute_max_disjoint_bases, hulls_intersect_fm
 from tvermat import (
     UniformMatroid,
@@ -28,7 +29,6 @@ from tvermat import (
 )
 from tvermat.errors import ResourceLimitError
 from tvermat.formats import render_json
-from tvermat.generator import small_matroid_family
 
 BUDGET_S = {1: 60, 2: 30, 3: 10, 4: 120, 5: 600, 6: 30, 7: 300, 8: 120, 9: 60}
 CLAIM_FACE_CAP = 100_000

@@ -1,6 +1,7 @@
 """CLI contract: exit codes, report schema, determinism, golden output."""
 
 import json
+import time
 
 import pytest
 
@@ -161,6 +162,28 @@ def test_bad_budgets_are_input_errors(capsys):
         code, out = run(capsys, "homology", "--chessboard", "3,4", "--up-to", "1", *flags)
         assert code == 2
         assert json.loads(out)["outcome"] == "input-error"
+    code, out = run(capsys, "chessboard", "--k", "3", "--m", "4", "--max-dim", "-5")
+    assert code == 2
+    assert json.loads(out)["outcome"] == "input-error"
+
+
+def test_oversized_ground_set_is_input_error(tmp_path, capsys):
+    # a declared size is walked by every command: above the cap it must be
+    # refused at parse time, not hang in M.loops() or die in a MemoryError
+    records = {
+        "uniform": {"type": "uniform", "rank": 2, "size": 1_000_000_000},
+        "explicit": {"type": "explicit", "size": 100_000_000,
+                     "maximal_independent_sets": [[0, 1]]},
+        "infinite": {"type": "uniform", "rank": 2, "size": float("inf")},
+    }
+    for name, rec in records.items():
+        path = tmp_path / f"{name}.matroid"
+        path.write_text(json.dumps({"format-version": 1, **rec}))
+        start = time.monotonic()
+        code, out = run(capsys, "rank", "--matroid", str(path))
+        assert time.monotonic() - start < 1, name
+        assert code == 2, name
+        assert json.loads(out)["outcome"] == "input-error", name
 
 
 def test_explicit_non_matroid_is_input_error(tmp_path, capsys):

@@ -16,6 +16,7 @@ from tvermat import (
     chessboard,
 )
 from tvermat.formats import (
+    MAX_GROUND_SIZE,
     matroid_from_record,
     parse_faces,
     parse_points,
@@ -63,6 +64,13 @@ def test_matroid_record_rejections():
         matroid_from_record(
             {"format-version": 1, "type": "linear", "field": "R", "columns": []}
         )
+    at_cap = {"format-version": 1, "type": "uniform", "rank": 2, "size": MAX_GROUND_SIZE}
+    assert matroid_from_record(at_cap).n == MAX_GROUND_SIZE
+    for kind, extra in (("uniform", {"rank": 2}),
+                        ("explicit", {"maximal_independent_sets": [[0]]})):
+        with pytest.raises(InputError):
+            matroid_from_record({"format-version": 1, "type": kind,
+                                 "size": MAX_GROUND_SIZE + 1, **extra})
 
 
 def test_points_round_trip(tmp_path):

@@ -4,6 +4,7 @@ from itertools import combinations
 
 import pytest
 
+from generator import small_matroid_family
 from oracles import brute_coverable, brute_max_disjoint_bases
 from tvermat import (
     BasePacking,
@@ -18,7 +19,6 @@ from tvermat import (
     pack_k_bases,
     partition_almost_equal,
 )
-from tvermat.generator import small_matroid_family
 
 TRIANGLE = GraphicMatroid(3, [(0, 1), (1, 2), (0, 2)])
 K4 = GraphicMatroid(4, [(0, 1), (0, 2), (0, 3), (1, 2), (1, 3), (2, 3)])

@@ -7,6 +7,7 @@ from itertools import combinations
 
 import pytest
 
+from generator import small_matroid_family
 from tvermat import (
     GraphicMatroid,
     InputError,
@@ -19,12 +20,10 @@ from tvermat import (
     dold_inequality_holds,
     enumerate_faces,
     find_tverberg,
-    max_affine_t,
     random_point_config,
     threshold_t,
     verify_theorem,
 )
-from tvermat.generator import small_matroid_family
 import tvermat.tverberg
 from tvermat.tverberg import _bbox, _tuples
 
@@ -147,11 +146,14 @@ def test_loops_need_no_coordinates():
 
 
 def test_max_affine_t_examples():
-    assert max_affine_t(UniformMatroid(2, 4), LINE4, 3) == 2
+    # the largest t with an affine witness: one at t, none at t + 1
     tri = PointConfig(2, {0: (0, 0), 1: (1, 0), 2: (0, 1)})
-    assert max_affine_t(UniformMatroid(3, 3), tri, 2) == 1
     line5 = PointConfig(1, {i: (Fraction(i),) for i in range(5)})
-    assert max_affine_t(UniformMatroid(2, 5), line5, 3) == 3
+    for M, cfg, t in ((UniformMatroid(2, 4), LINE4, 2),
+                      (UniformMatroid(3, 3), tri, 1),
+                      (UniformMatroid(2, 5), line5, 3)):
+        assert find_tverberg(M, cfg, t).witness is not None
+        assert find_tverberg(M, cfg, t + 1).witness is None
 
 
 def test_choose_prime_examples():
