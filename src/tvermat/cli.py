@@ -47,10 +47,10 @@ from .complexes import (
 from .errors import HypothesisViolation, InputError, ResourceLimitError
 from .lp import hulls_intersect
 from .homology import (
-    _vacuous_report,
     betti_reduced,
+    boundary_matrix,
     conjecture_scan,
-    homologically_connected,
+    join_connectivity,
     verify_claim,
     verify_corollary,
 )
@@ -77,13 +77,6 @@ EXIT_CODES = {
     "input-error": 2,
     "resource-limit": 3,
 }
-
-COMMANDS = (
-    "rank", "bases", "pack", "complex", "chessboard", "homology",
-    "verify-claim", "verify-corollary", "verify-matroid-conn",
-    "conjecture-scan", "hulls", "tverberg", "verify-theorem",
-    "prime", "inequality",
-)
 
 
 def _digest(path):
@@ -149,7 +142,7 @@ def build_parser():
     common.add_argument("--max-tuples", type=int, default=None,
                         help="cap on examined witness tuples")
     common.add_argument("--time-limit-s", type=float, default=None,
-                        help="wall-clock limit for searches")
+                        help="wall-clock limit for packing and searches")
     common.add_argument("--timings", action="store_true",
                         help="include wall time in the report (nondeterministic)")
 
@@ -235,19 +228,19 @@ def build_parser():
     return top
 
 
-def _load_config(args, inputs):
-    from .formats import read_points
-
+def _load_config(args, inputs, n):
+    """The point file, or seeded random points for the n ground elements
+    (the first n of the N asked for: only ground elements are read)."""
     if args.points is not None:
         inputs[args.points] = _digest(args.points)
-        return read_points(args.points)
+        return formats.read_points(args.points)
     if args.random_points is not None:
         if args.dim is None:
             raise InputError("--random-points requires --dim")
         inputs["random-points"] = {
             "n": args.random_points, "dim": args.dim, "seed": args.seed,
         }
-        return random_point_config(args.random_points, args.dim, args.seed)
+        return random_point_config(min(args.random_points, n), args.dim, args.seed)
     raise InputError("provide --points FILE or --random-points N --dim D")
 
 
@@ -278,6 +271,7 @@ def dispatch(args, inputs, params):
         raise InputError(f"--max-tuples must be >= 0, got {args.max_tuples}")
     if args.time_limit_s is not None and args.time_limit_s < 0:
         raise InputError(f"--time-limit-s must be >= 0, got {args.time_limit_s}")
+    deadline = time.monotonic() + args.time_limit_s if args.time_limit_s else None
 
     def load_matroid(path):
         inputs[path] = _digest(path)
@@ -297,7 +291,7 @@ def dispatch(args, inputs, params):
 
     if cmd == "bases":
         M = load_matroid(args.matroid)
-        b, packing, cert = max_disjoint_bases(M)
+        b, packing, cert = max_disjoint_bases(M, deadline)
         packing.check()
         if cert is not None:
             cert.check(M)
@@ -316,7 +310,7 @@ def dispatch(args, inputs, params):
             raise InputError("pack takes either --k or --subset/--m, not both")
         if args.k is not None and args.subset is None:
             params["k"] = args.k
-            res = pack_k_bases(M, args.k)
+            res = pack_k_bases(M, args.k, deadline)
             if isinstance(res, BasePacking):
                 res.check()
                 return "verified", {"packed": True, "bases": _packing_payload(res)}
@@ -326,7 +320,7 @@ def dispatch(args, inputs, params):
             params["subset"] = args.subset
             params["m"] = args.m
             A = frozenset(_parse_ids(args.subset))
-            res = pack_into_independent(M, A, args.m)
+            res = pack_into_independent(M, A, args.m, deadline)
             if isinstance(res, list):
                 return "verified", {"covered": True, "parts": [sorted(p) for p in res]}
             res.check(M)
@@ -370,8 +364,6 @@ def dispatch(args, inputs, params):
             "exact_confirmations": bv.exact_confirmations,
         }
         if args.export_boundary:
-            from .homology import boundary_matrix
-
             written = []
             for i in range(args.up_to + 2):
                 if not X.faces(i):
@@ -405,14 +397,8 @@ def dispatch(args, inputs, params):
 
     if cmd == "verify-matroid-conn":
         M = load_matroid(args.matroid)
-        c = M.rank() - 2
-        if c < -1:  # rank-0 matroid: the claim is vacuous
-            rep = _vacuous_report(c, "bound below -1 is vacuous")
-        else:
-            X = as_complex(M, max(c + 1, 0), args.max_faces)
-            rep = homologically_connected(X, c)
-        rep.context["rank"] = M.rank()
-        return _report_conn(rep)
+        rho = M.rank()
+        return _report_conn(join_connectivity([M], rho - 2, args.max_faces, {"rank": rho}))
 
     if cmd == "conjecture-scan":
         M = load_matroid(args.matroid)
@@ -456,10 +442,9 @@ def dispatch(args, inputs, params):
 
     if cmd == "tverberg":
         M = load_matroid(args.matroid)
-        cfg = _load_config(args, inputs)
+        cfg = _load_config(args, inputs, M.n)
         params["t"] = args.t
-        res = find_tverberg(M, cfg, args.t, max_tuples=args.max_tuples,
-                            time_limit_s=args.time_limit_s)
+        res = find_tverberg(M, cfg, args.t, max_tuples=args.max_tuples, deadline=deadline)
         payload = {
             "t": args.t,
             "witness": _witness_payload(res.witness),
@@ -473,9 +458,8 @@ def dispatch(args, inputs, params):
 
     if cmd == "verify-theorem":
         M = load_matroid(args.matroid)
-        cfg = _load_config(args, inputs)
-        rep = verify_theorem(M, cfg, max_tuples=args.max_tuples,
-                             time_limit_s=args.time_limit_s)
+        cfg = _load_config(args, inputs, M.n)
+        rep = verify_theorem(M, cfg, max_tuples=args.max_tuples, deadline=deadline)
         payload = rep.to_payload()
         payload["witness"] = _witness_payload(rep.witness)
         if rep.falsification_candidate:

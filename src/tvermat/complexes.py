@@ -1,21 +1,29 @@
-"""Simplicial complexes: matroid independence complexes, deleted joins, chessboards.
+"""Simplicial complexes: matroid independence complexes, their deleted joins,
+chessboards.
 
 Faces are sorted tuples of encoded vertex ids, stored per dimension in
-lexicographic order; the empty face is implicit (f_{-1} = 1).  Complexes built
-from k factors on a shared element space of size n carry labeled vertices
-encoded as copy*n + element with 0-based copies.
+lexicographic order; the empty face is implicit (f_{-1} = 1).  A deleted join
+of k matroids on a ground set of size n has the labeled vertices
+copy*n + element with 0-based copies.  One builder, ``deleted_join``, makes
+every complex from matroids: the independence complex is its one-factor case
+and the chessboard C(k, m) is the k-fold deleted join of U(1, m) by
+construction.
 
 Materialization is dimension-truncated: ``trunc`` is the largest dimension
 enumerated, ``complete`` records whether any faces beyond it exist.  Counts at
 each materialized dimension are exact.  A per-dimension face cap (default
-5e6) turns combinatorial blowup into a distinct resource-limit error.  A
-d-face costs 48 + 8(d+1) bytes, its list slot included (87 bytes a face for
-C(6,8) through dimension 5), so a level of 5-faces at the cap holds 0.5 GB.
+5e6) turns combinatorial blowup into a distinct resource-limit error; levels
+fill in order, so it names the lowest over-full dimension.  A d-face costs
+48 + 8(d+1) bytes, its list slot included (87 bytes a face for C(6,8) through
+dimension 5), so a level of 5-faces at the cap holds 0.5 GB.
 """
 
-from itertools import combinations
+from bisect import bisect_left
+from itertools import chain, combinations
+from math import inf
 
 from .errors import InputError, PreconditionError, ResourceLimitError
+from .matroids import UniformMatroid
 
 DEFAULT_FACE_CAP = 5_000_000
 
@@ -31,18 +39,14 @@ def _check_cap(count, dim, cap):
 class SimplicialComplex:
     """Immutable materialized complex.
 
-    faces_by_dim: dict dim -> lexicographically sorted list of sorted tuples.
-    labels: (k, n) when vertices encode (copy, element) pairs, else None.
+    faces_by_dim: dict dim -> lexicographically sorted list of sorted tuples;
+    builders hand their levels over already sorted.
     """
 
-    def __init__(self, n_labels, faces_by_dim, trunc, complete, labels=None):
-        self.n_labels = n_labels
-        self.faces_by_dim = {
-            d: sorted(fs) for d, fs in faces_by_dim.items() if fs
-        }
+    def __init__(self, faces_by_dim, trunc, complete):
+        self.faces_by_dim = faces_by_dim
         self.trunc = trunc
         self.complete = complete
-        self.labels = labels
 
     # -- queries -----------------------------------------------------------
 
@@ -80,31 +84,24 @@ class SimplicialComplex:
         return f"SimplicialComplex(f={self.f_vector()}, {kind})"
 
 
-def _close_down(facets):
-    by_dim = {}
-    seen = set()
-    for facet in facets:
-        facet = tuple(sorted(set(facet)))
-        for k in range(1, len(facet) + 1):
-            for sub in combinations(facet, k):
-                if sub not in seen:
-                    seen.add(sub)
-                    by_dim.setdefault(k - 1, []).append(sub)
-    return by_dim
-
-
-def from_facets(n_labels, facets):
+def from_facets(facets):
     """Complete complex generated by explicit facets (small inputs)."""
-    by_dim = _close_down(facets)
-    top = max(by_dim, default=-1)
-    return SimplicialComplex(n_labels, by_dim, trunc=top, complete=True)
+    faces = set()
+    for facet in facets:
+        facet = sorted(set(facet))
+        for k in range(1, len(facet) + 1):
+            faces.update(combinations(facet, k))
+    by_dim = {}
+    for face in sorted(faces):
+        by_dim.setdefault(len(face) - 1, []).append(face)
+    return SimplicialComplex(by_dim, trunc=max(by_dim, default=-1), complete=True)
 
 
 def full_simplex(num_vertices):
     """The full simplex on ``num_vertices`` vertices (num_vertices-1 dimensional)."""
     if num_vertices < 0:
         raise InputError("vertex count must be nonnegative")
-    return from_facets(num_vertices, [tuple(range(num_vertices))])
+    return from_facets([tuple(range(num_vertices))])
 
 
 def independent_sets(M, max_dim, cap=None):
@@ -137,134 +134,99 @@ def as_complex(M, max_dim, cap=DEFAULT_FACE_CAP):
 
     Vertices are the non-loops; ``cap`` bounds the faces of each dimension.
     """
-    if max_dim < -1:
-        raise InputError(f"max_dim must be >= -1, got {max_dim}")
-    by_dim = independent_sets(M, max_dim, cap)
-    complete = max_dim >= M.rank() - 1
-    return SimplicialComplex(M.n, by_dim, trunc=max_dim, complete=complete)
+    return deleted_join([M], max_dim, cap)
 
 
-# -- joins --------------------------------------------------------------------
+def deleted_join(matroids, trunc=None, cap=DEFAULT_FACE_CAP):
+    """Deleted join of the independence complexes of ``matroids`` on one
+    ground set, materialized through dimension ``trunc`` (all of it if None).
 
-
-def _factor_faces_by_size(X, max_size):
-    """Faces of a factor grouped by size 0..max_size (size 0 = empty face)."""
-    out = {0: [()]}
-    for s in range(1, max_size + 1):
-        out[s] = list(X.faces(s - 1))
-    return out
-
-
-def _combine(factors, n, trunc, cap):
-    """Enumerate union faces of the deleted join up to total size trunc+1."""
-    k = len(factors)
-    max_size = trunc + 1
-    fac_faces = [_factor_faces_by_size(X, max_size) for X in factors]
-    by_dim = {}
-    counts = {}
-
-    def emit(face):
-        d = len(face) - 1
-        by_dim.setdefault(d, []).append(tuple(sorted(face)))
-        counts[d] = counts.get(d, 0) + 1
-        _check_cap(counts[d], d, cap)
-
-    def rec(i, used, acc, budget):
-        if i == k:
-            if acc:
-                emit(acc)
-            return
-        faces_i = fac_faces[i]
-        for s in range(0, budget + 1):
-            for sigma in faces_i.get(s, ()):
-                if not used.isdisjoint(sigma):
-                    continue
-                encoded = [i * n + e for e in sigma]
-                rec(i + 1, used.union(sigma), acc + encoded, budget - s)
-
-    rec(0, frozenset(), [], max_size)
-    return by_dim
-
-
-def deleted_join(factors, trunc=None, cap=DEFAULT_FACE_CAP):
-    """Join faces whose parts are pairwise disjoint as subsets of the element
-    space, on k labeled copies of it; ``deleted_join([X] * k)`` is the k-fold
-    deleted join of X."""
-    factors = list(factors)
-    if not factors:
-        raise InputError("need at least one factor")
-    n = factors[0].n_labels
-    for X in factors:
-        if X.labels is not None:
-            raise InputError("join factors must be plain complexes on the element space")
-        if X.n_labels != n:
-            raise InputError("join factors must share the element index space")
-    if trunc is None:
-        if not all(X.complete for X in factors):
-            raise PreconditionError("untruncated join requires complete factors")
-        trunc = sum(X.dimension + 1 for X in factors) - 1
-    if trunc < -1:
-        raise InputError(f"truncation must be >= -1, got {trunc}")
-    for X in factors:
-        # a single part may carry the whole budget: factor faces up to dim trunc
-        if not X._materialized_to(trunc):
-            raise PreconditionError(
-                f"factor materialized to {X.trunc} cannot support join truncation {trunc}"
-            )
-    by_dim = _combine(factors, n, trunc, cap)
-    if all(X.complete for X in factors):
-        bound = sum(X.dimension + 1 for X in factors) - 1
-        complete = trunc >= bound
-    else:
-        complete = False
-    # down-closure: an empty materialized top dimension certifies completeness
-    if not complete and trunc >= 0 and not by_dim.get(trunc):
-        complete = True
-    k = len(factors)
-    return SimplicialComplex(k * n, by_dim, trunc=trunc, complete=complete,
-                             labels=(k, n))
-
-
-def matroid_deleted_join(matroids, trunc, cap=DEFAULT_FACE_CAP):
-    """Deleted join of matroid independence complexes, truncated at ``trunc``."""
+    A face is a union of faces, one per labeled copy, whose parts are pairwise
+    disjoint as sets of elements; ``deleted_join([M] * k)`` is the k-fold
+    deleted join of M.  Each distinct matroid's complex is built once.  Levels
+    fill in lexicographic order: a face grows by a larger vertex, either in
+    its last copy, extending that copy's part, or in a later copy by an
+    element no part uses yet.  A level is abandoned with a ResourceLimitError
+    as soon as it holds more than ``cap`` faces.
+    """
     mats = list(matroids)
+    if not mats:
+        raise InputError("need at least one matroid")
     n = mats[0].n
     if any(M.n != n for M in mats):
         raise InputError("matroids must share the ground set")
-    factors = [as_complex(M, trunc, cap) for M in mats]
-    return deleted_join(factors, trunc, cap)
+    ranks = [M.rank() for M in mats]
+    top = min(sum(ranks), n) - 1  # a face has at most min(sum rank, n) vertices
+    if trunc is None:
+        trunc = top
+    if trunc < -1:
+        raise InputError(f"max_dim must be >= -1, got {trunc}")
+    factors = {}
+    for M, r in zip(mats, ranks):
+        if id(M) not in factors:
+            factors[id(M)] = independent_sets(M, min(trunc, r - 1), cap)
+    if len(mats) == 1:  # matroid complexes are pure: the rank bound is exact
+        by_dim = factors[id(mats[0])]
+        return SimplicialComplex(by_dim, trunc, complete=trunc >= top)
+
+    # per copy: encoded part -> (vertex, element) of each larger element
+    # extending it; the empty part maps to the copy's non-loops
+    ext = []
+    for c, M in enumerate(mats):
+        kids = {}
+        for faces in factors[id(M)].values():
+            for f in faces:
+                key = tuple(c * n + e for e in f[:-1])
+                kids.setdefault(key, []).append((c * n + f[-1], f[-1]))
+        ext.append(kids)
+    fresh = [[]]  # fresh[j]: the non-loop vertices of copies j.., in order
+    for kids in reversed(ext):
+        fresh.insert(0, kids.get((), []) + fresh[0])
+
+    def grow(level, stop):
+        """The next level, cut short once it holds more than ``stop`` faces."""
+        nxt = []
+        for face in level:
+            if face:
+                c = face[-1] // n
+                cands = fresh[c + 1]
+                same = ext[c].get(face[bisect_left(face, c * n):])
+                if same:
+                    cands = chain(same, cands)
+                used = set(map(n.__rmod__, face))
+            else:
+                cands, used = fresh[0], ()
+            for v, e in cands:
+                if e not in used:
+                    nxt.append(face + (v,))
+                    if len(nxt) > stop:
+                        return nxt
+        return nxt
+
+    by_dim = {}
+    level = [()]
+    for d in range(trunc + 1):
+        level = grow(level, inf if cap is None else cap)
+        _check_cap(len(level), d, cap)
+        if not level:
+            break
+        by_dim[d] = level
+    # below the bound, complete iff no top face extends (trunc = -1 is decided
+    # by the bound alone: a vertex exists iff some rank is positive)
+    complete = trunc >= top or (trunc >= 0 and not grow(level, 0))
+    return SimplicialComplex(by_dim, trunc, complete)
 
 
-# -- chessboard and colourful families ---------------------------------------
+# compatibility name: the benchmark's tracer wraps this binding
+matroid_deleted_join = deleted_join
 
 
 def chessboard(k, m, trunc=None, cap=DEFAULT_FACE_CAP):
     """Chessboard complex C(k, m): partial placements of non-attacking rooks.
 
-    Vertices are (row, column) cells encoded row*m + column, matching the
-    labeled encoding of the k-fold deleted join of the rank-1 matroid on m
-    points (face-for-face equality is a tested invariant, not an assumption).
+    Built as the k-fold deleted join of U(1, m), so the cell in row r and
+    column c is the vertex r*m + c.
     """
     if k < 1 or m < 1:
         raise InputError(f"need k >= 1 and m >= 1, got k={k}, m={m}")
-    if trunc is not None and trunc < -1:
-        raise InputError(f"max_dim must be >= -1, got {trunc}")
-    top = min(k, m) - 1 if trunc is None else min(trunc, min(k, m) - 1)
-    by_dim = {}
-    level = [((), 0, 0)]
-    for d in range(top + 1):
-        nxt = []
-        for face, rows, cols in level:
-            for v in range(face[-1] + 1 if face else 0, k * m):
-                r, c = 1 << (v // m), 1 << (v % m)
-                if not (rows & r) and not (cols & c):
-                    nxt.append((face + (v,), rows | r, cols | c))
-                    if cap is not None and len(nxt) > cap:
-                        _check_cap(len(nxt), d, cap)
-        if not nxt:
-            break
-        by_dim[d] = [face for face, _, _ in nxt]
-        level = nxt
-    complete = top == min(k, m) - 1
-    return SimplicialComplex(k * m, by_dim, trunc=top, complete=complete,
-                             labels=(k, m))
+    return deleted_join([UniformMatroid(1, m)] * k, trunc, cap)

@@ -228,9 +228,9 @@ def parse_faces(text):
                     raise InputError(
                         f"face list is not closed under subsets: {face} lacks a facet"
                     )
-    n_labels = 1 + max((f[-1] for fs in by_dim.values() for f in fs), default=-1)
     top = max(by_dim, default=-1)
-    return SimplicialComplex(n_labels, by_dim, trunc=top, complete=True)
+    return SimplicialComplex({d: sorted(fs) for d, fs in by_dim.items()},
+                             trunc=top, complete=True)
 
 
 def read_faces(path):

@@ -22,7 +22,7 @@ from heapq import heapify, heappop, heappush
 from math import gcd
 
 from .errors import HypothesisViolation, InputError, PreconditionError
-from .complexes import DEFAULT_FACE_CAP, matroid_deleted_join
+from .complexes import DEFAULT_FACE_CAP, deleted_join
 from .packing import max_disjoint_bases, pack_into_independent, partition_almost_equal
 
 FILTER_PRIME = (1 << 31) - 1  # Mersenne prime; mod-p ranks as a pre-filter
@@ -330,6 +330,18 @@ def homologically_connected(X, c):
     )
 
 
+def join_connectivity(matroids, c, cap=DEFAULT_FACE_CAP, context=None):
+    """The c-connectivity check of the deleted join of ``matroids``, built
+    through dimension c+1; a bound below -1 is vacuous.  ``context`` is
+    copied into the report."""
+    if c < -1:
+        rep = _vacuous_report(c, "bound below -1 is vacuous")
+    else:
+        rep = homologically_connected(deleted_join(matroids, max(c + 1, 0), cap), c)
+    rep.context.update(context or {})
+    return rep
+
+
 def _ceil_div(a, b):
     return -(-a // b)
 
@@ -366,13 +378,7 @@ def verify_claim(matroids, sets, m, cap=DEFAULT_FACE_CAP):
             )
     total = sum(len(A) for A in sets)
     c = _ceil_div(total, m + 1) - 2
-    context = {"k": len(matroids), "m": m, "total": total}
-    if c < -1:
-        return _vacuous_report(c, "bound below -1 is vacuous", context)
-    Y = matroid_deleted_join(matroids, max(c + 1, 0), cap)
-    rep = homologically_connected(Y, c)
-    rep.context.update(context)
-    return rep
+    return join_connectivity(matroids, c, cap, {"k": len(matroids), "m": m, "total": total})
 
 
 def verify_corollary(M, k, cap=DEFAULT_FACE_CAP):
@@ -403,12 +409,7 @@ def verify_corollary(M, k, cap=DEFAULT_FACE_CAP):
             raise RuntimeError("base packing failed its own coverability re-check")
     c = (b * rho) // (m + 1) - 2
     context["m"] = m
-    if c < -1:
-        return _vacuous_report(c, "bound below -1 is vacuous", context)
-    Y = matroid_deleted_join([M] * k, max(c + 1, 0), cap)
-    rep = homologically_connected(Y, c)
-    rep.context.update(context)
-    return rep
+    return join_connectivity([M] * k, c, cap, context)
 
 
 @dataclass
@@ -432,11 +433,6 @@ def conjecture_scan(M, k, cap=DEFAULT_FACE_CAP):
     rho = M.rank()
     b, _, _ = max_disjoint_bases(M)
     c = k * rho - 2
-    if c < -1:
-        rep = _vacuous_report(c, "bound below -1 is vacuous")
-    else:
-        Y = matroid_deleted_join([M] * k, max(c + 1, 0), cap)
-        rep = homologically_connected(Y, c)
-    rep.context.update({"b": b, "rank": rho, "k": k, "target": c})
+    rep = join_connectivity([M] * k, c, cap, {"b": b, "rank": rho, "k": k, "target": c})
     return ConjectureRecord(b=b, rank=rho, k=k, target=c, verified=rep.verified,
                             report=rep)

@@ -14,10 +14,11 @@ certificate of maximality.  b(M) comes from one such run that appends an
 empty part each time the parts have grown into bases.
 """
 
+import time
 from collections import deque
 from dataclasses import dataclass, field
 
-from .errors import InputError
+from .errors import InputError, ResourceLimitError
 from .matroids import Matroid, _as_idset
 
 
@@ -132,20 +133,23 @@ def _augment(M, parts, universe):
     return frozenset(reached)
 
 
-def _grow(M, parts, universe, target):
+def _grow(M, parts, universe, target, deadline=None):
     """Augment ``parts`` until they hold ``target`` elements in total.
 
     Returns None on success, or the reached set of the first augmentation
-    that finds no path.
+    that finds no path.  ``deadline`` (a ``time.monotonic()`` instant) is
+    checked before each augmentation.
     """
-    while sum(len(p) for p in parts) < target:
+    while (packed := sum(len(p) for p in parts)) < target:
+        if deadline is not None and time.monotonic() > deadline:
+            raise ResourceLimitError("time limit exceeded", progress={"packed": packed})
         reached = _augment(M, parts, universe)
         if reached is not None:
             return reached
     return None
 
 
-def pack_k_bases(M, k):
+def pack_k_bases(M, k, deadline=None):
     """k pairwise disjoint bases of M, or a PackingCertificate that none exist.
 
     Each augmentation makes at most n*k ``M.fundamental_circuit`` queries for
@@ -154,7 +158,7 @@ def pack_k_bases(M, k):
     if k < 1:
         raise InputError(f"k must be positive, got {k}")
     parts = [set() for _ in range(k)]
-    reached = _grow(M, parts, range(M.n), k * M.rank())
+    reached = _grow(M, parts, range(M.n), k * M.rank(), deadline)
     if reached is not None:
         cert = PackingCertificate(reached, k)
         cert.check(M)
@@ -164,7 +168,7 @@ def pack_k_bases(M, k):
     return packing
 
 
-def max_disjoint_bases(M):
+def max_disjoint_bases(M, deadline=None):
     """(b, packing, certificate) with b = b(M) maximal.
 
     One matroid-union run: after the parts have grown into k bases, an empty
@@ -181,7 +185,7 @@ def max_disjoint_bases(M):
     while True:
         bases = [frozenset(p) for p in parts]
         parts.append(set())
-        reached = _grow(M, parts, range(M.n), len(parts) * full)
+        reached = _grow(M, parts, range(M.n), len(parts) * full, deadline)
         if reached is not None:
             packing = BasePacking(bases, M)
             packing.check()
@@ -190,7 +194,7 @@ def max_disjoint_bases(M):
             return len(bases), packing, cert
 
 
-def pack_into_independent(M, A, m):
+def pack_into_independent(M, A, m, deadline=None):
     """Partition A into at most m disjoint independent sets, or certify failure.
 
     Success returns a list of nonempty frozensets with union exactly A.
@@ -200,7 +204,7 @@ def pack_into_independent(M, A, m):
         raise InputError(f"m must be positive, got {m}")
     A = _as_idset(A, M.n, "cover target")
     parts = [set() for _ in range(m)]
-    reached = _grow(M, parts, A, len(A))
+    reached = _grow(M, parts, A, len(A), deadline)
     if reached is not None:
         cert = CoverCertificate(reached, m)
         cert.check(M)

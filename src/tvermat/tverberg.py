@@ -150,7 +150,7 @@ def _tuples(faces, boxes, t, start=0, used=frozenset(), box=None, chosen=()):
                                (*chosen, i))
 
 
-def find_tverberg(M, cfg, t, max_tuples=None, time_limit_s=None):
+def find_tverberg(M, cfg, t, max_tuples=None, deadline=None):
     """First Tverberg witness at size t in canonical tuple order, or None
     after certified exhaustive enumeration.
 
@@ -159,7 +159,8 @@ def find_tverberg(M, cfg, t, max_tuples=None, time_limit_s=None):
     goes to the exact LP only when the bounding boxes of its faces meet.
     The boxes are taken on the integer lattice of the least common
     denominator of the coordinates, which keeps their order, and a face's
-    box is built when a tuple first reaches the face.
+    box is built when a tuple first reaches the face.  ``deadline`` is a
+    ``time.monotonic()`` instant checked once per examined tuple.
     """
     if t < 1:
         raise InputError(f"t must be positive, got {t}")
@@ -180,7 +181,6 @@ def find_tverberg(M, cfg, t, max_tuples=None, time_limit_s=None):
                for e, p in pts.items()}
     boxes = _LazyBoxes(faces, lattice)
 
-    deadline = time.monotonic() + time_limit_s if time_limit_s else None
     examined = 0
 
     def check_limits():
@@ -279,7 +279,7 @@ class TheoremReport:
         return out
 
 
-def verify_theorem(M, cfg, max_tuples=None, time_limit_s=None):
+def verify_theorem(M, cfg, max_tuples=None, deadline=None):
     """Verify the threshold t* = ceil(sqrt(b)/4) on one affine instance.
 
     Computes b(M), the prime choice and its closing inequality as a
@@ -293,12 +293,11 @@ def verify_theorem(M, cfg, max_tuples=None, time_limit_s=None):
         raise PreconditionError(
             f"matroid rank {rho} must equal d+1 = {cfg.dim + 1}"
         )
-    b, _, _ = max_disjoint_bases(M)
+    b, _, _ = max_disjoint_bases(M, deadline)
     t_star = threshold_t(b)
     prime = choose_prime(b)
     ineq = dold_inequality_holds(b, cfg.dim, prime) if prime is not None else None
-    search = find_tverberg(M, cfg, t_star, max_tuples=max_tuples,
-                           time_limit_s=time_limit_s)
+    search = find_tverberg(M, cfg, t_star, max_tuples=max_tuples, deadline=deadline)
     missing = search.witness is None
     note = ""
     if missing:

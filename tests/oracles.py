@@ -1,9 +1,10 @@
 """Independent brute-force oracles the library is tested against.
 
 These deliberately share no code with the package internals: packing maxima
-by exhaustive set packing, Betti numbers via dense integer Smith reduction,
-hull intersection via Fourier-Motzkin elimination, and the rational-tableau
-phase-1 simplex that the fraction-free solver must match pivot for pivot.
+by exhaustive set packing, deleted joins by testing every vertex set, Betti
+numbers via dense integer Smith reduction, hull intersection via
+Fourier-Motzkin elimination, and the rational-tableau phase-1 simplex that
+the fraction-free solver must match pivot for pivot.
 """
 
 from fractions import Fraction
@@ -50,6 +51,35 @@ def brute_coverable(M, A, m):
             if len(sub) > m * M.rank(sub):
                 return False
     return True
+
+
+# -- deleted joins -------------------------------------------------------------
+
+
+def brute_deleted_join(matroids, trunc):
+    """(faces by dimension through trunc, complete) of the deleted join.
+
+    Every set of labeled vertices copy*n + element is tested: its elements
+    must be distinct and each copy's part independent in that copy's matroid.
+    ``complete`` is whether no face of dimension trunc+1 exists.
+    """
+    n = matroids[0].n
+    vertices = range(len(matroids) * n)
+
+    def is_face(vs):
+        elems = [v % n for v in vs]
+        if len(set(elems)) < len(elems):
+            return False
+        return all(M.is_independent([v % n for v in vs if v // n == c])
+                   for c, M in enumerate(matroids))
+
+    by_dim = {}
+    for size in range(1, min(trunc + 1, n) + 1):  # a face has distinct elements
+        faces = [vs for vs in combinations(vertices, size) if is_face(vs)]
+        if faces:
+            by_dim[size - 1] = faces
+    beyond = trunc + 2 <= n and any(map(is_face, combinations(vertices, trunc + 2)))
+    return by_dim, not beyond
 
 
 # -- homology ------------------------------------------------------------------

@@ -1,5 +1,6 @@
 """CLI contract: exit codes, report schema, determinism, golden output."""
 
+import hashlib
 import json
 import time
 
@@ -283,3 +284,91 @@ def test_text_format(files, capsys):
     )
     assert code == 0
     assert out.splitlines()[0].startswith("command")
+
+
+# stdout sha256 of the complex-building commands: their reports are a
+# byte-identical contract, whichever way the complexes are built
+GOLDEN_COMPLEX_REPORTS = [
+    (("complex", "--matroid", "k4.matroid", "--max-dim", "2"), 0,
+     "9bb7bf6b27cb133b97a484314d51a2c1ea3c9e427bcc76e0ea7c38544f42005c"),
+    (("complex", "--matroid", "u3_6.matroid", "--max-dim", "1"), 0,
+     "ca58b2ad0ca93a92fd66b6921c24ae20dd7801f8b182b6e4b48d865f6f5b389b"),
+    (("complex", "--matroid", "loop.matroid", "--max-dim", "3"), 0,
+     "294293e6c3dc8464c8fa02ca7c51ffe8d4a96fc3ff8ccaf4660ceb705350bfa9"),
+    (("chessboard", "--k", "3", "--m", "4"), 0,
+     "8c9a3e995ebd70ddec2134530ca3f72255e0786e5149f321e1820f8fc91459c3"),
+    (("chessboard", "--k", "4", "--m", "6", "--max-dim", "2"), 0,
+     "8b849b67e89f19aeff440d4ec1f2d52b773207f276ecb6701164da60e839bf73"),
+    (("chessboard", "--k", "5", "--m", "3"), 0,
+     "5e0bed7e20fe2c9df22c6d4932f80b0f4832c98f4615cc33e80a9cd6b674edc8"),
+    (("homology", "--chessboard", "3,4", "--up-to", "2"), 0,
+     "4f87396b8f316174f0dc199fcd9d8e8f1a27b11c052179ee8ffebcf6570db29a"),
+    (("homology", "--chessboard", "4,6", "--up-to", "2"), 0,
+     "aa5e36506ddd3b7f66d4815dd18dd61b20077ae69ad3ac9278188ccedd86f4d3"),
+    (("verify-claim", "--matroid", "u2_4.matroid", "--sets", "0,1;2,3", "--m", "1"), 0,
+     "5f2bd92d6abcd6e5f7800e924f9ee9641ce78b201b674c06074f0ba3895fad9f"),
+    (("verify-claim", "--matroid", "u2_6.matroid", "--matroid", "k4.matroid",
+      "--sets", "0,1,2;3,4,5", "--m", "2"), 0,
+     "2e38ebd7ae17e619f671ca35489ba6d59a0aa6c9a63e2e92981d1ce6e93f9a28"),
+    (("verify-corollary", "--matroid", "k4.matroid", "--k", "2"), 0,
+     "c0821f7cf048074c94e3e0fd98dd5ead89e098c8eb96440b3c3dcd93896bbf06"),
+    (("verify-corollary", "--matroid", "k4.matroid", "--k", "3"), 0,
+     "27d349e3c753058411497597c8268f311e025807283d441e82f5a2fe5acb28fa"),
+    (("verify-corollary", "--matroid", "u2_6.matroid", "--k", "3", "--format", "text"), 0,
+     "1ec04c25d0d05e4aa40fbb45930c7bbece9578ccc70056f607cb8c178fb9f1b3"),
+    (("verify-matroid-conn", "--matroid", "k4.matroid"), 0,
+     "d6b7983e8004b49e34c68d4c07f164d74f02e75305303d0da048db570a421f33"),
+    (("verify-matroid-conn", "--matroid", "loop.matroid"), 0,
+     "fa75cf359406871f213f104a60582161194d772afbe8197e05cb49ef96176471"),
+    (("conjecture-scan", "--matroid", "u1_3.matroid", "--k", "2"), 0,
+     "dc8c044c87a7e3bc4b921705cc0423fe6d569b7de59dbc165d7e605fd6df865c"),
+    (("conjecture-scan", "--matroid", "u2_4.matroid", "--k", "2"), 1,
+     "3a758f9890aa4e5105ed1149e0dffcaedea1001aa9cc8761395ffb9b88298669"),
+    (("conjecture-scan", "--matroid", "y21.matroid", "--k", "3"), 1,
+     "7edc053af67e8e017317c6b4b0ade790675788965bd6b9de975e2e81a41eca6a"),
+    # the cap fires in the join, not in its U(1,5) factor
+    (("conjecture-scan", "--matroid", "u1_5.matroid", "--k", "3", "--max-faces", "20"), 3,
+     "36c23ba391b89023e3bc72ee940a079bb764b15ac3de22957e5f04e7b7a75a7a"),
+    (("complex", "--matroid", "k4.matroid", "--max-dim", "-5"), 2,
+     "6cbd7e7b30c4f1efe9228a106667e80c2a9cd13a16d49369a791dec48ff174e4"),
+]
+
+
+def test_complex_commands_golden_bytes(tmp_path, monkeypatch, capsys):
+    # relative paths: the report names each input file
+    monkeypatch.chdir(tmp_path)
+    k4 = [(0, 1), (0, 2), (0, 3), (1, 2), (1, 3), (2, 3)]
+    for name, M in (("k4", GraphicMatroid(4, k4)), ("u2_4", UniformMatroid(2, 4)),
+                    ("u2_6", UniformMatroid(2, 6)), ("u3_6", UniformMatroid(3, 6)),
+                    ("u1_3", UniformMatroid(1, 3)), ("u1_5", UniformMatroid(1, 5)),
+                    ("loop", GraphicMatroid(3, [(0, 1), (1, 2), (0, 2), (1, 1)])),
+                    ("y21", colourful_matroid(2, 1))):
+        write_matroid(f"{name}.matroid", M)
+    for argv, want_code, want_sha in GOLDEN_COMPLEX_REPORTS:
+        code, out = run(capsys, *argv)
+        assert (code, hashlib.sha256(out.encode()).hexdigest()) == (want_code, want_sha), argv
+
+
+def test_random_points_drawn_for_ground_elements_only(files, capsys):
+    argv = ("tverberg", "--matroid", files["u2_4.matroid"], "--dim", "1",
+            "--seed", "3", "--t", "2", "--random-points")
+    _, small = run(capsys, *argv, "4")
+    t0 = time.monotonic()
+    code, huge = run(capsys, *argv, str(10**12))
+    assert time.monotonic() - t0 < 1.0
+    assert code == 0
+    small, huge = json.loads(small), json.loads(huge)
+    assert huge["payload"] == small["payload"]
+    assert huge["inputs"]["random-points"]["n"] == 10**12
+
+
+def test_packing_honours_time_limit(tmp_path, capsys):
+    path = tmp_path / "u2_big.matroid"
+    write_matroid(path, UniformMatroid(2, 2**20))  # b = 2**19 bases
+    t0 = time.monotonic()
+    code, out = run(capsys, "bases", "--matroid", str(path), "--time-limit-s", "1")
+    assert time.monotonic() - t0 < 10.0
+    rep = json.loads(out)
+    assert code == 3 and rep["outcome"] == "resource-limit"
+    assert rep["payload"]["error"] == "time limit exceeded"
+    assert rep["payload"]["progress"]["packed"] > 0

@@ -2,17 +2,17 @@
 
 import pytest
 
+from generator import small_matroid_family
+from oracles import brute_deleted_join
 from tvermat import (
     GraphicMatroid,
     InputError,
-    PreconditionError,
     ResourceLimitError,
     UniformMatroid,
     as_complex,
     chessboard,
     colourful_matroid,
     deleted_join,
-    from_facets,
 )
 
 K4 = GraphicMatroid(4, [(0, 1), (0, 2), (0, 3), (1, 2), (1, 3), (2, 3)])
@@ -36,17 +36,14 @@ def test_as_complex_excludes_loops():
 
 
 def test_deleted_join_examples():
-    pt = from_facets(1, [(0,)])
-    two = deleted_join([pt] * 2)
+    two = deleted_join([UniformMatroid(1, 1)] * 2)
     assert two.f_vector() == (2,)  # S^0
 
-    edge_vertices = as_complex(UniformMatroid(1, 2), 0)  # 0-skeleton of an edge
-    c22 = deleted_join([edge_vertices] * 2)
+    c22 = deleted_join([UniformMatroid(1, 2)] * 2)  # 0-skeleton of an edge
     assert c22.f_vector() == (4, 2)  # two disjoint edges
 
     # deleted join never contains {pi_1(v), pi_2(v)}
-    X = as_complex(UniformMatroid(2, 3), 1)
-    P = deleted_join([X] * 2)
+    P = deleted_join([UniformMatroid(2, 3)] * 2)
     n = 3
     for face in P.all_faces():
         elems = [v % n for v in face]
@@ -54,20 +51,32 @@ def test_deleted_join_examples():
 
 
 def test_k_fold_deleted_join_chessboards():
-    three = as_complex(UniformMatroid(1, 3), 0)
-    c23 = deleted_join([three] * 2, trunc=1)
+    c23 = deleted_join([UniformMatroid(1, 3)] * 2, trunc=1)
     assert c23.f_vector() == (6, 6)
-    c34 = deleted_join([as_complex(UniformMatroid(1, 4), 0)] * 3)
+    c34 = deleted_join([UniformMatroid(1, 4)] * 3)
     assert c34.f_vector() == (12, 36, 24)
     assert c34.euler_characteristic() == 0
 
 
-def test_chessboard_matches_deleted_join():
-    for k in range(1, 4):
-        for m in range(1, 6):
-            direct = chessboard(k, m)
-            pdj = deleted_join([as_complex(UniformMatroid(1, m), 0)] * k)
-            assert direct.faces_by_dim == pdj.faces_by_dim, (k, m)
+def test_deleted_join_matches_brute_force():
+    fam = [M for _, M in small_matroid_family(explicit_count=10)]
+    cases = [[M] * k for M in fam for k in (1, 2, 3) if k * M.n <= 15]
+    # distinct matroids per copy, as verify-claim passes them
+    by_size = {}
+    for M in fam:
+        by_size.setdefault(M.n, []).append(M)
+    cases += [ms[i:i + k] for ms in by_size.values() for k in (2, 3)
+              for i in range(0, len(ms) - k + 1, k) if k * ms[0].n <= 15]
+    cases += [[UniformMatroid(1, m)] * k for k in (4, 5) for m in (2, 3)]
+    for mats in cases:
+        for trunc in range(-1, mats[0].n + 1):
+            X = deleted_join(mats, trunc)
+            faces, complete = brute_deleted_join(mats, trunc)
+            assert X.faces_by_dim == faces, (mats, trunc)
+            assert X.complete == complete, (mats, trunc)
+    for k, m in ((3, 4), (4, 3), (2, 5)):
+        assert chessboard(k, m).faces_by_dim == brute_deleted_join(
+            [UniformMatroid(1, m)] * k, min(k, m) - 1)[0]
 
 
 def test_chessboard_facets():
@@ -80,7 +89,7 @@ def test_chessboard_facets():
 def test_down_closure():
     samples = [
         chessboard(3, 4),
-        deleted_join([as_complex(UniformMatroid(2, 4), 1)] * 2, trunc=2),
+        deleted_join([UniformMatroid(2, 4)] * 2, trunc=2),
         as_complex(K4, 2),
     ]
     for X in samples:
@@ -92,9 +101,8 @@ def test_down_closure():
 
 
 def test_deleted_join_disjoint_supports():
-    X = as_complex(UniformMatroid(2, 4), 1)
-    P = deleted_join([X] * 3, trunc=2)
-    k, n = P.labels
+    P = deleted_join([UniformMatroid(2, 4)] * 3, trunc=2)
+    n = 4
     for face in P.all_faces():
         parts = {}
         for v in face:
@@ -106,10 +114,11 @@ def test_deleted_join_disjoint_supports():
 
 
 def test_truncation_and_cap():
-    X = as_complex(K4, 2)
-    with pytest.raises(ResourceLimitError):
-        deleted_join([X] * 2, trunc=2, cap=10)
-    P = deleted_join([X] * 2, trunc=0)
+    # K4's own levels (6, 15, 16 faces) fit the cap; the join's 60 edges do not
+    with pytest.raises(ResourceLimitError) as err:
+        deleted_join([K4] * 2, trunc=2, cap=20)
+    assert err.value.progress == {"dimension": 1, "cap": 20}
+    P = deleted_join([K4] * 2, trunc=0)
     assert P.f_vector() == (12,)
     assert not P.complete
 
@@ -135,12 +144,9 @@ def test_colourful_complex_top_faces():
 
 
 def test_join_input_errors():
-    a = from_facets(2, [(0,)])
-    b = from_facets(3, [(0,)])
     with pytest.raises(InputError):
-        deleted_join([a, b])
+        deleted_join([UniformMatroid(1, 2), UniformMatroid(1, 3)])
     with pytest.raises(InputError):
         deleted_join([])
-    trunc_factor = as_complex(UniformMatroid(3, 6), 1)  # incomplete
-    with pytest.raises(PreconditionError):
-        deleted_join([trunc_factor, trunc_factor], trunc=4)
+    with pytest.raises(InputError):
+        deleted_join([UniformMatroid(3, 6)] * 2, trunc=-2)

@@ -29,7 +29,7 @@ K4 = GraphicMatroid(4, [(0, 1), (0, 2), (0, 3), (1, 2), (1, 3), (2, 3)])
 
 
 def test_boundary_single_edge():
-    X = from_facets(2, [(0, 1)])
+    X = from_facets([(0, 1)])
     d1 = boundary_matrix(X, 1)
     # boundary of [v0, v1] is v1 - v0: two entries, signs -1 and +1
     assert d1.cols == [[(0, -1), (1, 1)]]
@@ -84,7 +84,7 @@ def test_betti_vs_snf_oracle_random():
         for _ in range(nf):
             size = rng.randint(1, min(4, n))
             facets.append(tuple(sorted(rng.sample(range(n), size))))
-        X = from_facets(n, facets)
+        X = from_facets(facets)
         top = X.dimension
         up_to = max(top, 0)
         ours = betti_reduced(X, up_to).betti
@@ -104,7 +104,7 @@ def test_cleared_ranks_vs_exact_and_snf_random():
             facets += combinations(sorted(rng.sample(range(n), k)), k - 1)
         for _ in range(rng.randint(0, 4)):
             facets.append(tuple(sorted(rng.sample(range(n), rng.randint(1, 4)))))
-        X = from_facets(n, facets)
+        X = from_facets(facets)
         d = X.dimension
         assert d in (2, 3)
         ours = betti_reduced(X, d).betti
@@ -133,7 +133,7 @@ def test_chessboard_torsion_pair_clearing():
 
 def test_euler_poincare():
     samples = [chessboard(2, 3), chessboard(3, 4), as_complex(K4, 2),
-               full_simplex(4), from_facets(4, [(0, 1), (2, 3)])]
+               full_simplex(4), from_facets([(0, 1), (2, 3)])]
     for X in samples:
         top = max(X.dimension, 0)
         bv = betti_reduced(X, top)
@@ -154,7 +154,7 @@ def test_homologically_connected_examples():
     rep = homologically_connected(chessboard(2, 3), -1)
     assert rep.verified  # nonempty is all that is asked
 
-    empty = from_facets(1, [])
+    empty = from_facets([])
     assert not homologically_connected(empty, -1).verified
 
 
