@@ -10,7 +10,7 @@ import json
 from fractions import Fraction
 
 from .errors import InputError
-from .complexes import SimplicialComplex
+from .complexes import DEFAULT_FACE_CAP, SimplicialComplex
 from .matroids import (
     ExplicitMatroid,
     GraphicMatroid,
@@ -24,6 +24,24 @@ FORMAT_VERSION = 1
 # Largest "size" a uniform or explicit record may declare.  Commands walk
 # the ground set, so a huge declared size would hang or exhaust memory.
 MAX_GROUND_SIZE = 1 << 20
+
+
+# -- exact numbers -------------------------------------------------------------
+
+
+def _rational(tok):
+    """Exact rational from an integer, "p/q" or decimal token.
+
+    Exponent notation is refused, because ``Fraction("1e2000000000")``
+    expands the power of ten; so is a zero denominator.
+    """
+    tok = str(tok)
+    if "e" in tok or "E" in tok:
+        raise InputError(f"exponent notation is not accepted: {tok[:40]!r}")
+    try:
+        return Fraction(tok)
+    except (ValueError, ZeroDivisionError) as exc:
+        raise InputError(f"bad rational {tok[:40]!r}: {exc}") from exc
 
 
 # -- matroid files (.matroid, JSON) -------------------------------------------
@@ -96,7 +114,7 @@ def matroid_from_record(rec):
                 p = int(field[3:-1])
             else:
                 raise InputError(f"unknown field {field!r}")
-            cols = [[Fraction(str(x)) for x in col] for col in rec["columns"]]
+            cols = [[_rational(x) for x in col] for col in rec["columns"]]
             return LinearMatroid(cols, field=p)
         if kind == "explicit":
             n = _ground_size(rec)
@@ -125,7 +143,7 @@ def read_matroid(path):
             rec = json.load(fh)
     except OSError as exc:
         raise InputError(f"cannot read matroid file: {exc}") from exc
-    except json.JSONDecodeError as exc:
+    except ValueError as exc:  # JSONDecodeError, or an integer over 4300 digits
         raise InputError(f"matroid file is not valid JSON: {exc}") from exc
     return matroid_from_record(rec)
 
@@ -170,9 +188,9 @@ def parse_points(text):
         head, tail = ln.split(":", 1)
         try:
             e = int(head)
-            vals = tuple(Fraction(tok) for tok in tail.split())
-        except (ValueError, ZeroDivisionError) as exc:
+        except ValueError as exc:
             raise InputError(f"bad point line {ln!r}: {exc}") from exc
+        vals = tuple(_rational(tok) for tok in tail.split())
         if e in coords:
             raise InputError(f"duplicate coordinates for element {e}")
         coords[e] = vals
@@ -265,6 +283,10 @@ def parse_triplets(text):
         m, n = int(m), int(n)
     except ValueError as exc:
         raise InputError(f"bad triplet header {lines[0]!r}") from exc
+    # a boundary matrix has one column per face of a level, and a level
+    # holds at most DEFAULT_FACE_CAP faces unless the cap was raised
+    if m < 0 or not 0 <= n <= DEFAULT_FACE_CAP:
+        raise InputError(f"triplet header {lines[0]!r} out of range")
     cols = [[] for _ in range(n)]
     for ln in lines[1:]:
         try:

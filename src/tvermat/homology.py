@@ -346,7 +346,7 @@ def _ceil_div(a, b):
     return -(-a // b)
 
 
-def verify_claim(matroids, sets, m, cap=DEFAULT_FACE_CAP):
+def verify_claim(matroids, sets, m, cap=DEFAULT_FACE_CAP, deadline=None):
     """Verify the deleted-join connectivity bound for matroids M_1..M_k and
     pairwise disjoint sets A_1..A_k, each a union of at most m independent
     sets of its matroid.
@@ -354,7 +354,8 @@ def verify_claim(matroids, sets, m, cap=DEFAULT_FACE_CAP):
     Hypotheses are validated first (disjointness; coverability via the union
     algorithm, raising HypothesisViolation with an exact certificate).  The
     bound is c = ceil(sum |A_i| / (m+1)) - 2; the deleted join is materialized
-    through dimension c+1 and checked homologically.
+    through dimension c+1 and checked homologically.  ``deadline`` (a
+    ``time.monotonic()`` instant) bounds the cover step.
     """
     matroids = list(matroids)
     sets = [frozenset(A) for A in sets]
@@ -370,7 +371,7 @@ def verify_claim(matroids, sets, m, cap=DEFAULT_FACE_CAP):
             )
         used |= A
     for M, A in zip(matroids, sets):
-        res = pack_into_independent(M, A, m)
+        res = pack_into_independent(M, A, m, deadline)
         if not isinstance(res, list):
             raise HypothesisViolation(
                 f"a set is not a union of {m} independent sets",
@@ -381,32 +382,27 @@ def verify_claim(matroids, sets, m, cap=DEFAULT_FACE_CAP):
     return join_connectivity(matroids, c, cap, {"k": len(matroids), "m": m, "total": total})
 
 
-def verify_corollary(M, k, cap=DEFAULT_FACE_CAP):
+def verify_corollary(M, k, cap=DEFAULT_FACE_CAP, deadline=None):
     """Verify the packing-derived connectivity bound for the k-fold deleted join.
 
     Computes b = b(M), partitions the packed bases into k almost equal groups
     (sizes within floor/ceil of b/k), and checks the floor of
     b*rank/(ceil(b/k)+1) - 2; "connectivity >= x" for real x means i-connected
     for every integer i <= x, so flooring is the faithful integer reading.
+    ``deadline`` bounds the packing step.
     """
     if k < 1:
         raise InputError(f"k must be positive, got {k}")
-    b, packing, _ = max_disjoint_bases(M)
+    b, _, _ = max_disjoint_bases(M, deadline)
     rho = M.rank()
     context = {"b": b, "rank": rho, "k": k}
     if b == 0:
         return _vacuous_report(-2, "rank-0 matroid: bound is vacuous", context)
-    groups = partition_almost_equal(b, k)
-    unions = [
-        frozenset().union(*(packing.bases[j - 1] for j in grp)) if grp else frozenset()
-        for grp in groups
-    ]
     m = _ceil_div(b, k)
-    # hypothesis re-check: each union splits into at most m independent sets
-    for A in unions:
-        res = pack_into_independent(M, A, m)
-        if not isinstance(res, list):
-            raise RuntimeError("base packing failed its own coverability re-check")
+    # the packed bases are checked disjoint independent sets, so a group of
+    # at most m of them is a union of at most m independent sets
+    if any(len(grp) > m for grp in partition_almost_equal(b, k)):
+        raise RuntimeError("a group holds more than m packed bases")
     c = (b * rho) // (m + 1) - 2
     context["m"] = m
     return join_connectivity([M] * k, c, cap, context)
@@ -424,14 +420,15 @@ class ConjectureRecord:
     report: ConnectivityReport
 
 
-def conjecture_scan(M, k, cap=DEFAULT_FACE_CAP):
+def conjecture_scan(M, k, cap=DEFAULT_FACE_CAP, deadline=None):
     """Check whether the k-fold deleted join is (k*rank - 2)-connected and
     record it together with b(M); accumulating such records over a matroid
-    family is the evidence-gathering mode for the conjectured threshold."""
+    family is the evidence-gathering mode for the conjectured threshold.
+    ``deadline`` bounds the packing step."""
     if k < 1:
         raise InputError(f"k must be positive, got {k}")
     rho = M.rank()
-    b, _, _ = max_disjoint_bases(M)
+    b, _, _ = max_disjoint_bases(M, deadline)
     c = k * rho - 2
     rep = join_connectivity([M] * k, c, cap, {"b": b, "rank": rho, "k": k, "target": c})
     return ConjectureRecord(b=b, rank=rho, k=k, target=c, verified=rep.verified,

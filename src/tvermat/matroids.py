@@ -281,18 +281,33 @@ def colourful_matroid(r, d):
     return PartitionMatroid(blocks, [1] * (d + 1))
 
 
-def _is_prime(p):
-    if p < 2:
+# Miller-Rabin with these twelve bases is exact for every n < 2**64 (it is
+# for every n below 3.18e23; Sorenson and Webster, Math. Comp. 86, 2017).
+_PRIME_BASES = (2, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37)
+
+
+def _is_prime(n):
+    """Deterministic Miller-Rabin primality; n >= 2**64 is an input error."""
+    if n >= 1 << 64:
+        raise InputError(f"primality is decided only below 2**64, got {n}")
+    if n < 2:
         return False
-    if p < 4:
-        return True
-    if p % 2 == 0:
-        return False
-    q = 3
-    while q * q <= p:
-        if p % q == 0:
+    for q in _PRIME_BASES:
+        if n % q == 0:
+            return n == q
+    d, s = n - 1, 0
+    while d % 2 == 0:
+        d, s = d // 2, s + 1
+    for a in _PRIME_BASES:
+        x = pow(a, d, n)
+        if x == 1 or x == n - 1:
+            continue
+        for _ in range(s - 1):
+            x = x * x % n
+            if x == n - 1:
+                break
+        else:
             return False
-        q += 2
     return True
 
 

@@ -11,7 +11,8 @@ closed form and the other oracles by independence calls.  Applying a
 BFS-shortest path keeps all swaps simultaneously valid.  When no augmenting
 path exists, the set of reachable elements is an exact Edmonds-style
 certificate of maximality.  b(M) comes from one such run that appends an
-empty part each time the parts have grown into bases.
+empty part each time the parts have grown into bases.  Each returned family
+is checked once, by ``_check_family``, before it leaves this module.
 """
 
 import time
@@ -20,6 +21,19 @@ from dataclasses import dataclass, field
 
 from .errors import InputError, ResourceLimitError
 from .matroids import Matroid, _as_idset
+
+
+def _check_family(M, sets):
+    """Raise RuntimeError unless ``sets`` are pairwise disjoint independent
+    sets of M: one oracle call per set."""
+    seen = set()
+    for s in sets:
+        s = frozenset(s)
+        if not seen.isdisjoint(s):
+            raise RuntimeError("family members are not pairwise disjoint")
+        seen |= s
+        if not M.is_independent(s):
+            raise RuntimeError("family member is dependent")
 
 
 @dataclass
@@ -33,14 +47,8 @@ class BasePacking:
         return len(self.bases)
 
     def check(self):
-        """Re-verify disjointness and independence; raises on violation."""
-        seen = set()
-        for b in self.bases:
-            if seen & b:
-                raise RuntimeError("packing violates disjointness")
-            seen |= b
-            if not self.matroid.is_independent(b):
-                raise RuntimeError("packed set is dependent")
+        """Re-verify disjointness, independence and size; raises on violation."""
+        _check_family(self.matroid, self.bases)
         full = self.matroid.rank()
         if any(len(b) != full for b in self.bases):
             raise RuntimeError("packed set is not a basis")
@@ -117,11 +125,6 @@ def _augment(M, parts, universe):
                     parts[j].discard(cur)
                     parts[j].add(prev)
                     cur = prev
-                seen = set()
-                for p in parts:
-                    if seen & p or not M._indep(frozenset(p)):
-                        raise RuntimeError("augmentation produced an invalid family")
-                    seen |= p
                 return None
             circuits.append((i, circuit))
         for i, circuit in circuits:
@@ -153,7 +156,8 @@ def pack_k_bases(M, k, deadline=None):
     """k pairwise disjoint bases of M, or a PackingCertificate that none exist.
 
     Each augmentation makes at most n*k ``M.fundamental_circuit`` queries for
-    its exchange arcs, plus k independence calls to re-check the grown family.
+    its exchange arcs; the finished packing is checked once, k independence
+    calls.
     """
     if k < 1:
         raise InputError(f"k must be positive, got {k}")
@@ -210,8 +214,8 @@ def pack_into_independent(M, A, m, deadline=None):
         cert.check(M)
         return cert
     cover = [frozenset(p) for p in parts if p]
-    union = frozenset().union(*cover) if cover else frozenset()
-    if union != A:
+    _check_family(M, cover)
+    if frozenset().union(*cover) != A:
         raise RuntimeError("independent cover does not cover its target")
     return cover
 

@@ -19,7 +19,7 @@ from .errors import InputError, PreconditionError, ResourceLimitError
 from .complexes import independent_sets
 from .lp import hulls_intersect
 from .matroids import _is_prime
-from .packing import max_disjoint_bases
+from .packing import _check_family, max_disjoint_bases
 
 
 @dataclass(frozen=True)
@@ -66,16 +66,11 @@ class TverbergWitness:
 
     def validate(self, M, cfg):
         """Exact re-check of every invariant; raises on any violation."""
-        used = set()
-        for face in self.faces:
-            fs = frozenset(face)
-            if not face:
-                raise RuntimeError("witness face is empty")
-            if used & fs:
-                raise RuntimeError("witness faces are not disjoint")
-            used |= fs
-            if not M.is_independent(fs):
-                raise RuntimeError("witness face is dependent")
+        if not all(self.faces):
+            raise RuntimeError("witness face is empty")
+        _check_family(M, self.faces)
+        if len(self.coefficients) != len(self.faces):
+            raise RuntimeError("coefficient arity mismatch")
         for face, lam in zip(self.faces, self.coefficients):
             if len(face) != len(lam):
                 raise RuntimeError("coefficient arity mismatch")
@@ -216,9 +211,12 @@ def choose_prime(b):
 
     Endpoint comparisons are exact: 16*p*p >= b and 4*p*p <= b.  The interval
     misses a prime only for b <= 15 (Bertrand's postulate covers b >= 16).
+    b >= 2**128 is an input error: p must stay below 2**64 for ``_is_prime``.
     """
     if b < 1:
         raise InputError(f"b must be positive, got {b}")
+    if b >= 1 << 128:
+        raise InputError(f"b must be below 2**128, got {b}")
     hi = isqrt(b // 4)
     p = hi
     while p >= 2:

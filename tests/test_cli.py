@@ -372,3 +372,72 @@ def test_packing_honours_time_limit(tmp_path, capsys):
     assert code == 3 and rep["outcome"] == "resource-limit"
     assert rep["payload"]["error"] == "time limit exceeded"
     assert rep["payload"]["progress"]["packed"] > 0
+
+
+@pytest.fixture
+def u2_big(tmp_path):
+    path = tmp_path / "u2_big.matroid"
+    write_matroid(path, UniformMatroid(2, 2**20))  # b = 2**19 bases
+    return str(path)
+
+
+def test_zero_time_limit_stops_at_once(u2_big, capsys):
+    t0 = time.monotonic()
+    code, out = run(capsys, "bases", "--matroid", u2_big, "--time-limit-s", "0")
+    assert time.monotonic() - t0 < 2.0
+    rep = json.loads(out)
+    assert code == 3 and rep["outcome"] == "resource-limit"
+    assert rep["payload"]["progress"] == {"packed": 0}
+
+
+def test_verifiers_honour_time_limit(u2_big, capsys):
+    for argv, limit in ((("verify-corollary", "--k", "2"), "1"),
+                        (("conjecture-scan", "--k", "1"), "1"),
+                        (("verify-claim", "--sets", "0,1,2;3,4", "--m", "2"), "0")):
+        t0 = time.monotonic()
+        code, out = run(capsys, *argv, "--matroid", u2_big, "--time-limit-s", limit)
+        assert time.monotonic() - t0 < 5.0, argv
+        rep = json.loads(out)
+        assert code == 3 and rep["outcome"] == "resource-limit", argv
+        assert "packed" in rep["payload"]["progress"], argv
+
+
+def test_hostile_numbers_are_input_errors(tmp_path, capsys):
+    linear = {"format-version": 1, "type": "linear", "field": "Q"}
+    runs = []
+    for name, entry in (("zero_den", "1/0"), ("exponent", "1e2000000000")):
+        path = tmp_path / f"{name}.matroid"
+        path.write_text(json.dumps({**linear, "columns": [[entry]]}))
+        runs.append(("rank", "--matroid", str(path)))
+    path = tmp_path / "digits.matroid"  # a JSON integer over Python's 4300 digits
+    path.write_text(json.dumps(linear)[:-1] + ', "columns": [[' + "9" * 5000 + "]]}")
+    runs.append(("rank", "--matroid", str(path)))
+    pts = tmp_path / "exponent.pts"
+    pts.write_text("d=1\n0: 1e2000000000\n1: 0\n")
+    runs.append(("hulls", "--points", str(pts), "--sets", "0;1"))
+    gf = tmp_path / "gf_big.matroid"
+    gf.write_text(json.dumps({"format-version": 1, "type": "linear",
+                              "field": f"GF({2**64 + 13})", "columns": [["1"]]}))
+    runs.append(("rank", "--matroid", str(gf)))
+    runs.append(("prime", "--b", str(2**128)))
+    runs.append(("inequality", "--b", "64", "--d", "1", "--p", str(2**64 + 13)))
+    for argv in runs:
+        t0 = time.monotonic()
+        code, out = run(capsys, *argv)
+        assert time.monotonic() - t0 < 1.0, argv
+        assert code == 2 and json.loads(out)["outcome"] == "input-error", argv
+
+
+def test_large_primes_answer_fast(tmp_path, capsys):
+    gf = tmp_path / "gf.matroid"
+    gf.write_text(json.dumps({"format-version": 1, "type": "linear",
+                              "field": "GF(1000000000000000003)",
+                              "columns": [["1", "2"], ["3", "5"], ["4", "7"]]}))
+    t0 = time.monotonic()
+    code, out = run(capsys, "rank", "--matroid", str(gf))
+    assert code == 0 and json.loads(out)["payload"]["rank"] == 2
+    code, out = run(capsys, "prime", "--b", str(10**38))
+    assert code == 0
+    p = json.loads(out)["payload"]["prime"]
+    assert 16 * p * p >= 10**38 >= 4 * p * p
+    assert time.monotonic() - t0 < 1.0

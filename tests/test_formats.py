@@ -4,6 +4,7 @@ from fractions import Fraction
 from itertools import chain, combinations
 
 import pytest
+from hypothesis import given, strategies as st
 
 from tvermat import (
     ExplicitMatroid,
@@ -20,6 +21,7 @@ from tvermat.formats import (
     matroid_from_record,
     parse_faces,
     parse_points,
+    parse_triplets,
     read_matroid,
     render_json,
     render_text,
@@ -71,6 +73,15 @@ def test_matroid_record_rejections():
         with pytest.raises(InputError):
             matroid_from_record({"format-version": 1, "type": kind,
                                  "size": MAX_GROUND_SIZE + 1, **extra})
+    # a zero denominator, and exponent notation (Fraction would expand the
+    # power of ten), are refused at parse time
+    for entry in ("1/0", "1e2000000000", "2E3", 1e300):
+        with pytest.raises(InputError):
+            matroid_from_record({"format-version": 1, "type": "linear",
+                                 "field": "Q", "columns": [[entry]]})
+    lin = matroid_from_record({"format-version": 1, "type": "linear", "field": "Q",
+                               "columns": [["-3/4", "0.25"], [6, "-2.0"]]})
+    assert lin.rank() == 1  # (-3/4, 1/4) and (6, -2) are parallel
 
 
 def test_points_round_trip(tmp_path):
@@ -92,6 +103,10 @@ def test_points_parse_variants():
         parse_points("d=1\n0: 1\n0: 2\n")
     with pytest.raises(InputError):
         parse_points("d=1\n0: 1/0\n")
+    for tok in ("1e2000000000", "-2.5e1", "1E5"):
+        with pytest.raises(InputError):
+            parse_points(f"d=1\n0: {tok}\n")
+    assert parse_points("d=2\n0: -0.125 +7\n").point(0) == (Fraction(-1, 8), Fraction(7))
 
 
 def test_faces_round_trip(tmp_path):
@@ -114,7 +129,7 @@ def test_faces_rejections():
 
 def test_triplets_round_trip(tmp_path):
     from tvermat import boundary_matrix
-    from tvermat.formats import parse_triplets, write_triplets
+    from tvermat.formats import write_triplets
 
     d2 = boundary_matrix(chessboard(3, 4), 2)
     path = tmp_path / "d2.triplets"
@@ -124,6 +139,9 @@ def test_triplets_round_trip(tmp_path):
     assert back.cols == d2.cols
     with pytest.raises(InputError):
         parse_triplets("rows 1 cols 1\n2 0 1\n")
+    for header in ("rows -1 cols 1", f"rows 1 cols {10**30}"):
+        with pytest.raises(InputError):
+            parse_triplets(header + "\n")
 
 
 def test_render_deterministic():
@@ -133,3 +151,71 @@ def test_render_deterministic():
     assert '"1/3"' in j1
     t = render_text(rep)
     assert "nested.a" in t and t.index("frac") < t.index("nested.z")
+
+
+# Tokens a hostile or broken file may hold: signs, slashes, exponents,
+# decimals and integers far past any sane size.
+_TOKENS = st.one_of(
+    st.integers(-(10**40), 10**40).map(str),
+    st.sampled_from(["1/0", "-3/4", "+2", "2.5", "-0.125", "1e5", "1E-3",
+                     "1e2000000000", "9" * 5000, "/", "e", "--1", "1/", "nan",
+                     "inf", "0x1f", "1_000"]),
+    st.text(alphabet="0123456789/eE.-+ ", max_size=10),
+)
+_SCALARS = st.one_of(_TOKENS, st.integers(-(2**70), 2**70), st.none(),
+                     st.booleans(), st.floats())
+_VALUES = st.recursive(_SCALARS, lambda inner: st.lists(inner, max_size=4),
+                       max_leaves=12)
+_RECORDS = st.fixed_dictionaries(
+    {"format-version": st.sampled_from([1, 1, 1, "1", 2]),
+     "type": st.sampled_from(["uniform", "graphic", "linear", "partition",
+                              "explicit", "moebius"])},
+    optional={
+        **{key: _VALUES for key in ("rank", "size", "vertices", "edges",
+                                    "columns", "blocks", "capacities",
+                                    "maximal_independent_sets")},
+        "field": st.one_of(_VALUES, st.sampled_from(
+            ["Q", "GF(3)", "GF(1e5)", "GF(-7)", "GF(0)", f"GF({2**64 + 13})"])),
+    },
+)
+
+
+def _lines(*fixed):
+    line = st.lists(_TOKENS, max_size=4).map(" ".join)
+    point = st.builds(lambda e, toks: f"{e}: {' '.join(toks)}", _TOKENS,
+                      st.lists(_TOKENS, max_size=3))
+    return st.lists(st.one_of(line, point, st.sampled_from(fixed)),
+                    max_size=6).map("\n".join)
+
+
+@given(_RECORDS)
+def test_fuzz_matroid_records_return_or_refuse(rec):
+    try:
+        matroid_from_record(rec)
+    except InputError:
+        pass
+
+
+@given(_lines("format-version: 1", "d=1", "d=2", "d=0", f"d={10**30}", "0: 1/2"))
+def test_fuzz_point_files_return_or_refuse(text):
+    try:
+        parse_points(text)
+    except InputError:
+        pass
+
+
+@given(_lines("format-version: 1", "0", "1", "0 1", "-1"))
+def test_fuzz_face_files_return_or_refuse(text):
+    try:
+        parse_faces(text)
+    except InputError:
+        pass
+
+
+@given(_lines("format-version: 1", "rows 2 cols 2", f"rows 1 cols {10**30}",
+              "rows -1 cols 3", "0 0 1", "1 1 -1"))
+def test_fuzz_triplet_files_return_or_refuse(text):
+    try:
+        parse_triplets(text)
+    except InputError:
+        pass

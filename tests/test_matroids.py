@@ -273,3 +273,31 @@ def test_linear_field_primality_is_fast():
     assert M.rank() == 2
     with pytest.raises(InputError):
         LinearMatroid([(1, 0)], field=9)
+
+
+def _trial_division(n):
+    return n >= 2 and all(n % q for q in range(2, int(n ** 0.5) + 1))
+
+
+def test_is_prime_matches_trial_division():
+    from tvermat.matroids import _is_prime
+
+    assert [n for n in range(10**5) if _is_prime(n)] == [
+        n for n in range(10**5) if _trial_division(n)
+    ]
+
+
+def test_is_prime_is_exact_and_bounded():
+    from tvermat.matroids import _is_prime
+
+    # a strong pseudoprime to the bases 2, 3, 5 and 7
+    assert not _is_prime(3215031751)
+    start = time.perf_counter()
+    assert _is_prime(1_000_000_000_000_000_003)
+    assert _is_prime((1 << 64) - 59)  # the largest prime below 2**64
+    assert not _is_prime((1 << 64) - 1)
+    assert time.perf_counter() - start < 1.0
+    with pytest.raises(InputError):
+        _is_prime(1 << 64)
+    with pytest.raises(InputError):
+        LinearMatroid([(1, 0)], field=(1 << 64) + 13)

@@ -103,6 +103,23 @@ def test_line_first_witness_is_canonical():
     assert res.tuples_examined == 10
 
 
+def test_validate_refuses_broken_witnesses():
+    M = UniformMatroid(2, 4)
+    good = find_tverberg(M, LINE4, 2).witness
+    assert good.validate(M, LINE4)
+    broken = [
+        ([(0, 2), (0,)], good.point, good.coefficients),        # not disjoint
+        ([(0, 1, 2), (3,)], good.point, [[Fraction(1, 3)] * 3, [1]]),  # dependent
+        ([(0, 2), ()], good.point, [good.coefficients[0], []]),  # empty face
+        (good.faces, good.point, good.coefficients[:1]),        # a face lacks coefficients
+        (good.faces, (Fraction(2),), good.coefficients),        # misses the point
+    ]
+    for faces, point, lams in broken:
+        w = tvermat.tverberg.TverbergWitness(faces, point, lams)
+        with pytest.raises(RuntimeError):
+            w.validate(M, LINE4)
+
+
 def test_radon_partitions_found():
     # Radon's theorem: d+2 points always split into two parts with meeting hulls
     for d in (1, 2, 3):
