@@ -8,6 +8,10 @@ Every invocation emits exactly one structured report record on stdout
   2  input error
   3  resource limit
 
+An argument error (a missing or malformed flag, an unknown command) is an
+input error too.  Its report is JSON with a null command, because the flags
+that would say otherwise did not parse; ``--help`` prints usage and exits 0.
+
 Identical inputs and seed give byte-identical stdout; wall time is reported
 only under ``--timings`` (it is the one intentionally nondeterministic field,
 so it defaults to null).  ``--threads`` is accepted and ignored: every search
@@ -126,9 +130,21 @@ def _cert_payload(cert):
     return out
 
 
+class _Parser(argparse.ArgumentParser):
+    """An argument error raises InputError, so it ends in a report like any
+    other input error; subcommand parsers inherit the class."""
+
+    def error(self, message):
+        raise InputError(f"{self.prog}: {message}")
+
+
+# what a report names when the arguments themselves could not be parsed
+_UNPARSED = argparse.Namespace(command=None, seed=0, format="json", timings=False)
+
+
 @functools.cache
 def build_parser():
-    top = argparse.ArgumentParser(
+    top = _Parser(
         prog="tvermat",
         description="matroid base packings, deleted-join homology, Tverberg search",
     )
@@ -357,7 +373,6 @@ def dispatch(args, inputs, params):
             "betti": list(bv.betti),
             "up_to": bv.up_to,
             "f_vector": [1, *X.f_vector()],
-            "exact_confirmations": bv.exact_confirmations,
         }
         if args.export_boundary:
             written = []
@@ -477,12 +492,12 @@ def dispatch(args, inputs, params):
 
 
 def main(argv=None):
-    parser = build_parser()
-    args = parser.parse_args(argv)
+    args = _UNPARSED
     inputs = {}
     params = {}
     t0 = time.monotonic()
     try:
+        args = build_parser().parse_args(argv)
         outcome, payload = dispatch(args, inputs, params)
     except HypothesisViolation as exc:
         cert = exc.certificate

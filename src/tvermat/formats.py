@@ -148,6 +148,22 @@ def read_matroid(path):
     return matroid_from_record(rec)
 
 
+# -- line-based files (.pts, .faces, .triplets) ----------------------------------
+
+
+def _content_lines(text):
+    """The stripped lines of a line-based file, blank and "#" lines dropped;
+    an optional leading "format-version: N" line is checked and removed."""
+    lines = [ln.strip() for ln in text.splitlines()]
+    lines = [ln for ln in lines if ln and not ln.startswith("#")]
+    if lines and lines[0].startswith("format-version:"):
+        ver = lines[0].split(":", 1)[1].strip()
+        if ver != str(FORMAT_VERSION):
+            raise InputError(f"unsupported format-version {ver!r}")
+        lines = lines[1:]
+    return lines
+
+
 # -- point configuration files (.pts) -----------------------------------------
 
 
@@ -166,16 +182,10 @@ def write_points(path, cfg):
 def parse_points(text):
     from .tverberg import PointConfig
 
-    lines = [ln.strip() for ln in text.splitlines()]
-    lines = [ln for ln in lines if ln and not ln.startswith("#")]
+    lines = _content_lines(text)
     if not lines:
         raise InputError("empty point file")
-    if lines[0].startswith("format-version:"):
-        ver = lines[0].split(":", 1)[1].strip()
-        if ver != str(FORMAT_VERSION):
-            raise InputError(f"unsupported format-version {ver!r}")
-        lines = lines[1:]
-    if not lines or not lines[0].startswith("d="):
+    if not lines[0].startswith("d="):
         raise InputError('point file must start with a "d=<dim>" header')
     try:
         dim = int(lines[0][2:])
@@ -216,13 +226,7 @@ def write_faces(path, X):
 
 
 def parse_faces(text):
-    lines = [ln.strip() for ln in text.splitlines()]
-    lines = [ln for ln in lines if ln and not ln.startswith("#")]
-    if lines and lines[0].startswith("format-version:"):
-        ver = lines[0].split(":", 1)[1].strip()
-        if ver != str(FORMAT_VERSION):
-            raise InputError(f"unsupported format-version {ver!r}")
-        lines = lines[1:]
+    lines = _content_lines(text)
     by_dim = {}
     seen = set()
     for ln in lines:
@@ -272,10 +276,7 @@ def write_triplets(path, mat):
 
 
 def parse_triplets(text):
-    lines = [ln.strip() for ln in text.splitlines() if ln.strip()
-             and not ln.strip().startswith("#")]
-    if lines and lines[0].startswith("format-version:"):
-        lines = lines[1:]
+    lines = _content_lines(text)
     if not lines or not lines[0].startswith("rows "):
         raise InputError('triplet file needs a "rows <m> cols <n>" header')
     try:

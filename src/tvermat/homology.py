@@ -1,31 +1,24 @@
 """Exact reduced rational homology and the connectivity verifiers built on it.
 
-Boundary matrices are sparse with entries +-1.  Ranks are first computed over
-a large prime field.  That is a sound *vanishing* certificate: the mod-p
-defect bounds the rational Betti number from above, and Betti numbers are
-nonnegative.  The mod-p filter eliminates the coboundary, bottom-up with
-clearing: the rows of the faces that led a pivot of one map are skipped in
-the next.
-
-Any apparent nonvanishing is confirmed with exact division-free integer
-elimination on the boundary columns, with pair clearing: the rank of map i+1
-comes first, and its pivot leads name columns of map i that are dependent
-over Q.  Only exact pivots may clear an exact rank: a mod-p pivot shows a
-dependence mod p only, and rows dependent mod p can be independent over Q
-wherever p divides a torsion coefficient (chessboard complexes carry
-3-torsion).  Wrong Betti numbers would manufacture false counterexamples, so
-the exact route is never skipped when it matters.
+Boundary matrices are sparse with entries +-1.  Every rank is exact: each
+boundary map is eliminated as its transpose, the coboundary, with
+division-free integer elimination, bottom-up with clearing (the twist of
+Chen-Kerber 2011): the rows of the faces that led a pivot of one map are
+skipped in the next.  Clearing needs only that the pivots are exact, so it
+holds over Q, and one pass gives the rational Betti numbers, wherever the
+integral homology has torsion too (chessboard complexes carry 3-torsion,
+Shareshian-Wachs 2007).  No rank is taken modulo a prime: a prime dividing a
+torsion coefficient would change a Betti number, and wrong Betti numbers
+would manufacture false counterexamples.
 """
 
 from dataclasses import dataclass, field
-from heapq import heapify, heappop, heappush
+from heapq import heappop, heappush
 from math import gcd
 
 from .errors import HypothesisViolation, InputError, PreconditionError
 from .complexes import DEFAULT_FACE_CAP, deleted_join
 from .packing import max_disjoint_bases, pack_into_independent, partition_almost_equal
-
-FILTER_PRIME = (1 << 31) - 1  # Mersenne prime; mod-p ranks as a pre-filter
 
 
 @dataclass
@@ -66,13 +59,14 @@ def boundary_matrix(X, i):
     return SparseIntMatrix(len(rows), len(faces_i), cols)
 
 
-def _reduce_rows(rows, combine):
-    """Leading-column reduction on sparse rows (dicts col -> value).
+def _rank_sparse_exact(rows):
+    """Pivot leads over Q of sparse integer rows (dicts col -> nonzero value).
 
     Rows are bucketed by leading (minimum) column; each pivot clears its
-    column from the cohabiting rows, whose new leading columns are strictly
-    larger, so columns are processed once, in ascending (canonical) order.
-    Pivot choice within a bucket: fewest entries, first among ties.
+    column from the cohabiting rows by division-free combination, with gcd
+    normalization to keep entries small.  Their new leading columns are
+    strictly larger, so columns are processed once, in ascending (canonical)
+    order.  Pivot choice within a bucket: fewest entries, first among ties.
     Returns the leading columns of the pivots, ascending; their number is
     the rank.
     """
@@ -80,8 +74,7 @@ def _reduce_rows(rows, combine):
     for r in rows:
         if r:
             buckets.setdefault(min(r), []).append(r)
-    heap = sorted(buckets)
-    heapify(heap)
+    heap = sorted(buckets)  # a sorted list is a heap
     leads = []
     while heap:
         c = heappop(heap)
@@ -94,89 +87,43 @@ def _reduce_rows(rows, combine):
         for idx, r in enumerate(group):
             if idx == pi:
                 continue
-            nr = combine(pivot, r, c)
-            if nr:
-                mc = min(nr)
-                if mc not in buckets:
-                    heappush(heap, mc)
-                    buckets[mc] = []
-                buckets[mc].append(nr)
+            g = gcd(pivot[c], r[c])
+            ca, cb = pivot[c] // g, r[c] // g
+            nr = dict(r) if ca == 1 else {col: ca * v for col, v in r.items()}
+            for col, v in pivot.items():
+                nv = nr.get(col, 0) - cb * v
+                if nv:
+                    nr[col] = nv
+                else:
+                    nr.pop(col, None)
+            if not nr:
+                continue
+            gg = 0
+            for v in nr.values():
+                gg = gcd(gg, v)
+                if gg == 1:
+                    break
+            else:
+                nr = {col: v // gg for col, v in nr.items()}
+            mc = min(nr)
+            if mc not in buckets:
+                heappush(heap, mc)
+                buckets[mc] = []
+            buckets[mc].append(nr)
     return leads
 
 
-def _rank_sparse_mod_p(rows, p):
-    """Pivot leads mod p of sparse integer rows (dicts col -> value, each
-    value nonzero mod p)."""
-    inverse = {}  # pivot column -> inverse of the pivot's leading entry
-
-    def combine(pivot, r, c):
-        inv = inverse.get(c)
-        if inv is None:
-            inv = inverse[c] = pow(pivot[c], p - 2, p)
-        m = r[c] * inv % p
-        nr = dict(r)
-        for col, v in pivot.items():
-            nv = (nr.get(col, 0) - m * v) % p
-            if nv:
-                nr[col] = nv
-            else:
-                nr.pop(col, None)
-        return nr
-
-    return _reduce_rows(rows, combine)
-
-
-def _rank_sparse_exact(rows):
-    """Pivot leads over Q of sparse integer rows (dicts col -> nonzero value):
-    division-free combination with gcd normalization to keep entries small."""
-
-    def combine(pivot, r, c):
-        a, b = pivot[c], r[c]
-        g = gcd(a, b)
-        ca, cb = a // g, b // g
-        nr = dict(r) if ca == 1 else {col: ca * v for col, v in r.items()}
-        for col, v in pivot.items():
-            nv = nr.get(col, 0) - cb * v
-            if nv:
-                nr[col] = nv
-            else:
-                nr.pop(col, None)
-        gg = 0
-        for v in nr.values():
-            gg = gcd(gg, v)
-            if gg == 1:
-                return nr
-        return {col: v // gg for col, v in nr.items()}
-
-    return _reduce_rows(rows, combine)
-
-
-def _coboundary_leads(mat, cleared, p):
-    """Mod-p pivot leads of the boundary map ``mat`` (None if it has no
-    columns), eliminated as its transpose: one coboundary row per face of the
-    lower dimension, keyed by the faces of the upper one.  The rows named in
-    ``cleared`` are skipped.
+def _coboundary_leads(mat, cleared):
+    """Exact pivot leads of the boundary map ``mat``, eliminated as its
+    transpose: one coboundary row per face of the lower dimension, keyed by
+    the faces of the upper one.  The rows named in ``cleared`` are skipped.
     """
-    if mat is None:
-        return set()
     rows = [{} for _ in range(mat.nrows)]
     for j, col in enumerate(mat.cols):
         for r, v in col:
             rows[r][j] = v
-    return set(_rank_sparse_mod_p(
-        [row for r, row in enumerate(rows) if r not in cleared], p
-    ))
-
-
-def _boundary_leads(mat, cleared):
-    """Exact pivot leads of the boundary map ``mat`` (None if it has no
-    columns), eliminated on its columns; the columns named in ``cleared``
-    are skipped.
-    """
-    if mat is None:
-        return set()
     return set(_rank_sparse_exact(
-        [dict(col) for j, col in enumerate(mat.cols) if j not in cleared]
+        [row for r, row in enumerate(rows) if r not in cleared]
     ))
 
 
@@ -187,17 +134,16 @@ class BettiVector:
     betti: tuple
     up_to: int
     f_vector: tuple
-    exact_confirmations: int = 0
 
 
 def betti_reduced(X, up_to, exact_only=False):
     """Reduced Betti numbers of X through degree ``up_to``.
 
     Requires materialization through dimension up_to+1 (the image of the next
-    boundary map).  Mod-p ranks certify zeros outright; any apparent
-    nonvanishing is recomputed with exact integer elimination.
-    ``exact_only`` computes every rank exactly with no clearing: the
-    reference the fast path is tested against.
+    boundary map).  Every rank is exact; each coboundary skips the rows that
+    led a pivot of the map below it.  ``exact_only`` takes every rank on the
+    boundary columns with no clearing: the reference the cleared pass is
+    tested against.
     """
     if up_to < 0:
         raise InputError(f"up_to must be >= 0, got {up_to}")
@@ -207,40 +153,22 @@ def betti_reduced(X, up_to, exact_only=False):
         )
     f = [len(X.faces(d)) for d in range(up_to + 2)]
 
-    # The mod-p filter runs bottom-up with clearing: the rows of the faces
-    # that led a pivot of map i-1 are skipped in map i.  The reduced row with
-    # lead c is a coboundary dx, and ddx = 0 puts the coboundary of c in the
-    # span of the rows after it, so the skipped rows leave the rank unchanged.
-    mats, ranks, leads = [], [], set()
+    # Clearing: the rows of the faces that led a pivot of map i-1 are skipped
+    # in map i.  The reduced row with lead c is a coboundary dx, and ddx = 0
+    # puts the coboundary of c in the span over Q of the rows after it, so
+    # the skipped rows leave the rank unchanged.
+    ranks, leads = [], set()
     for i in range(up_to + 2):
-        mats.append(boundary_matrix(X, i) if f[i] else None)
+        mat = boundary_matrix(X, i)
         if exact_only:
-            ranks.append(len(_boundary_leads(mats[i], ())))
+            ranks.append(len(_rank_sparse_exact([dict(col) for col in mat.cols])))
         else:
-            leads = _coboundary_leads(mats[i], leads, FILTER_PRIME)
+            leads = _coboundary_leads(mat, leads)
             ranks.append(len(leads))
     betti = [f[i] - ranks[i] - ranks[i + 1] for i in range(up_to + 1)]
-    confirmations = 0
-    if not exact_only:
-        exact = {}  # dimension -> exact pivot leads of its boundary map
-
-        def exact_rank(i):
-            # pair clearing: the exact leads of map i+1, when known, name
-            # columns of map i that dd = 0 makes dependent over Q
-            nonlocal confirmations
-            if i not in exact:
-                exact[i] = _boundary_leads(mats[i], exact.get(i + 1, ()))
-                confirmations += 1
-            return len(exact[i])
-
-        for i in range(up_to + 1):
-            if betti[i] > 0:
-                upper = exact_rank(i + 1)
-                betti[i] = f[i] - exact_rank(i) - upper
     if any(b < 0 for b in betti):
         raise RuntimeError("negative Betti number: rank computation inconsistent")
-    return BettiVector(tuple(betti), up_to, tuple(f[: up_to + 1]),
-                       exact_confirmations=confirmations)
+    return BettiVector(tuple(betti), up_to, tuple(f[: up_to + 1]))
 
 
 @dataclass
@@ -254,7 +182,6 @@ class ConnectivityReport:
     f_vector: tuple
     num_faces: int
     betti_checked: tuple
-    exact_confirmations: int = 0
     note: str = ""
     context: dict = field(default_factory=dict)
 
@@ -267,7 +194,6 @@ class ConnectivityReport:
             "f_vector": [1, *self.f_vector],
             "num_faces": self.num_faces,
             "betti_checked": list(self.betti_checked),
-            "exact_confirmations": self.exact_confirmations,
         }
         if self.note:
             out["note"] = self.note
@@ -326,7 +252,6 @@ def homologically_connected(X, c):
         f_vector=fvec,
         num_faces=nfaces,
         betti_checked=bv.betti,
-        exact_confirmations=bv.exact_confirmations,
     )
 
 

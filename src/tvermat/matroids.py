@@ -319,6 +319,14 @@ def _scale_to_int(col):
     return [int(x * den) for x in col]
 
 
+def _mod_p(x, p):
+    """The image of the rational x in GF(p): numerator times the inverse of
+    the denominator."""
+    if x.denominator % p == 0:
+        raise InputError(f"entry {x} has no value in GF({p}): {p} divides its denominator")
+    return x.numerator * pow(x.denominator, -1, p) % p
+
+
 class LinearMatroid(Matroid):
     """Columns of a matrix over Q (field=None) or GF(p) (field=p, p prime).
 
@@ -343,7 +351,7 @@ class LinearMatroid(Matroid):
             if field is None:
                 cols.append(_scale_to_int([Fraction(x) for x in col]))
             else:
-                cols.append([int(x) % field for x in col])
+                cols.append([_mod_p(Fraction(x), field) for x in col])
         self.columns = cols
 
     def _column_rank(self, ids):

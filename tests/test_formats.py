@@ -82,6 +82,12 @@ def test_matroid_record_rejections():
     lin = matroid_from_record({"format-version": 1, "type": "linear", "field": "Q",
                                "columns": [["-3/4", "0.25"], [6, "-2.0"]]})
     assert lin.rank() == 1  # (-3/4, 1/4) and (6, -2) are parallel
+    # over GF(p), p/q is p times the inverse of q: 1/2 = 2 in GF(3)
+    gf3 = {"format-version": 1, "type": "linear", "field": "GF(3)"}
+    lin = matroid_from_record({**gf3, "columns": [["1/2"], ["2"]]})
+    assert lin.rank([0]) == 1 and lin.rank() == 1
+    with pytest.raises(InputError):
+        matroid_from_record({**gf3, "columns": [["1/3"]]})
 
 
 def test_points_round_trip(tmp_path):
@@ -139,7 +145,8 @@ def test_triplets_round_trip(tmp_path):
     assert back.cols == d2.cols
     with pytest.raises(InputError):
         parse_triplets("rows 1 cols 1\n2 0 1\n")
-    for header in ("rows -1 cols 1", f"rows 1 cols {10**30}"):
+    for header in ("rows -1 cols 1", f"rows 1 cols {10**30}",
+                   "format-version: 99\nrows 1 cols 1"):
         with pytest.raises(InputError):
             parse_triplets(header + "\n")
 
