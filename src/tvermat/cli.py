@@ -40,6 +40,7 @@ File formats (all versioned with a leading format-version field):
 import argparse
 import functools
 import hashlib
+import re
 import sys
 import time
 
@@ -98,7 +99,7 @@ def _parse_ids(text):
     try:
         return [int(tok) for tok in text.split(",")]
     except ValueError as exc:
-        raise InputError(f"bad id list {text!r}") from exc
+        raise InputError(f"bad id list {text[:40]!r}") from exc
 
 
 def _parse_groups(text):
@@ -135,6 +136,9 @@ class _Parser(argparse.ArgumentParser):
     other input error; subcommand parsers inherit the class."""
 
     def error(self, message):
+        # argparse echoes the offending value whole: keep the first 40
+        # characters of each long quoted value or token, as formats._rational does
+        message = re.sub(r"'[^']{41,}'|\S{41,}", lambda m: m.group()[:40] + "...", message)
         raise InputError(f"{self.prog}: {message}")
 
 
@@ -258,7 +262,11 @@ def _load_config(args, inputs, n):
         inputs["random-points"] = {
             "n": args.random_points, "dim": args.dim, "seed": args.seed,
         }
-        return random_point_config(min(args.random_points, n), args.dim, args.seed)
+        count = min(args.random_points, n)
+        if count * args.dim > formats.MAX_GROUND_SIZE:
+            raise InputError(f"{count} random points in dimension {args.dim} exceed the cap "
+                             f"of {formats.MAX_GROUND_SIZE} coordinates")
+        return random_point_config(count, args.dim, args.seed)
     raise InputError("provide --points FILE or --random-points N --dim D")
 
 
@@ -362,7 +370,7 @@ def dispatch(args, inputs, params):
             try:
                 k, m = (int(t) for t in args.chessboard.split(","))
             except ValueError as exc:
-                raise InputError(f"bad chessboard spec {args.chessboard!r}") from exc
+                raise InputError(f"bad chessboard spec {args.chessboard[:40]!r}") from exc
             params["chessboard"] = args.chessboard
             X = chessboard(k, m, trunc=args.up_to + 1, cap=args.max_faces)
         else:

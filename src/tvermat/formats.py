@@ -213,6 +213,8 @@ def read_points(path):
             return parse_points(fh.read())
     except OSError as exc:
         raise InputError(f"cannot read point file: {exc}") from exc
+    except UnicodeDecodeError as exc:
+        raise InputError(f"point file is not UTF-8 text: {exc}") from exc
 
 
 # -- face lists (.faces) -------------------------------------------------------
@@ -261,6 +263,8 @@ def read_faces(path):
             return parse_faces(fh.read())
     except OSError as exc:
         raise InputError(f"cannot read face file: {exc}") from exc
+    except UnicodeDecodeError as exc:
+        raise InputError(f"face file is not UTF-8 text: {exc}") from exc
 
 
 # -- sparse matrix triplets (.triplets) ----------------------------------------

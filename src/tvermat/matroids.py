@@ -1,13 +1,14 @@
 """Matroid oracles on a dense integer ground set.
 
-A matroid here is an immutable independence oracle over elements 0..n-1.
-Loops (elements in no independent singleton) are first-class: restriction
-and contraction return oracles over the *original* index space with removed
+A matroid here is an immutable oracle over elements 0..n-1, given by its
+rank function, which determines it (Whitney 1935).  Each family states its
+rank in closed form as ``_rank``; a set is independent iff its rank equals
+its size, and ``_indep`` is overridden only where a measured workload needs
+the shortcut (uniform and partition matroids in base packing).  Loops
+(elements in no independent singleton) are first-class: restriction and
+contraction return oracles over the *original* index space with removed
 elements turned into loops, which keeps labeled-vertex bookkeeping in joins
 uniform.
-
-Rank defaults to greedy growth of an independent subset, which is exact for
-matroids; structured families override it with closed forms.
 """
 
 from fractions import Fraction
@@ -33,13 +34,16 @@ class Matroid:
         if n < 0:
             raise InputError(f"ground size must be nonnegative, got {n}")
         self.n = n
-        self._full_rank = None
 
     # -- subclass surface -------------------------------------------------
 
+    def _rank(self, ids):
+        """Rank of a validated frozenset of ids."""
+        raise NotImplementedError
+
     def _indep(self, ids):
         """Independence of a validated frozenset of ids."""
-        raise NotImplementedError
+        return self._rank(ids) == len(ids)
 
     # -- public oracle ----------------------------------------------------
 
@@ -47,23 +51,8 @@ class Matroid:
         return self._indep(_as_idset(S, self.n))
 
     def rank(self, A=None):
-        """Size of a maximal independent subset of A (the ground set if None).
-
-        Greedy in ascending id order; exact because all maximal independent
-        subsets of a set share their size.
-        """
-        ids = range(self.n) if A is None else sorted(_as_idset(A, self.n))
-        if A is None and self._full_rank is not None:
-            return self._full_rank
-        picked = set()
-        for e in ids:
-            picked.add(e)
-            if not self._indep(frozenset(picked)):
-                picked.discard(e)
-        r = len(picked)
-        if A is None:
-            self._full_rank = r
-        return r
+        """Size of a maximal independent subset of A (the ground set if None)."""
+        return self._rank(frozenset(range(self.n)) if A is None else _as_idset(A, self.n))
 
     def fundamental_circuit(self, part, x):
         """Exchange partners of x (not in ``part``) for the independent set ``part``.
@@ -112,8 +101,8 @@ class _Restriction(Matroid):
         self.parent = parent
         self.keep = keep
 
-    def _indep(self, ids):
-        return ids <= self.keep and self.parent._indep(ids)
+    def _rank(self, ids):
+        return self.parent._rank(ids & self.keep)
 
 
 class _Contraction(Matroid):
@@ -122,12 +111,8 @@ class _Contraction(Matroid):
         self.parent = parent
         self.v = v
 
-    def _indep(self, ids):
-        return self.v not in ids and self.parent._indep(ids | {self.v})
-
-    def rank(self, A=None):
-        ids = frozenset(range(self.n)) if A is None else _as_idset(A, self.n)
-        return self.parent.rank(ids | {self.v}) - 1
+    def _rank(self, ids):
+        return self.parent._rank(ids | {self.v}) - 1
 
 
 class UniformMatroid(Matroid):
@@ -139,12 +124,11 @@ class UniformMatroid(Matroid):
             raise InputError(f"uniform rank must satisfy 0 <= r <= n, got r={r}, n={n}")
         self.r = r
 
+    def _rank(self, ids):
+        return min(len(ids), self.r)
+
     def _indep(self, ids):
         return len(ids) <= self.r
-
-    def rank(self, A=None):
-        k = self.n if A is None else len(_as_idset(A, self.n))
-        return min(k, self.r)
 
     def fundamental_circuit(self, part, x):
         return None if len(part) < self.r else sorted(part)
@@ -170,7 +154,7 @@ class GraphicMatroid(Matroid):
                 raise InputError(f"edge ({u},{v}) has endpoint outside 0..{num_vertices - 1}")
             self.edges.append((u, v))
 
-    def _merge_count(self, ids):
+    def _rank(self, ids):
         # union-find; number of successful merges = rank of the edge set
         parent = {}
 
@@ -190,13 +174,6 @@ class GraphicMatroid(Matroid):
                 parent[ru] = rv
                 merges += 1
         return merges
-
-    def _indep(self, ids):
-        return self._merge_count(ids) == len(ids)
-
-    def rank(self, A=None):
-        ids = frozenset(range(self.n)) if A is None else _as_idset(A, self.n)
-        return self._merge_count(ids)
 
     def fundamental_circuit(self, part, x):
         """The edges of the forest ``part`` on the path between the ends of x.
@@ -253,6 +230,9 @@ class PartitionMatroid(Matroid):
         self.capacities = list(capacities)
         self._block_of = {e: i for i, blk in enumerate(self.blocks) for e in blk}
 
+    def _rank(self, ids):
+        return sum(min(len(ids & blk), cap) for blk, cap in zip(self.blocks, self.capacities))
+
     def _indep(self, ids):
         counts = {}
         for e in ids:
@@ -261,12 +241,6 @@ class PartitionMatroid(Matroid):
             if counts[i] > self.capacities[i]:
                 return False
         return True
-
-    def rank(self, A=None):
-        ids = frozenset(range(self.n)) if A is None else _as_idset(A, self.n)
-        return sum(
-            min(len(ids & blk), cap) for blk, cap in zip(self.blocks, self.capacities)
-        )
 
 
 def colourful_matroid(r, d):
@@ -354,18 +328,11 @@ class LinearMatroid(Matroid):
                 cols.append([_mod_p(Fraction(x), field) for x in col])
         self.columns = cols
 
-    def _column_rank(self, ids):
-        cols = [list(self.columns[e]) for e in sorted(ids)]
+    def _rank(self, ids):
+        cols = [self.columns[e] for e in sorted(ids)]
         if self.field is not None:
-            return _rank_mod_p([list(c) for c in cols], self.height, self.field)
+            return _rank_mod_p(cols, self.height, self.field)
         return _rank_fraction_free(cols, self.height)
-
-    def _indep(self, ids):
-        return self._column_rank(ids) == len(ids)
-
-    def rank(self, A=None):
-        ids = frozenset(range(self.n)) if A is None else _as_idset(A, self.n)
-        return self._column_rank(ids)
 
 
 def _rank_mod_p(cols, height, p):
@@ -428,11 +395,7 @@ class ExplicitMatroid(Matroid):
         super().__init__(n)
         self.maximal_sets = _maximal_sets(n, maximal_sets)
 
-    def _indep(self, ids):
-        return any(ids <= b for b in self.maximal_sets)
-
-    def rank(self, A=None):
-        ids = frozenset(range(self.n)) if A is None else _as_idset(A, self.n)
+    def _rank(self, ids):
         return max(len(ids & b) for b in self.maximal_sets)
 
 

@@ -1,8 +1,9 @@
 """Independent brute-force oracles the library is tested against.
 
-These deliberately share no code with the package internals: packing maxima
-by exhaustive set packing, deleted joins by testing every vertex set, Betti
-numbers via dense integer Smith reduction, hull intersection via
+These deliberately share no code with the package internals: graphic ranks
+by counting connected components, linear ranks by dense elimination over
+Q or GF(p), packing maxima by exhaustive set packing, deleted joins by
+testing every vertex set, Betti numbers via dense integer Smith reduction, hull intersection via
 Fourier-Motzkin elimination, and the rational-tableau phase-1 simplex that
 the fraction-free solver must match pivot for pivot.
 """
@@ -10,6 +11,58 @@ the fraction-free solver must match pivot for pivot.
 from fractions import Fraction
 from itertools import combinations
 from math import gcd
+
+
+# -- matroid ranks -------------------------------------------------------------
+
+
+def graph_rank(num_vertices, edges):
+    """Rank of an edge set in the cycle matroid: vertices minus the connected
+    components of the spanning subgraph, counted by depth-first search."""
+    adj = {v: [] for v in range(num_vertices)}
+    for u, v in edges:
+        adj[u].append(v)
+        adj[v].append(u)
+    seen = set()
+    components = 0
+    for root in range(num_vertices):
+        if root in seen:
+            continue
+        components += 1
+        seen.add(root)
+        stack = [root]
+        while stack:
+            for w in adj[stack.pop()]:
+                if w not in seen:
+                    seen.add(w)
+                    stack.append(w)
+    return num_vertices - components
+
+
+def column_rank(columns, p=None):
+    """Rank of a list of rational columns over Q (p None) or GF(p), by dense
+    Gaussian elimination on the columns taken as rows."""
+    if p is None:
+        rows = [[Fraction(x) for x in col] for col in columns]
+    else:
+        rows = [[Fraction(x).numerator * pow(Fraction(x).denominator, p - 2, p) % p
+                 for x in col] for col in columns]
+    rank = 0
+    for c in range(len(rows[0]) if rows else 0):
+        piv = next((i for i in range(rank, len(rows)) if rows[i][c]), None)
+        if piv is None:
+            continue
+        rows[rank], rows[piv] = rows[piv], rows[rank]
+        top = rows[rank]
+        for i in range(rank + 1, len(rows)):
+            if p is None:
+                f = rows[i][c] / top[c]
+                rows[i] = [a - f * b for a, b in zip(rows[i], top)]
+            else:
+                f = rows[i][c] * pow(top[c], p - 2, p)
+                rows[i] = [(a - f * b) % p for a, b in zip(rows[i], top)]
+        rank += 1
+    return rank
 
 
 # -- packing -------------------------------------------------------------------

@@ -1,13 +1,18 @@
 """CLI contract: exit codes, report schema, determinism, golden output."""
 
+import contextlib
 import hashlib
+import io
 import json
+import tempfile
 import time
+from pathlib import Path
 
 import pytest
+from hypothesis import example, given, strategies as st
 
 from tvermat import GraphicMatroid, UniformMatroid, colourful_matroid
-from tvermat.cli import build_parser, main
+from tvermat.cli import EXIT_CODES, build_parser, main
 from tvermat.formats import write_matroid, write_points
 from tvermat.tverberg import PointConfig
 
@@ -360,6 +365,76 @@ def test_random_points_drawn_for_ground_elements_only(files, capsys):
     small, huge = json.loads(small), json.loads(huge)
     assert huge["payload"] == small["payload"]
     assert huge["inputs"]["random-points"]["n"] == 10**12
+
+
+def test_random_points_are_bounded(files, capsys):
+    # min(N, n) * D coordinates above formats.MAX_GROUND_SIZE are refused
+    # before any point is built
+    for n_pts, dim in (("2", "100000000"), (str(10**12), "262145")):
+        t0 = time.monotonic()
+        code, out = run(capsys, "tverberg", "--matroid", files["u2_4.matroid"],
+                        "--random-points", n_pts, "--dim", dim, "--t", "2")
+        assert time.monotonic() - t0 < 1.0, (n_pts, dim)
+        assert code == 2 and json.loads(out)["outcome"] == "input-error", (n_pts, dim)
+
+
+def test_non_utf8_files_are_input_errors(files, tmp_path, capsys):
+    bad = tmp_path / "bad.bin"
+    bad.write_bytes(b"\xff\n0: 1\n")
+    for argv in (("rank", "--matroid", str(bad)),
+                 ("tverberg", "--matroid", files["u2_4.matroid"], "--points", str(bad),
+                  "--t", "2"),
+                 ("hulls", "--points", str(bad), "--sets", "0;1"),
+                 ("homology", "--faces", str(bad), "--up-to", "1")):
+        code, out = run(capsys, *argv)
+        rep = json.loads(out)
+        assert code == 2 and rep["outcome"] == "input-error", argv
+        assert "UTF-8" in rep["payload"]["error"] or "JSON" in rep["payload"]["error"], argv
+
+
+def test_argument_error_echo_is_cut(capsys):
+    # argparse echoes the rejected value; only its first 40 characters stay
+    for value in ("1" * 5001, "1 " * 2500):
+        code, out = run(capsys, "prime", "--b", value)
+        assert code == 2 and json.loads(out)["outcome"] == "input-error"
+        assert len(out.encode()) < 1024, len(out)
+    for argv in (("rank", "--matroid", "x", "--sets", "0" * 5000),
+                 ("homology", "--chessboard", "3," * 2500, "--up-to", "1")):
+        code, out = run(capsys, *argv)
+        assert code == 2 and len(out.encode()) < 1024, argv[0]
+
+
+# arbitrary bytes, non-UTF-8 included, and text near each format's grammar
+_FILE_BYTES = st.one_of(
+    st.binary(max_size=120),
+    st.text("d=0123456789:/.- \n#{}[]\",abcdefghiklmnoprstuvxyz", max_size=120).map(
+        str.encode),
+)
+
+
+@pytest.mark.parametrize("command", ["rank", "tverberg", "hulls", "homology"])
+@given(data=_FILE_BYTES)
+@example(data=b"\xff")
+@example(data=b"d=1\n0: 0\n1: 1\n2: 1/2\n3: -1\n")
+def test_cli_fuzz_one_report_per_input(command, data):
+    # whatever the file holds, the command prints exactly one JSON report
+    # whose outcome matches its exit code
+    with tempfile.TemporaryDirectory() as tmp:
+        path, matroid = str(Path(tmp) / "input"), str(Path(tmp) / "u2_4.matroid")
+        Path(path).write_bytes(data)
+        write_matroid(matroid, UniformMatroid(2, 4))
+        argv = {
+            "rank": ("rank", "--matroid", path),
+            "tverberg": ("tverberg", "--matroid", matroid, "--points", path, "--t", "2"),
+            "hulls": ("hulls", "--points", path, "--sets", "0;1,2"),
+            "homology": ("homology", "--faces", path, "--up-to", "2"),
+        }[command]
+        out = io.StringIO()
+        with contextlib.redirect_stdout(out):
+            code = main([*argv, "--max-faces", "10000", "--max-tuples", "10000"])
+    rep = json.loads(out.getvalue())
+    assert code in (0, 1, 2, 3)
+    assert EXIT_CODES[rep["outcome"]] == code, rep
 
 
 def test_packing_honours_time_limit(tmp_path, capsys):

@@ -2,6 +2,7 @@
 
 import random
 import time
+from fractions import Fraction
 from itertools import chain, combinations
 
 import pytest
@@ -20,6 +21,8 @@ from tvermat import (
     explicit_from,
     validate_matroid,
 )
+
+from oracles import column_rank, graph_rank
 
 TRIANGLE = GraphicMatroid(3, [(0, 1), (1, 2), (0, 2)])
 K4 = GraphicMatroid(4, [(0, 1), (0, 2), (0, 3), (1, 2), (1, 3), (2, 3)])
@@ -208,8 +211,46 @@ def test_explicit_matches_builtins():
             assert E.is_independent(S) == M.is_independent(S), (M, S)
 
 
-def test_rank_axioms_exhaustive():
+def small_minors():
+    """Each small instance M with its restriction R to the ids in ``keep``
+    and its contraction C at the non-loop v, as (M, keep, R, v, C)."""
     for M in small_instances():
+        keep = {e for e in range(M.n) if e % 3}
+        v = M.non_loops()[0]
+        yield M, keep, M.restrict(keep), v, M.contract_link(v)
+
+
+def test_minor_independence_matches_definition():
+    for M, keep, R, v, C in small_minors():
+        for S in subsets(M.n):
+            assert R.is_independent(S) == (set(S) <= keep and M.is_independent(S)), (M, S)
+            assert C.is_independent(S) == (v not in S and M.is_independent(set(S) | {v})), (
+                M, S)
+
+
+def test_graphic_and_linear_rank_match_references():
+    rng = random.Random(47)
+    for _ in range(40):
+        nv = rng.randint(1, 5)
+        edges = [(rng.randrange(nv), rng.randrange(nv)) for _ in range(rng.randint(0, 7))]
+        M = GraphicMatroid(nv, edges)
+        for A in subsets(M.n):
+            assert M.rank(A) == graph_rank(nv, [edges[e] for e in A]), (edges, A)
+    for field in (None, 2, 3, 7):
+        for _ in range(20):
+            height = rng.randint(1, 3)
+            dens = [d for d in (1, 2, 3, 5) if field is None or d % field]
+            cols = [tuple(Fraction(rng.randint(-3, 3), rng.choice(dens)) for _ in range(height))
+                    for _ in range(rng.randint(0, 7))]
+            M = LinearMatroid(cols, field=field)
+            for A in subsets(M.n):
+                assert M.rank(A) == column_rank([cols[e] for e in A], field), (field, cols, A)
+
+
+def test_rank_axioms_exhaustive():
+    # minors take their rank from the parent's closed form
+    minors = [X for _, _, R, _, C in small_minors() for X in (R, C)]
+    for M in small_instances() + minors:
         if M.n > 6:
             continue
         sets = list(subsets(M.n))
