@@ -159,7 +159,8 @@ def build_parser():
     common.add_argument("--threads", type=int, default=1,
                         help="accepted and ignored (searches are single-threaded)")
     common.add_argument("--max-faces", type=int, default=DEFAULT_FACE_CAP,
-                        help="per-dimension face cap (default 5e6)")
+                        help="face cap per dimension of a complex, in all for "
+                             "a witness search (default 5e6)")
     common.add_argument("--max-tuples", type=int, default=None,
                         help="cap on examined witness tuples")
     common.add_argument("--time-limit-s", type=float, default=None,
@@ -463,12 +464,13 @@ def dispatch(args, inputs, params):
         M = load_matroid(args.matroid)
         cfg = _load_config(args, inputs, M.n)
         params["t"] = args.t
-        res = find_tverberg(M, cfg, args.t, max_tuples=args.max_tuples, deadline=deadline)
+        res = find_tverberg(M, cfg, args.t, args.max_tuples, deadline, args.max_faces)
         payload = {
             "t": args.t,
             "witness": _witness_payload(res.witness),
             "tuples_examined": res.tuples_examined,
             "faces_enumerated": res.faces_enumerated,
+            "subtrees_pruned": res.subtrees_pruned,
         }
         if res.witness is not None:
             return "witness-found", payload
@@ -478,7 +480,7 @@ def dispatch(args, inputs, params):
     if cmd == "verify-theorem":
         M = load_matroid(args.matroid)
         cfg = _load_config(args, inputs, M.n)
-        rep = verify_theorem(M, cfg, max_tuples=args.max_tuples, deadline=deadline)
+        rep = verify_theorem(M, cfg, args.max_tuples, deadline, args.max_faces)
         payload = rep.to_payload()
         payload["witness"] = _witness_payload(rep.witness)
         if rep.falsification_candidate:

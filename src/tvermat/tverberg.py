@@ -12,11 +12,12 @@ import time
 import warnings
 from dataclasses import dataclass
 from fractions import Fraction
+from itertools import islice
 from math import isqrt, lcm
 from operator import le
 
 from .errors import InputError, PreconditionError, ResourceLimitError
-from .complexes import independent_sets
+from .complexes import DEFAULT_FACE_CAP
 from .lp import hulls_intersect
 from .matroids import _is_prime
 from .packing import _check_family, max_disjoint_bases
@@ -88,22 +89,30 @@ class TverbergWitness:
 @dataclass
 class SearchResult:
     witness: TverbergWitness | None
-    tuples_examined: int
-    faces_enumerated: int
+    tuples_examined: int  # t-tuples whose proper prefixes all have meeting boxes
+    faces_enumerated: int  # faces built, in lexicographic order
+    subtrees_pruned: int  # proper prefixes whose boxes miss
 
 
 def enumerate_faces(M, max_size):
     """Nonempty independent sets of size <= max_size in lexicographic order
-    ((0,) < (0,1) < (0,2) < (1,) ...), which is plain tuple order across the
-    levels of ``independent_sets``."""
-    levels = independent_sets(M, max_size - 1)
-    yield from sorted(face for faces in levels.values() for face in faces)
+    ((0,) < (0,1) < (0,2) < (1,) ...), each built when it is asked for by a
+    depth-first walk that grows only independent faces (hereditarity)."""
+
+    def walk(face, base):
+        for e in range(face[-1] + 1 if face else 0, M.n):
+            grown = base | {e}
+            if M._indep(grown):
+                yield face + (e,)
+                if len(face) + 1 < max_size:
+                    yield from walk(face + (e,), grown)
+
+    yield from walk((), frozenset())
 
 
 def _bbox(points):
-    lo = tuple(min(p[ell] for p in points) for ell in range(len(points[0])))
-    hi = tuple(max(p[ell] for p in points) for ell in range(len(points[0])))
-    return lo, hi
+    coords = list(zip(*points))
+    return tuple(map(min, coords)), tuple(map(max, coords))
 
 
 class _LazyBoxes(dict):
@@ -118,44 +127,65 @@ class _LazyBoxes(dict):
         return box
 
 
+class _LazyFaces(list):
+    """Faces from an iterator, built as the search first reaches them;
+    more than ``cap`` of them is a ResourceLimitError."""
+
+    def __init__(self, faces, cap):
+        self.source = islice(faces, cap + 1)
+        self.cap = cap
+
+    def reach(self, i):
+        """Whether face i exists, building the faces up to it."""
+        if len(self) <= i:
+            self.extend(islice(self.source, i + 1 - len(self)))
+            if len(self) > self.cap:
+                raise ResourceLimitError(f"face cap {self.cap} exceeded",
+                                         progress={"faces": len(self), "cap": self.cap})
+        return len(self) > i
+
+
 def _tuples(faces, boxes, t, start=0, used=frozenset(), box=None, chosen=()):
     """Canonical enumeration of strictly increasing disjoint face tuples.
 
-    Yields (indices, candidate) where ``candidate`` is False when the
-    bounding boxes of the faces have an empty intersection (the LP is then
-    skipped but the tuple still counts as examined).  ``box`` is the running
-    intersection of the chosen faces' boxes: None at the root, False once it
-    is empty, which holds for every completion since boxes only shrink.
+    Yields (indices, candidate).  A t-tuple's ``candidate`` is False when its
+    faces' bounding boxes miss (the LP is skipped, the tuple still counts as
+    examined).  A shorter prefix whose boxes miss is yielded with None and
+    not extended: boxes only shrink along a path.  ``box`` is the running
+    intersection of the chosen boxes, None at the root.
     """
     depth = len(chosen)
-    for i in range(start, len(faces) - (t - depth) + 1):
-        if not used.isdisjoint(faces[i]):
-            continue
-        nbox = box
-        if box is None:
+    i = start
+    while faces.reach(i + t - depth - 1):
+        if used.isdisjoint(faces[i]):
             nbox = boxes[i]
-        elif box:
-            lo = tuple(map(max, box[0], boxes[i][0]))
-            hi = tuple(map(min, box[1], boxes[i][1]))
-            nbox = (lo, hi) if all(map(le, lo, hi)) else False
-        if depth + 1 == t:
-            yield [*chosen, i], nbox is not False
-        else:
-            yield from _tuples(faces, boxes, t, i + 1, used.union(faces[i]), nbox,
-                               (*chosen, i))
+            if box is not None:
+                lo = tuple(map(max, box[0], nbox[0]))
+                hi = tuple(map(min, box[1], nbox[1]))
+                nbox = (lo, hi) if all(map(le, lo, hi)) else None
+            if depth + 1 == t:
+                yield [*chosen, i], nbox is not None
+            elif nbox is None:
+                yield [*chosen, i], None
+            else:
+                yield from _tuples(faces, boxes, t, i + 1, used.union(faces[i]), nbox,
+                                   (*chosen, i))
+        i += 1
 
 
-def find_tverberg(M, cfg, t, max_tuples=None, deadline=None):
+def find_tverberg(M, cfg, t, max_tuples=None, deadline=None, cap=DEFAULT_FACE_CAP):
     """First Tverberg witness at size t in canonical tuple order, or None
     after certified exhaustive enumeration.
 
     Faces are nonempty independent sets of at most min(rank, d+1) elements
-    (by Caratheodory, larger faces never enlarge the witness set).  A tuple
-    goes to the exact LP only when the bounding boxes of its faces meet.
-    The boxes are taken on the integer lattice of the least common
-    denominator of the coordinates, which keeps their order, and a face's
-    box is built when a tuple first reaches the face.  ``deadline`` is a
-    ``time.monotonic()`` instant checked once per examined tuple.
+    (by Caratheodory, larger faces never enlarge the witness set), built in
+    lexicographic order as the search first reaches them, at most ``cap``.
+    A tuple goes to the exact LP only when the bounding boxes of its faces
+    meet, and a prefix whose boxes miss is not extended.  The boxes are
+    taken on the integer lattice of the least common denominator of the
+    coordinates, which keeps their order, and are built as faces are
+    reached.  ``max_tuples`` and the ``time.monotonic()`` instant
+    ``deadline`` are checked per examined tuple and per pruned subtree.
     """
     if t < 1:
         raise InputError(f"t must be positive, got {t}")
@@ -169,31 +199,26 @@ def find_tverberg(M, cfg, t, max_tuples=None, deadline=None):
             "the threshold theorem assumes rank d+1", stacklevel=2,
         )
     max_size = min(rho, cfg.dim + 1)
-    faces = list(enumerate_faces(M, max_size))
+    faces = _LazyFaces(enumerate_faces(M, max_size), cap)
     pts = {e: tuple(map(Fraction, cfg.point(e))) for e in non_loops}
     scale = lcm(*(c.denominator for p in pts.values() for c in p))
     lattice = {e: tuple(c.numerator * (scale // c.denominator) for c in p)
                for e, p in pts.items()}
     boxes = _LazyBoxes(faces, lattice)
 
-    examined = 0
-
-    def check_limits():
-        if max_tuples is not None and examined > max_tuples:
+    examined = pruned = 0
+    for idxs, candidate in _tuples(faces, boxes, t):
+        if candidate is None:
+            pruned += 1
+        else:
+            examined += 1
+        over = max_tuples is not None and examined > max_tuples
+        if over or deadline is not None and time.monotonic() > deadline:
             raise ResourceLimitError(
-                f"tuple cap {max_tuples} exceeded",
-                progress={"tuples_examined": examined, "faces": len(faces)},
-            )
-        if deadline is not None and time.monotonic() > deadline:
-            raise ResourceLimitError(
-                "time limit exceeded",
-                progress={"tuples_examined": examined, "faces": len(faces)},
-            )
-
-    for idxs, feasible in _tuples(faces, boxes, t):
-        examined += 1
-        check_limits()
-        if not feasible:
+                f"tuple cap {max_tuples} exceeded" if over else "time limit exceeded",
+                progress={"tuples_examined": examined, "subtrees_pruned": pruned,
+                          "faces": len(faces)})
+        if not candidate:
             continue
         res = hulls_intersect([[pts[e] for e in faces[i]] for i in idxs])
         if res is not None:
@@ -202,8 +227,8 @@ def find_tverberg(M, cfg, t, max_tuples=None, deadline=None):
                 faces=[faces[i] for i in idxs], point=point, coefficients=lambdas
             )
             w.validate(M, cfg)
-            return SearchResult(w, examined, len(faces))
-    return SearchResult(None, examined, len(faces))
+            return SearchResult(w, examined, len(faces), pruned)
+    return SearchResult(None, examined, len(faces), pruned)
 
 
 def choose_prime(b):
@@ -258,26 +283,17 @@ class TheoremReport:
     inequality_holds: bool | None
     witness: TverbergWitness | None
     tuples_examined: int
+    subtrees_pruned: int
     falsification_candidate: bool
     note: str = ""
 
     def to_payload(self):
-        out = {
-            "b": self.b,
-            "rank": self.rank,
-            "dim": self.dim,
-            "t_star": self.t_star,
-            "prime": self.prime,
-            "inequality_holds": self.inequality_holds,
-            "tuples_examined": self.tuples_examined,
-            "falsification_candidate": self.falsification_candidate,
-        }
-        if self.note:
-            out["note"] = self.note
-        return out
+        """Every field but the witness (the caller renders it); a note if any."""
+        return {key: value for key, value in vars(self).items()
+                if key != "witness" and (key != "note" or value)}
 
 
-def verify_theorem(M, cfg, max_tuples=None, deadline=None):
+def verify_theorem(M, cfg, max_tuples=None, deadline=None, cap=DEFAULT_FACE_CAP):
     """Verify the threshold t* = ceil(sqrt(b)/4) on one affine instance.
 
     Computes b(M), the prime choice and its closing inequality as a
@@ -295,18 +311,14 @@ def verify_theorem(M, cfg, max_tuples=None, deadline=None):
     t_star = threshold_t(b)
     prime = choose_prime(b)
     ineq = dold_inequality_holds(b, cfg.dim, prime) if prime is not None else None
-    search = find_tverberg(M, cfg, t_star, max_tuples=max_tuples, deadline=deadline)
+    search = find_tverberg(M, cfg, t_star, max_tuples, deadline, cap)
     missing = search.witness is None
-    note = ""
-    if missing:
-        note = (
-            "no witness at t*: falsifies the threshold"
-            if b >= 16
-            else "no witness at t*: degenerate instance (b < 16, trivial bound)"
-        )
+    note = "" if not missing else (
+        "no witness at t*: falsifies the threshold" if b >= 16
+        else "no witness at t*: degenerate instance (b < 16, trivial bound)")
     return TheoremReport(
         b=b, rank=rho, dim=cfg.dim, t_star=t_star, prime=prime,
         inequality_holds=ineq, witness=search.witness,
         tuples_examined=search.tuples_examined,
-        falsification_candidate=missing, note=note,
+        subtrees_pruned=search.subtrees_pruned, falsification_candidate=missing, note=note,
     )

@@ -4,8 +4,9 @@ These deliberately share no code with the package internals: graphic ranks
 by counting connected components, linear ranks by dense elimination over
 Q or GF(p), packing maxima by exhaustive set packing, deleted joins by
 testing every vertex set, Betti numbers via dense integer Smith reduction, hull intersection via
-Fourier-Motzkin elimination, and the rational-tableau phase-1 simplex that
-the fraction-free solver must match pivot for pivot.
+Fourier-Motzkin elimination, the rational-tableau phase-1 simplex that
+the fraction-free solver must match pivot for pivot, and the first Tverberg
+witness by trying every disjoint face tuple in order.
 """
 
 from fractions import Fraction
@@ -371,3 +372,23 @@ def fraction_simplex(A, b):
         if j < n:
             x[j] = rhs[i]
     return x
+
+
+# -- Tverberg witnesses ---------------------------------------------------------
+
+
+def brute_first_witness(M, points, max_size, t, intersect):
+    """The first t pairwise disjoint independent sets of at most ``max_size``
+    elements, in lexicographic order of face tuples, whose point hulls
+    ``intersect`` finds meeting, as (faces, point, coefficients); None when no
+    tuple meets.  Faces come from testing every element subset, tuples from
+    ``itertools.combinations`` of the sorted faces."""
+    faces = sorted(face for size in range(1, max_size + 1)
+                   for face in combinations(range(M.n), size) if M.is_independent(face))
+    for tup in combinations(faces, t):
+        if len(set().union(*tup)) != sum(map(len, tup)):
+            continue
+        res = intersect([[points[e] for e in face] for face in tup])
+        if res is not None:
+            return list(tup), *res
+    return None

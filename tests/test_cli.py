@@ -477,6 +477,31 @@ def test_verifiers_honour_time_limit(u2_big, capsys):
         assert "packed" in rep["payload"]["progress"], argv
 
 
+@pytest.fixture
+def u2_line(tmp_path):
+    # 1,500 points on a line: a prefix's boxes miss within a few faces, so at
+    # t = 1200 the search prunes and prunes without reaching one t-tuple
+    mpath, ppath = tmp_path / "u2_1500.matroid", tmp_path / "line1500.pts"
+    write_matroid(mpath, UniformMatroid(2, 1500))
+    write_points(ppath, PointConfig(1, {i: (Fraction(i),) for i in range(1500)}))
+    return ["--matroid", str(mpath), "--points", str(ppath)]
+
+
+def test_search_budgets_hold_while_pruning(u2_line, capsys):
+    for argv, limit, error in (
+            (("tverberg", "--t", "1200", "--time-limit-s", "1"), 10.0,
+             "time limit exceeded"),
+            (("tverberg", "--t", "1200", "--max-faces", "1000"), 2.0,
+             "face cap 1000 exceeded"),
+            (("verify-theorem", "--max-faces", "5"), 2.0, "face cap 5 exceeded")):
+        t0 = time.monotonic()
+        code, out = run(capsys, *argv, *u2_line)
+        assert time.monotonic() - t0 < limit, argv
+        rep = json.loads(out)
+        assert code == 3 and rep["outcome"] == "resource-limit", argv
+        assert rep["payload"]["error"] == error, argv
+
+
 def test_hostile_numbers_are_input_errors(tmp_path, capsys):
     linear = {"format-version": 1, "type": "linear", "field": "Q"}
     runs = []

@@ -8,6 +8,7 @@ from itertools import combinations
 import pytest
 
 from generator import small_matroid_family
+from oracles import brute_first_witness
 from tvermat import (
     GraphicMatroid,
     InputError,
@@ -25,7 +26,8 @@ from tvermat import (
     verify_theorem,
 )
 import tvermat.tverberg
-from tvermat.tverberg import _bbox, _tuples
+from tvermat.lp import hulls_intersect
+from tvermat.tverberg import _LazyFaces, _bbox, _tuples
 
 LINE4 = PointConfig(1, {i: (Fraction(i),) for i in range(4)})
 
@@ -47,6 +49,10 @@ def test_enumerate_faces_lex_order():
 
 
 def test_tuples_match_brute_force():
+    # every strictly increasing disjoint index tuple, kept when its proper
+    # prefixes' boxes all meet: a t-tuple is yielded with its box flag, a
+    # shorter one whose own boxes miss is a pruned subtree (yielded with None)
+    pruned_total = 0
     for seed in range(8):
         rng = random.Random(seed)
         n, d, t = rng.randint(4, 7), rng.randint(1, 2), rng.randint(2, 3)
@@ -55,15 +61,29 @@ def test_tuples_match_brute_force():
         faces = list(enumerate_faces(M, d + 1))
         supports = [frozenset(f) for f in faces]
         boxes = [_bbox([cfg.point(e) for e in f]) for f in faces]
-        brute = []
-        for idxs in combinations(range(len(faces)), t):
-            union = frozenset().union(*(supports[i] for i in idxs))
-            if len(union) != sum(len(supports[i]) for i in idxs):
-                continue
+
+        def meet(idxs):
             lo = [max(boxes[i][0][ell] for i in idxs) for ell in range(d)]
             hi = [min(boxes[i][1][ell] for i in idxs) for ell in range(d)]
-            brute.append((list(idxs), all(a <= b for a, b in zip(lo, hi))))
-        assert list(_tuples(supports, boxes, t)) == brute, seed
+            return all(a <= b for a, b in zip(lo, hi))
+
+        brute = []
+        for k in range(1, t + 1):
+            for idxs in combinations(range(len(faces) - (t - k)), k):
+                union = frozenset().union(*(supports[i] for i in idxs))
+                if len(union) != sum(len(supports[i]) for i in idxs):
+                    continue
+                if not all(meet(idxs[:j]) for j in range(1, k)):
+                    continue
+                if k == t:
+                    brute.append((list(idxs), meet(idxs)))
+                elif not meet(idxs):
+                    brute.append((list(idxs), None))
+        brute.sort(key=lambda item: item[0])  # depth-first order is lexicographic
+        got = list(_tuples(_LazyFaces(iter(supports), len(supports)), boxes, t))
+        assert got == brute, seed
+        pruned_total += sum(flag is None for _, flag in got)
+    assert pruned_total == 42  # the seeds reach the prune
 
 
 def test_boxes_built_on_demand(monkeypatch):
@@ -75,7 +95,7 @@ def test_boxes_built_on_demand(monkeypatch):
 
     monkeypatch.setattr(tvermat.tverberg, "_bbox", counting_bbox)
     res = find_tverberg(UniformMatroid(3, 60), random_point_config(60, 2, seed=3), 2)
-    assert res.faces_enumerated == 36050 and res.tuples_examined == 120
+    assert res.faces_enumerated == 1891 and res.tuples_examined == 120
     assert len(built) == 121
     w = res.witness
     assert w.faces == [(0,), (1, 4, 7)]
@@ -101,6 +121,26 @@ def test_line_first_witness_is_canonical():
     assert res.witness.faces == [(0, 2), (1,)]
     assert res.witness.point == (Fraction(1),)
     assert res.tuples_examined == 10
+
+
+def test_first_witness_matches_brute_force():
+    cases = [(UniformMatroid(2, 4), LINE4, 3)]  # no witness at t = 3
+    for d in (1, 2):
+        for t in (2, 3):
+            for seed in range(3):
+                n = random.Random(seed).randint(d + 3, 6)
+                cfg = random_point_config(n, d, seed=10 * d + seed, low=-3, high=3,
+                                          max_den=2)
+                cases.append((UniformMatroid(d + 1, n), cfg, t))
+    found = []
+    for M, cfg, t in cases:
+        res = find_tverberg(M, cfg, t)
+        w = res.witness
+        got = None if w is None else (w.faces, w.point, w.coefficients)
+        assert got == brute_first_witness(M, cfg.coords, cfg.dim + 1, t,
+                                          hulls_intersect), (M.n, cfg.dim, t)
+        found.append(w is not None)
+    assert not found[0] and sum(found) >= len(cases) // 2
 
 
 def test_validate_refuses_broken_witnesses():
@@ -224,6 +264,17 @@ def test_verify_theorem_small():
     assert repY.b == 4 and repY.t_star == 1
     assert repY.prime is None and repY.inequality_holds is None
     assert repY.witness is not None
+
+
+def test_verify_theorem_prunes_large_line():
+    # without the prune, U(2,320) examined 1,270,356,265 tuples; the cap
+    # turns such a walk into a ResourceLimitError instead of a hang
+    for n in (320, 512):
+        rep = verify_theorem(UniformMatroid(2, n), random_point_config(n, 1, seed=7),
+                             max_tuples=1000)
+        assert rep.t_star == 4 and not rep.falsification_candidate
+        assert rep.witness.faces == [(0,), (1, 2), (3, 5), (4, 7)]
+        assert (rep.tuples_examined, rep.subtrees_pruned) == (3, 3)
 
 
 def test_verify_theorem_rank_mismatch():
