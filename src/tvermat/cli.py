@@ -62,7 +62,6 @@ from .homology import (
 )
 from .packing import (
     BasePacking,
-    PackingCertificate,
     max_disjoint_bases,
     pack_into_independent,
     pack_k_bases,
@@ -104,31 +103,6 @@ def _parse_ids(text):
 
 def _parse_groups(text):
     return [frozenset(_parse_ids(part)) for part in text.split(";")]
-
-
-def _witness_payload(witness):
-    if witness is None:
-        return None
-    return {
-        "faces": [list(f) for f in witness.faces],
-        "point": [str(c) for c in witness.point],
-        "coefficients": [[str(l) for l in lam] for lam in witness.coefficients],
-    }
-
-
-def _packing_payload(packing):
-    return [sorted(b) for b in packing.bases]
-
-
-def _cert_payload(cert):
-    if cert is None:
-        return None
-    out = {"witness_set": sorted(cert.witness)}
-    if isinstance(cert, PackingCertificate):
-        out["k"] = cert.k
-    else:
-        out["m"] = cert.m
-    return out
 
 
 class _Parser(argparse.ArgumentParser):
@@ -322,9 +296,9 @@ def dispatch(args, inputs, params):
         return "verified", {
             "b": b,
             "rank": M.rank(),
-            "packing": _packing_payload(packing),
+            "packing": packing.bases,
             "certificate_for": None if cert is None else b + 1,
-            "certificate": _cert_payload(cert),
+            "certificate": cert,
             "degenerate_rank_zero": M.rank() == 0,
         }
 
@@ -336,16 +310,16 @@ def dispatch(args, inputs, params):
             params["k"] = args.k
             res = pack_k_bases(M, args.k, deadline)
             if isinstance(res, BasePacking):
-                return "verified", {"packed": True, "bases": _packing_payload(res)}
-            return "verified", {"packed": False, "certificate": _cert_payload(res)}
+                return "verified", {"packed": True, "bases": res.bases}
+            return "verified", {"packed": False, "certificate": res}
         if args.subset is not None and args.m is not None:
             params["subset"] = args.subset
             params["m"] = args.m
             A = frozenset(_parse_ids(args.subset))
             res = pack_into_independent(M, A, args.m, deadline)
             if isinstance(res, list):
-                return "verified", {"covered": True, "parts": [sorted(p) for p in res]}
-            return "verified", {"covered": False, "certificate": _cert_payload(res)}
+                return "verified", {"covered": True, "parts": res}
+            return "verified", {"covered": False, "certificate": res}
         raise InputError("pack needs either --k, or --subset with --m")
 
     if cmd == "complex":
@@ -454,24 +428,14 @@ def dispatch(args, inputs, params):
         if res is None:
             return "verified", {"intersects": False}
         point, lambdas = res
-        return "witness-found", {
-            "intersects": True,
-            "point": [str(c) for c in point],
-            "coefficients": [[str(l) for l in lam] for lam in lambdas],
-        }
+        return "witness-found", {"intersects": True, "point": point, "coefficients": lambdas}
 
     if cmd == "tverberg":
         M = load_matroid(args.matroid)
         cfg = _load_config(args, inputs, M.n)
         params["t"] = args.t
         res = find_tverberg(M, cfg, args.t, args.max_tuples, deadline, args.max_faces)
-        payload = {
-            "t": args.t,
-            "witness": _witness_payload(res.witness),
-            "tuples_examined": res.tuples_examined,
-            "faces_enumerated": res.faces_enumerated,
-            "subtrees_pruned": res.subtrees_pruned,
-        }
+        payload = {"t": args.t, **vars(res)}
         if res.witness is not None:
             return "witness-found", payload
         payload["exhausted"] = True
@@ -481,11 +445,8 @@ def dispatch(args, inputs, params):
         M = load_matroid(args.matroid)
         cfg = _load_config(args, inputs, M.n)
         rep = verify_theorem(M, cfg, args.max_tuples, deadline, args.max_faces)
-        payload = rep.to_payload()
-        payload["witness"] = _witness_payload(rep.witness)
-        if rep.falsification_candidate:
-            return "falsification-candidate", payload
-        return "witness-found", payload
+        outcome = "falsification-candidate" if rep.falsification_candidate else "witness-found"
+        return outcome, rep.to_payload()
 
     if cmd == "prime":
         params["b"] = args.b
@@ -510,21 +471,16 @@ def main(argv=None):
         args = build_parser().parse_args(argv)
         outcome, payload = dispatch(args, inputs, params)
     except HypothesisViolation as exc:
-        cert = exc.certificate
-        if hasattr(cert, "witness"):
-            cert = _cert_payload(cert)
         outcome, payload = "hypothesis-violated", {
             "error": str(exc),
-            "certificate": cert,
+            "certificate": exc.certificate,
         }
     except ResourceLimitError as exc:
         outcome, payload = "resource-limit", {
             "error": str(exc),
             "progress": exc.progress,
         }
-    except InputError as exc:
-        outcome, payload = "input-error", {"error": str(exc)}
-    except OSError as exc:
+    except (InputError, OSError) as exc:
         outcome, payload = "input-error", {"error": str(exc)}
     elapsed = time.monotonic() - t0
     report = {

@@ -4,9 +4,12 @@ and deterministic report rendering.
 All formats carry a leading format-version; rationals travel as strings so
 exactness survives the round trip.  Report serialization is canonical
 (sorted keys, fixed separators): identical inputs give byte-identical bytes.
+A report holds result objects as they are: a dataclass renders as its
+fields, a set as its sorted members.
 """
 
 import json
+from dataclasses import is_dataclass
 from fractions import Fraction
 
 from .errors import InputError
@@ -310,17 +313,20 @@ def parse_triplets(text):
 
 
 def jsonable(obj):
-    """Map report values onto JSON types; Fractions become exact strings."""
-    if isinstance(obj, Fraction):
-        return str(obj)
-    if isinstance(obj, dict):
-        return {str(k): jsonable(v) for k, v in obj.items()}
+    """Map report values onto JSON types: Fractions become exact strings,
+    sets sorted lists, and a dataclass instance the dict of its fields."""
+    if obj is None or isinstance(obj, (int, str)):  # bool is an int
+        return obj
     if isinstance(obj, (list, tuple)):
         return [jsonable(v) for v in obj]
+    if isinstance(obj, dict):
+        return {str(k): jsonable(v) for k, v in obj.items()}
     if isinstance(obj, (set, frozenset)):
         return [jsonable(v) for v in sorted(obj)]
-    if isinstance(obj, bool) or obj is None or isinstance(obj, (int, str)):
-        return obj
+    if isinstance(obj, Fraction):
+        return str(obj)
+    if is_dataclass(obj):
+        return jsonable(vars(obj))
     raise TypeError(f"cannot serialize {type(obj).__name__}")
 
 
@@ -331,14 +337,14 @@ def render_json(report):
 def _flatten(prefix, obj, out):
     if isinstance(obj, dict):
         for k in sorted(obj):
-            _flatten(f"{prefix}.{k}" if prefix else str(k), obj[k], out)
+            _flatten(f"{prefix}.{k}" if prefix else k, obj[k], out)
     else:
-        out.append((prefix, json.dumps(jsonable(obj))))
+        out.append((prefix, json.dumps(obj)))
 
 
 def render_text(report):
     pairs = []
-    _flatten("", report, pairs)
+    _flatten("", jsonable(report), pairs)
     width = max((len(k) for k, _ in pairs), default=0)
     return "".join(f"{k.ljust(width)}  {v}\n" for k, v in pairs)
 

@@ -173,42 +173,25 @@ def betti_reduced(X, up_to, exact_only=False):
 
 @dataclass
 class ConnectivityReport:
-    """Outcome of a homological c-connectivity check."""
+    """Outcome of a homological c-connectivity check; the defaults are those
+    of a bound that asks for nothing."""
 
     bound: int
     verified: bool
-    vanishing: tuple  # flags for degrees 0..bound
-    first_nonvanishing: int | None
-    f_vector: tuple
-    num_faces: int
-    betti_checked: tuple
+    vanishing: tuple = ()  # flags for degrees 0..bound
+    first_nonvanishing: int | None = None
+    f_vector: tuple = ()
+    num_faces: int = 0
+    betti_checked: tuple = ()
     note: str = ""
     context: dict = field(default_factory=dict)
 
     def to_payload(self):
-        out = {
-            "bound": self.bound,
-            "verified": self.verified,
-            "vanishing": list(self.vanishing),
-            "first_nonvanishing": self.first_nonvanishing,
-            "f_vector": [1, *self.f_vector],
-            "num_faces": self.num_faces,
-            "betti_checked": list(self.betti_checked),
-        }
-        if self.note:
-            out["note"] = self.note
-        if self.context:
-            out["context"] = dict(self.context)
+        """The fields with f_-1 = 1 prepended; an empty note or context is left out."""
+        out = {key: value for key, value in vars(self).items()
+               if value or key not in ("note", "context")}
+        out["f_vector"] = (1, *self.f_vector)
         return out
-
-
-def _vacuous_report(bound, note, context=None):
-    """The verified report of a bound that asks for nothing."""
-    return ConnectivityReport(
-        bound=bound, verified=True, vanishing=(), first_nonvanishing=None,
-        f_vector=(), num_faces=0, betti_checked=(), note=note,
-        context=context or {},
-    )
 
 
 def homologically_connected(X, c):
@@ -222,36 +205,17 @@ def homologically_connected(X, c):
     if c < -1:
         raise InputError(f"connectivity bound must be >= -1, got {c}")
     nonempty = bool(X.faces(0))
-    fvec = X.f_vector()
-    nfaces = X.num_faces()
-    if c == -1:
-        return ConnectivityReport(
-            bound=c,
-            verified=nonempty,
-            vanishing=(),
-            first_nonvanishing=None,
-            f_vector=fvec,
-            num_faces=nfaces,
-            betti_checked=(),
-            note="" if nonempty else "complex is empty",
-        )
-    if not nonempty:
-        return ConnectivityReport(
-            bound=c, verified=False, vanishing=tuple(False for _ in range(c + 1)),
-            first_nonvanishing=0, f_vector=fvec, num_faces=nfaces,
-            betti_checked=(), note="complex is empty",
-        )
-    bv = betti_reduced(X, c)
-    flags = tuple(b == 0 for b in bv.betti)
-    first_bad = next((i for i, ok in enumerate(flags) if not ok), None)
+    betti = betti_reduced(X, c).betti if nonempty and c >= 0 else ()
+    flags = tuple(b == 0 for b in betti) if nonempty else (False,) * (c + 1)
     return ConnectivityReport(
         bound=c,
-        verified=all(flags),
+        verified=nonempty and all(flags),
         vanishing=flags,
-        first_nonvanishing=first_bad,
-        f_vector=fvec,
-        num_faces=nfaces,
-        betti_checked=bv.betti,
+        first_nonvanishing=next((i for i, ok in enumerate(flags) if not ok), None),
+        f_vector=X.f_vector(),
+        num_faces=X.num_faces(),
+        betti_checked=betti,
+        note="" if nonempty else "complex is empty",
     )
 
 
@@ -260,7 +224,7 @@ def join_connectivity(matroids, c, cap=DEFAULT_FACE_CAP, context=None):
     through dimension c+1; a bound below -1 is vacuous.  ``context`` is
     copied into the report."""
     if c < -1:
-        rep = _vacuous_report(c, "bound below -1 is vacuous")
+        rep = ConnectivityReport(c, True, note="bound below -1 is vacuous")
     else:
         rep = homologically_connected(deleted_join(matroids, max(c + 1, 0), cap), c)
     rep.context.update(context or {})
@@ -322,7 +286,8 @@ def verify_corollary(M, k, cap=DEFAULT_FACE_CAP, deadline=None):
     rho = M.rank()
     context = {"b": b, "rank": rho, "k": k}
     if b == 0:
-        return _vacuous_report(-2, "rank-0 matroid: bound is vacuous", context)
+        return ConnectivityReport(-2, True, note="rank-0 matroid: bound is vacuous",
+                                  context=context)
     m = _ceil_div(b, k)
     # the packed bases are checked disjoint independent sets, so a group of
     # at most m of them is a union of at most m independent sets

@@ -4,7 +4,9 @@ A matroid here is an immutable oracle over elements 0..n-1, given by its
 rank function, which determines it (Whitney 1935).  Each family states its
 rank in closed form as ``_rank``; a set is independent iff its rank equals
 its size, and ``_indep`` is overridden only where a measured workload needs
-the shortcut (uniform and partition matroids in base packing).  Loops
+the shortcut (uniform and partition matroids in base packing).
+``_ground_rank`` is overridden where the rank of the whole ground set has
+a closed form, so a large declared ground set is never built.  Loops
 (elements in no independent singleton) are first-class: restriction and
 contraction return oracles over the *original* index space with removed
 elements turned into loops, which keeps labeled-vertex bookkeeping in joins
@@ -45,6 +47,11 @@ class Matroid:
         """Independence of a validated frozenset of ids."""
         return self._rank(ids) == len(ids)
 
+    def _ground_rank(self):
+        """Rank of the ground set; a family with a closed form for it
+        overrides this and never builds the ground set."""
+        return self._rank(frozenset(range(self.n)))
+
     # -- public oracle ----------------------------------------------------
 
     def is_independent(self, S):
@@ -52,7 +59,7 @@ class Matroid:
 
     def rank(self, A=None):
         """Size of a maximal independent subset of A (the ground set if None)."""
-        return self._rank(frozenset(range(self.n)) if A is None else _as_idset(A, self.n))
+        return self._ground_rank() if A is None else self._rank(_as_idset(A, self.n))
 
     def fundamental_circuit(self, part, x):
         """Exchange partners of x (not in ``part``) for the independent set ``part``.
@@ -129,6 +136,9 @@ class UniformMatroid(Matroid):
 
     def _indep(self, ids):
         return len(ids) <= self.r
+
+    def _ground_rank(self):
+        return self.r
 
     def fundamental_circuit(self, part, x):
         return None if len(part) < self.r else sorted(part)
@@ -232,6 +242,9 @@ class PartitionMatroid(Matroid):
 
     def _rank(self, ids):
         return sum(min(len(ids & blk), cap) for blk, cap in zip(self.blocks, self.capacities))
+
+    def _ground_rank(self):
+        return sum(map(min, map(len, self.blocks), self.capacities))
 
     def _indep(self, ids):
         counts = {}
@@ -397,6 +410,9 @@ class ExplicitMatroid(Matroid):
 
     def _rank(self, ids):
         return max(len(ids & b) for b in self.maximal_sets)
+
+    def _ground_rank(self):
+        return max(map(len, self.maximal_sets))
 
 
 def validate_matroid(n, maximal_sets):

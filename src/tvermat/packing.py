@@ -59,11 +59,11 @@ class BasePacking:
 class PackingCertificate:
     """Witness set A with k*rank(A) + |E - A| < k*rank(E): no k disjoint bases."""
 
-    witness: frozenset
+    witness_set: frozenset
     k: int
 
     def check(self, M):
-        A = self.witness
+        A = self.witness_set
         lhs = self.k * M.rank(A) + (M.n - len(A))
         rhs = self.k * M.rank()
         if lhs >= rhs:
@@ -77,11 +77,11 @@ class PackingCertificate:
 class CoverCertificate:
     """Witness A' <= A with m*rank(A') < |A'|: A is no union of m independent sets."""
 
-    witness: frozenset
+    witness_set: frozenset
     m: int
 
     def check(self, M):
-        if self.m * M.rank(self.witness) >= len(self.witness):
+        if self.m * M.rank(self.witness_set) >= len(self.witness_set):
             raise RuntimeError("invalid cover certificate")
         return True
 

@@ -97,17 +97,20 @@ class SearchResult:
 def enumerate_faces(M, max_size):
     """Nonempty independent sets of size <= max_size in lexicographic order
     ((0,) < (0,1) < (0,2) < (1,) ...), each built when it is asked for by a
-    depth-first walk that grows only independent faces (hereditarity)."""
-
-    def walk(face, base):
-        for e in range(face[-1] + 1 if face else 0, M.n):
+    depth-first walk that grows only independent faces (hereditarity).  The
+    walk keeps its path on a list, so no depth exhausts the call stack."""
+    path = [((), frozenset(), iter(range(M.n)))]  # face, its id set, the elements left
+    while path:
+        face, base, rest = path[-1]
+        for e in rest:
             grown = base | {e}
             if M._indep(grown):
                 yield face + (e,)
                 if len(face) + 1 < max_size:
-                    yield from walk(face + (e,), grown)
-
-    yield from walk((), frozenset())
+                    path.append((face + (e,), grown, iter(range(e + 1, M.n))))
+                break
+        else:
+            path.pop()
 
 
 def _bbox(points):
@@ -145,31 +148,40 @@ class _LazyFaces(list):
         return len(self) > i
 
 
-def _tuples(faces, boxes, t, start=0, used=frozenset(), box=None, chosen=()):
+def _tuples(faces, boxes, t):
     """Canonical enumeration of strictly increasing disjoint face tuples.
 
     Yields (indices, candidate).  A t-tuple's ``candidate`` is False when its
     faces' bounding boxes miss (the LP is skipped, the tuple still counts as
     examined).  A shorter prefix whose boxes miss is yielded with None and
-    not extended: boxes only shrink along a path.  ``box`` is the running
-    intersection of the chosen boxes, None at the root.
+    not extended: boxes only shrink along a path.  The path is a list, so
+    no t exhausts the call stack; ``used`` is the union of its faces, kept
+    in place, and ``box`` the intersection of their boxes, None at the root.
     """
-    depth = len(chosen)
-    i = start
-    while faces.reach(i + t - depth - 1):
-        if used.isdisjoint(faces[i]):
+    chosen, saved = [], []  # the path, and the box before each of its faces
+    used, box, i = set(), None, 0
+    while True:
+        if not faces.reach(i + t - len(chosen) - 1):
+            if not chosen:
+                return
+            i = chosen.pop()
+            used.difference_update(faces[i])
+            box = saved.pop()
+        elif used.isdisjoint(faces[i]):
             nbox = boxes[i]
             if box is not None:
                 lo = tuple(map(max, box[0], nbox[0]))
                 hi = tuple(map(min, box[1], nbox[1]))
                 nbox = (lo, hi) if all(map(le, lo, hi)) else None
-            if depth + 1 == t:
+            if len(chosen) + 1 == t:
                 yield [*chosen, i], nbox is not None
             elif nbox is None:
                 yield [*chosen, i], None
             else:
-                yield from _tuples(faces, boxes, t, i + 1, used.union(faces[i]), nbox,
-                                   (*chosen, i))
+                saved.append(box)
+                chosen.append(i)
+                used.update(faces[i])
+                box = nbox
         i += 1
 
 
@@ -288,9 +300,8 @@ class TheoremReport:
     note: str = ""
 
     def to_payload(self):
-        """Every field but the witness (the caller renders it); a note if any."""
-        return {key: value for key, value in vars(self).items()
-                if key != "witness" and (key != "note" or value)}
+        """Every field; the note only if there is one."""
+        return {key: value for key, value in vars(self).items() if key != "note" or value}
 
 
 def verify_theorem(M, cfg, max_tuples=None, deadline=None, cap=DEFAULT_FACE_CAP):

@@ -291,6 +291,45 @@ def test_text_format(files, capsys):
     assert out.splitlines()[0].startswith("command")
 
 
+def _flatten_json(prefix, obj, out):
+    if isinstance(obj, dict):
+        for k in sorted(obj):
+            _flatten_json(f"{prefix}.{k}" if prefix else k, obj[k], out)
+    else:
+        out.append((prefix, json.dumps(obj)))
+
+
+# commands whose payloads nest result objects (witnesses, packings, covers,
+# certificates, connectivity reports)
+TEXT_FORMAT_COMMANDS = [
+    ("tverberg", "--matroid", "u2_4.matroid", "--points", "line4.pts", "--t", "2"),
+    ("tverberg", "--matroid", "u2_4.matroid", "--points", "line4.pts", "--t", "3"),
+    ("verify-theorem", "--matroid", "u2_4.matroid", "--points", "line4.pts"),
+    ("bases", "--matroid", "k4.matroid"),
+    ("bases", "--matroid", "y21.matroid"),
+    ("pack", "--matroid", "k4.matroid", "--k", "2"),
+    ("pack", "--matroid", "k4.matroid", "--k", "3"),
+    ("pack", "--matroid", "k4.matroid", "--subset", "0,1,2", "--m", "2"),
+    ("pack", "--matroid", "u1_3.matroid", "--subset", "0,1,2", "--m", "1"),
+    ("hulls", "--points", "line4.pts", "--sets", "0,2;1,3"),
+    ("hulls", "--points", "line4.pts", "--sets", "0,1;2,3"),
+    ("verify-corollary", "--matroid", "u2_4.matroid", "--k", "2"),
+    ("verify-claim", "--matroid", "u1_3.matroid", "--sets", "0;1,2", "--m", "1"),
+]
+
+
+def test_text_format_flattens_the_json_report(files, capsys):
+    # the text report is the JSON report flattened: one dotted key per leaf
+    for argv in TEXT_FORMAT_COMMANDS:
+        argv = [files.get(a, a) for a in argv]
+        code, out = run(capsys, *argv)
+        pairs = []
+        _flatten_json("", json.loads(out), pairs)
+        width = max(len(k) for k, _ in pairs)
+        want = "".join(f"{k.ljust(width)}  {v}\n" for k, v in pairs)
+        assert run(capsys, *argv, "--format", "text") == (code, want), argv
+
+
 # stdout sha256 of the complex-building commands: their reports are a
 # byte-identical contract, whichever way the complexes are built
 GOLDEN_COMPLEX_REPORTS = [
@@ -352,6 +391,19 @@ def test_complex_commands_golden_bytes(tmp_path, monkeypatch, capsys):
     for argv, want_code, want_sha in GOLDEN_COMPLEX_REPORTS:
         code, out = run(capsys, *argv)
         assert (code, hashlib.sha256(out.encode()).hexdigest()) == (want_code, want_sha), argv
+
+
+def test_deep_search_ends_in_a_report(tmp_path, capsys):
+    # 1,201 singleton faces whose boxes meet until the last one: the tuple
+    # stream's path is far deeper than the recursion limit
+    write_matroid(tmp_path / "u1.matroid", UniformMatroid(1, 1201))
+    write_points(tmp_path / "deep.pts",
+                 PointConfig(1, {e: (Fraction(e == 1200),) for e in range(1201)}))
+    code, out = run(capsys, "tverberg", "--matroid", str(tmp_path / "u1.matroid"),
+                    "--points", str(tmp_path / "deep.pts"), "--t", "1201")
+    payload = json.loads(out)["payload"]
+    assert code == 0 and payload["exhausted"]
+    assert (payload["tuples_examined"], payload["subtrees_pruned"]) == (1, 0)
 
 
 def test_random_points_drawn_for_ground_elements_only(files, capsys):

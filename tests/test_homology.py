@@ -25,7 +25,8 @@ from tvermat import (
     verify_claim,
     verify_corollary,
 )
-from tvermat.homology import _rank_sparse_exact
+from tvermat.formats import jsonable
+from tvermat.homology import _rank_sparse_exact, join_connectivity
 
 K4 = GraphicMatroid(4, [(0, 1), (0, 2), (0, 3), (1, 2), (1, 3), (2, 3)])
 
@@ -175,6 +176,28 @@ def test_homologically_connected_examples():
     assert not homologically_connected(empty, -1).verified
 
 
+def test_connectivity_edge_case_payloads():
+    cases = [
+        (homologically_connected(chessboard(2, 3), -1),
+         {"bound": -1, "verified": True, "vanishing": [], "first_nonvanishing": None,
+          "f_vector": [1, 6, 6], "num_faces": 12, "betti_checked": []}),
+        (homologically_connected(from_facets([]), -1),
+         {"bound": -1, "verified": False, "vanishing": [], "first_nonvanishing": None,
+          "f_vector": [1], "num_faces": 0, "betti_checked": [],
+          "note": "complex is empty"}),
+        (homologically_connected(from_facets([]), 2),
+         {"bound": 2, "verified": False, "vanishing": [False, False, False],
+          "first_nonvanishing": 0, "f_vector": [1], "num_faces": 0,
+          "betti_checked": [], "note": "complex is empty"}),
+        (join_connectivity([UniformMatroid(1, 3)], -3, context={"rank": 1}),
+         {"bound": -3, "verified": True, "vanishing": [], "first_nonvanishing": None,
+          "f_vector": [1], "num_faces": 0, "betti_checked": [],
+          "note": "bound below -1 is vacuous", "context": {"rank": 1}}),
+    ]
+    for rep, want in cases:
+        assert jsonable(rep.to_payload()) == want
+
+
 def test_matroid_connectivity_sample():
     for M in (UniformMatroid(2, 4), UniformMatroid(3, 6), K4,
               colourful_matroid(2, 2)):
@@ -201,7 +224,7 @@ def test_verify_claim_hypothesis_violations():
     one = UniformMatroid(1, 3)
     with pytest.raises(HypothesisViolation) as err:
         verify_claim([one, one], [frozenset({0}), frozenset({1, 2})], 1)
-    assert err.value.certificate.witness == frozenset({1, 2})
+    assert err.value.certificate.witness_set == frozenset({1, 2})
     with pytest.raises(HypothesisViolation):
         verify_claim([one, one], [frozenset({0, 1}), frozenset({1, 2})], 2)
 

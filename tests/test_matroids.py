@@ -2,6 +2,7 @@
 
 import random
 import time
+import tracemalloc
 from fractions import Fraction
 from itertools import chain, combinations
 
@@ -87,6 +88,21 @@ def test_partition_rank():
     assert M.rank() == 2
     assert M.is_independent((0, 2))
     assert not M.is_independent((0, 1))
+
+
+def test_ground_rank_builds_no_ground_set():
+    # the closed forms agree with the rank of the ground set as a set
+    minors = [X for _, _, R, _, C in small_minors() for X in (R, C)]
+    for M in small_instances() + minors:
+        assert M.rank() == M.rank(range(M.n)), M
+    M = UniformMatroid(2, 1 << 20)
+    tracemalloc.start()
+    try:
+        assert M.rank() == 2
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 1 << 20
 
 
 def test_loops():

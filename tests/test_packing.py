@@ -42,7 +42,7 @@ def test_pack_triangle_certificate_empty():
     res = pack_k_bases(TRIANGLE, 2)
     assert isinstance(res, PackingCertificate)
     # k*rank(empty) + |E| = 3 < 4 = k*rank(E)
-    assert res.witness == frozenset()
+    assert res.witness_set == frozenset()
     assert res.check(TRIANGLE)
 
 
@@ -129,7 +129,7 @@ def test_pack_into_independent_basic():
 
     res = pack_into_independent(TRIANGLE, (0, 1, 2), 1)
     assert isinstance(res, CoverCertificate)
-    assert res.m * TRIANGLE.rank(res.witness) < len(res.witness)
+    assert res.m * TRIANGLE.rank(res.witness_set) < len(res.witness_set)
 
     cover = pack_into_independent(TRIANGLE, (0, 1, 2), 2)
     assert isinstance(cover, list)

@@ -3,7 +3,7 @@
 import random
 import warnings
 from fractions import Fraction
-from itertools import combinations
+from itertools import combinations, islice
 
 import pytest
 
@@ -46,6 +46,12 @@ def test_enumerate_faces_lex_order():
                 if M.is_independent(face)
             )
             assert list(enumerate_faces(M, max_size)) == brute, (name, max_size)
+
+
+def test_enumerate_faces_deeper_than_the_call_stack():
+    # the first 1,500 faces are one path, far past the recursion limit
+    faces = list(islice(enumerate_faces(UniformMatroid(1500, 1500), 1500), 1500))
+    assert faces[-1] == tuple(range(1500))
 
 
 def test_tuples_match_brute_force():
