@@ -1,19 +1,28 @@
 """Exact reduced rational homology and the connectivity verifiers built on it.
 
-Boundary matrices are sparse with entries +-1.  Every rank is exact: each
-boundary map is eliminated as its transpose, the coboundary, with
-division-free integer elimination, bottom-up with clearing (the twist of
-Chen-Kerber 2011): the rows of the faces that led a pivot of one map are
-skipped in the next.  Clearing needs only that the pivots are exact, so it
-holds over Q, and one pass gives the rational Betti numbers, wherever the
-integral homology has torsion too (chessboard complexes carry 3-torsion,
-Shareshian-Wachs 2007).  No rank is taken modulo a prime: a prime dividing a
-torsion coefficient would change a Betti number, and wrong Betti numbers
-would manufacture false counterexamples.
+Betti numbers come from a discrete Morse reduction.  The element matching
+(Jonsson 2008, *Simplicial Complexes of Graphs*, LNM 1928) takes the vertices
+in ascending order and pairs each unmatched face s without v with s + v when
+that face is unmatched too.  A union of element matchings is acyclic, which
+a topological order of the modified Hasse graph re-checks, so the Morse
+complex on the unpaired (critical) faces has the integral homology of the
+complex (Forman 1998).  Its boundary flows each critical face's boundary
+along gradient paths, every step a +-1 pivot, so its entries stay integers.
+
+Every rank is exact: each boundary map is eliminated as its transpose, the
+coboundary, with division-free integer elimination, bottom-up with clearing
+(the twist of Chen-Kerber 2011): the rows of the faces that led a pivot of
+one map are skipped in the next.  Clearing needs only that the pivots are
+exact, so it holds over Q, and one pass gives the rational Betti numbers,
+wherever the integral homology has torsion too (chessboard complexes carry
+3-torsion, Shareshian-Wachs 2007).  No rank is taken modulo a prime: a prime
+dividing a torsion coefficient would change a Betti number, and wrong Betti
+numbers would manufacture false counterexamples.
 """
 
 from dataclasses import dataclass, field
 from heapq import heappop, heappush
+from itertools import chain
 from math import gcd
 
 from .errors import HypothesisViolation, InputError, PreconditionError
@@ -35,6 +44,11 @@ class SparseIntMatrix:
                 yield r, j, v
 
 
+def _facets(face):
+    """(facet, sign) pairs of a face: omitting position j has sign (-1)^j."""
+    return [(face[:j] + face[j + 1:], -1 if j % 2 else 1) for j in range(len(face))]
+
+
 def boundary_matrix(X, i):
     """Simplicial boundary from i-faces to (i-1)-faces.
 
@@ -49,14 +63,113 @@ def boundary_matrix(X, i):
     if i == 0:
         return SparseIntMatrix(1, len(faces_i), [[(0, 1)] for _ in faces_i])
     rows = {f: idx for idx, f in enumerate(X.faces(i - 1))}
-    cols = []
-    for face in faces_i:
-        entries = []
-        for j in range(len(face)):
-            sub = face[:j] + face[j + 1 :]
-            entries.append((rows[sub], -1 if j % 2 else 1))
-        cols.append(sorted(entries))
+    cols = [sorted((rows[sub], sign) for sub, sign in _facets(face)) for face in faces_i]
     return SparseIntMatrix(len(rows), len(faces_i), cols)
+
+
+def _element_matching(X, top):
+    """The element matching on the faces of X of dimensions -1..top.
+
+    For each vertex v in ascending order, every unmatched face s without v
+    is paired with t = s + v when t is an unmatched face too; a stage visits
+    only the faces t that contain its vertex.  Faces are indexed by their
+    size k = dimension + 1.  Returns ``up`` and ``critical``: up[k] maps each
+    paired k-face s to (t, sign of s in the boundary of t), and critical[k]
+    lists the unpaired k-faces, sorted.
+    """
+    free = [{()}] + [set(X.faces(d)) for d in range(top + 1)]
+    up = [{} for _ in free]
+    holding = {v: [] for (v,) in X.faces(0)}  # vertex -> the faces with it, by size
+    for d in range(top + 1):
+        for t in X.faces(d):
+            for v in t:
+                holding[v].append(t)
+    for (v,) in X.faces(0):
+        for t in holding.pop(v):
+            k = len(t)
+            if t in free[k]:
+                i = t.index(v)
+                s = t[:i] + t[i + 1:]
+                if s in free[k - 1]:
+                    free[k - 1].remove(s)
+                    free[k].remove(t)
+                    up[k - 1][s] = (t, -1 if i % 2 else 1)
+    return up, [sorted(cells) for cells in free]
+
+
+def _gradient_paths(pairs, rows):
+    """The paired faces of one size in a topological order of their gradient
+    paths, and the steps of those paths.
+
+    A path steps from a paired face s, through its partner t, to each other
+    facet r of t with coefficient -[t:s][t:r], a +-1 pivot.  ``steps[s]``
+    keeps the steps to faces that are paired as well or critical (in
+    ``rows``): a face paired downward ends its paths.  In the order, s comes
+    before every paired face it steps to.  A directed cycle of the modified
+    Hasse graph (each pair's edge reversed) stays within two adjacent
+    dimensions and passes through paired faces only, so this Kahn order over
+    the pairs of each size certifies that the whole matching is acyclic.  A
+    cycle raises RuntimeError.
+    """
+    indegree = dict.fromkeys(pairs, 0)
+    steps = {}
+    for s, (t, sign) in pairs.items():
+        to_paired, to_critical = steps[s] = [], []
+        for r, e in _facets(t):
+            if r in indegree:
+                if r != s:
+                    indegree[r] += 1
+                    to_paired.append((r, -sign * e))
+            elif r in rows:
+                to_critical.append((r, -sign * e))
+    order = [s for s, n in indegree.items() if not n]
+    for s in order:  # grows while it is walked
+        for r, _ in steps[s][0]:
+            indegree[r] -= 1
+            if not indegree[r]:
+                order.append(r)
+    if len(order) < len(pairs):
+        raise RuntimeError(
+            f"matching has a cycle: {len(pairs) - len(order)} pairs of size-"
+            f"{len(next(iter(pairs)))} faces are not ordered"
+        )
+    return order, steps
+
+
+def _morse_map(pairs, rows, cells):
+    """The Morse boundary from the critical faces ``cells`` to the critical
+    faces ``rows`` (face -> row), one size down; ``pairs`` is the matching
+    between those two sizes.
+
+    A boundary flows along the gradient paths to the critical faces.  Where
+    the paths of a paired face s end, ``flow[s]``, is built once, in reverse
+    gradient order, from the flows of the faces it steps to.
+    """
+    order, steps = _gradient_paths(pairs, rows)
+    if not rows:
+        return SparseIntMatrix(0, len(cells), [[] for _ in cells])
+
+    def add(acc, r, e):
+        if r in rows:
+            i = rows[r]
+            acc[i] = acc.get(i, 0) + e
+        elif r in flow:
+            for i, v in flow[r].items():
+                acc[i] = acc.get(i, 0) + e * v
+
+    flow = {}
+    for s in reversed(order):
+        acc = {}
+        for r, e in chain(*steps[s]):
+            add(acc, r, e)
+        flow[s] = {i: v for i, v in acc.items() if v}
+    cols = []
+    for c in cells:
+        acc = {}
+        for r, e in _facets(c):
+            add(acc, r, e)
+        cols.append(sorted((i, v) for i, v in acc.items() if v))
+    return SparseIntMatrix(len(rows), len(cells), cols)
 
 
 def _rank_sparse_exact(rows):
@@ -136,14 +249,31 @@ class BettiVector:
     f_vector: tuple
 
 
+def _morse_complex(X, top):
+    """The Morse complex of the element matching on the faces of X of
+    dimensions -1..top: the critical faces by size (dimension + 1) and the
+    boundary maps, maps[i] from critical i-faces to critical (i-1)-faces for
+    i = 0..top.  The matching is re-checked acyclic size by size, and a map
+    into no critical face is not flowed.
+    """
+    up, critical = _element_matching(X, top)
+    maps = [_morse_map(up[k], {face: r for r, face in enumerate(critical[k])},
+                       critical[k + 1])
+            for k in range(top + 1)]
+    return critical, maps
+
+
 def betti_reduced(X, up_to, exact_only=False):
     """Reduced Betti numbers of X through degree ``up_to``.
 
     Requires materialization through dimension up_to+1 (the image of the next
-    boundary map).  Every rank is exact; each coboundary skips the rows that
-    led a pivot of the map below it.  ``exact_only`` takes every rank on the
-    boundary columns with no clearing: the reference the cleared pass is
-    tested against.
+    boundary map); faces above it are ignored.  The ranks are taken on the
+    Morse complex of the element matching on dimensions -1..up_to+1, so
+    beta_i = c_i - rank d_i - rank d_(i+1) with c_i the critical i-faces.
+    Every rank is exact; each coboundary skips the rows that led a pivot of
+    the map below it.  ``exact_only`` takes every rank on the boundary
+    columns of X itself with no reduction and no clearing: the reference the
+    Morse pass is tested against.
     """
     if up_to < 0:
         raise InputError(f"up_to must be >= 0, got {up_to}")
@@ -152,20 +282,22 @@ def betti_reduced(X, up_to, exact_only=False):
             f"betti through {up_to} needs faces at dimension {up_to + 1}"
         )
     f = [len(X.faces(d)) for d in range(up_to + 2)]
-
-    # Clearing: the rows of the faces that led a pivot of map i-1 are skipped
-    # in map i.  The reduced row with lead c is a coboundary dx, and ddx = 0
-    # puts the coboundary of c in the span over Q of the rows after it, so
-    # the skipped rows leave the rank unchanged.
-    ranks, leads = [], set()
-    for i in range(up_to + 2):
-        mat = boundary_matrix(X, i)
-        if exact_only:
-            ranks.append(len(_rank_sparse_exact([dict(col) for col in mat.cols])))
-        else:
+    if exact_only:
+        cells = f
+        ranks = [len(_rank_sparse_exact([dict(col) for col in boundary_matrix(X, i).cols]))
+                 for i in range(up_to + 2)]
+    else:
+        critical, maps = _morse_complex(X, up_to + 1)
+        cells = [len(faces) for faces in critical[1:]]
+        # Clearing: the rows of the faces that led a pivot of map i-1 are
+        # skipped in map i.  The reduced row with lead c is a coboundary dx,
+        # and ddx = 0 puts the coboundary of c in the span over Q of the rows
+        # after it, so the skipped rows leave the rank unchanged.
+        ranks, leads = [], set()
+        for mat in maps:
             leads = _coboundary_leads(mat, leads)
             ranks.append(len(leads))
-    betti = [f[i] - ranks[i] - ranks[i + 1] for i in range(up_to + 1)]
+    betti = [cells[i] - ranks[i] - ranks[i + 1] for i in range(up_to + 1)]
     if any(b < 0 for b in betti):
         raise RuntimeError("negative Betti number: rank computation inconsistent")
     return BettiVector(tuple(betti), up_to, tuple(f[: up_to + 1]))

@@ -40,11 +40,11 @@ class Matroid:
     # -- subclass surface -------------------------------------------------
 
     def _rank(self, ids):
-        """Rank of a validated frozenset of ids."""
+        """Rank of a validated set of ids, which it does not keep."""
         raise NotImplementedError
 
     def _indep(self, ids):
-        """Independence of a validated frozenset of ids."""
+        """Independence of a validated set of ids, which it does not keep."""
         return self._rank(ids) == len(ids)
 
     def _ground_rank(self):

@@ -98,19 +98,26 @@ def enumerate_faces(M, max_size):
     """Nonempty independent sets of size <= max_size in lexicographic order
     ((0,) < (0,1) < (0,2) < (1,) ...), each built when it is asked for by a
     depth-first walk that grows only independent faces (hereditarity).  The
-    walk keeps its path on a list, so no depth exhausts the call stack."""
-    path = [((), frozenset(), iter(range(M.n)))]  # face, its id set, the elements left
-    while path:
-        face, base, rest = path[-1]
-        for e in rest:
-            grown = base | {e}
-            if M._indep(grown):
-                yield face + (e,)
-                if len(face) + 1 < max_size:
-                    path.append((face + (e,), grown, iter(range(e + 1, M.n))))
-                break
+    walk keeps one face and its id set, grown and undone in place, and the
+    elements left at each depth on a list, so its memory is linear in the
+    depth and no depth exhausts the call stack."""
+    face, ids = [], set()
+    rests = [iter(range(M.n))]  # rests[j]: the elements left at depth j
+    while rests:
+        for e in rests[-1]:
+            ids.add(e)
+            if M._indep(ids):
+                face.append(e)
+                yield tuple(face)
+                if len(face) < max_size:
+                    rests.append(iter(range(e + 1, M.n)))
+                    break
+                face.pop()
+            ids.discard(e)
         else:
-            path.pop()
+            rests.pop()
+            if face:
+                ids.discard(face.pop())
 
 
 def _bbox(points):

@@ -77,6 +77,16 @@ def test_homology_chessboard(capsys):
     assert json.loads(out)["payload"]["betti"] == [0, 2, 1]
 
 
+def test_homology_through_the_top_coboundary(capsys):
+    # the top map of C(6,8) through dimension 5 has 20,160 columns, which
+    # the Morse reduction cuts to 429 critical faces
+    for board, up_to, betti in (("6,8", "4", [0, 0, 0, 0, 1316]),
+                                ("5,8", "3", [0, 0, 0, 14])):
+        code, out = run(capsys, "homology", "--chessboard", board, "--up-to", up_to)
+        assert code == 0
+        assert json.loads(out)["payload"]["betti"] == betti
+
+
 def test_verify_corollary_and_conn(files, capsys):
     code, out = run(capsys, "verify-corollary", "--matroid", files["u2_4.matroid"], "--k", "2")
     assert code == 0

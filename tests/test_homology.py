@@ -7,7 +7,7 @@ from itertools import combinations
 import pytest
 
 from generator import small_matroid_family
-from oracles import snf_betti
+from oracles import column_rank, snf_betti
 from tvermat import (
     GraphicMatroid,
     HypothesisViolation,
@@ -26,7 +26,8 @@ from tvermat import (
     verify_corollary,
 )
 from tvermat.formats import jsonable
-from tvermat.homology import _rank_sparse_exact, join_connectivity
+from tvermat import homology
+from tvermat.homology import _morse_complex, _rank_sparse_exact, join_connectivity
 
 K4 = GraphicMatroid(4, [(0, 1), (0, 2), (0, 3), (1, 2), (1, 3), (2, 3)])
 
@@ -147,6 +148,67 @@ def test_chessboard_torsion_betti():
     assert betti_reduced(chessboard(5, 7, trunc=4), 3).betti == (0, 0, 0, 98)
     assert betti_reduced(chessboard(5, 8, trunc=4), 3).betti == (0, 0, 0, 14)
     assert betti_reduced(chessboard(6, 6, trunc=5), 4).betti == (0, 0, 0, 25, 210)
+
+
+def _critical_counts(X, top):
+    """Nonzero critical-face counts of the element matching, by dimension."""
+    critical, _ = _morse_complex(X, top)
+    return {k - 1: len(cells) for k, cells in enumerate(critical) if cells}
+
+
+def test_morse_critical_cell_counts():
+    # 14 = beta_3 and 1,173 = dim ker d_4 on C(5,8); on C(6,8),
+    # beta_4 = 1,316 = 1,330 - 14
+    assert _critical_counts(chessboard(5, 8, trunc=4), 4) == {3: 14, 4: 1173}
+    assert _critical_counts(chessboard(6, 8, trunc=5), 5) == {3: 14, 4: 1330, 5: 429}
+
+
+def test_morse_ignores_faces_above_the_next_dimension():
+    # through dimension 2 the 3-simplex is its boundary, a 2-sphere: the
+    # 3-face would pair the last 2-face away if it were looked at
+    X = full_simplex(4)
+    assert _critical_counts(X, 2) == {2: 1}
+    assert _critical_counts(X, 3) == {}
+    assert betti_reduced(X, 1).betti == (0, 0)
+    assert betti_reduced(X, 2).betti == (0, 0, 0)
+    board = chessboard(4, 6)
+    assert betti_reduced(board, 1).betti == betti_reduced(chessboard(4, 6, trunc=2), 1).betti
+
+
+def test_morse_empty_complex_and_single_vertex():
+    empty = from_facets([])
+    assert _critical_counts(empty, 1) == {-1: 1}
+    assert betti_reduced(empty, 1).betti == (0, 0) == betti_reduced(empty, 1, exact_only=True).betti
+    point = from_facets([(0,)])
+    assert _critical_counts(point, 1) == {}
+    assert betti_reduced(point, 0).betti == (0,)
+
+
+def test_morse_complex_keeps_the_3_torsion():
+    # H_2(C(5,5)) carries 3-torsion (Shareshian-Wachs 2007): the Morse map
+    # onto the 30 critical 2-faces has full rank over Q, not over GF(3), so
+    # the reduction is integral and betti_reduced reads the rational rank
+    X = chessboard(5, 5, trunc=3)
+    critical, maps = _morse_complex(X, 3)
+    assert len(critical[3]) == 30
+    top = maps[3]
+    dense = [[dict(col).get(r, 0) for r in range(top.nrows)] for col in top.cols]
+    assert column_rank(dense) == 30 and column_rank(dense, 3) == 29
+    assert betti_reduced(X, 2).betti == (0, 0, 0) == betti_reduced(X, 2, exact_only=True).betti
+
+
+def test_cyclic_matching_is_rejected(monkeypatch):
+    # a planted matching around the hollow triangle, each vertex paired with
+    # the next edge: a closed gradient path, whose Morse complex would read
+    # beta_1 = 0 where the triangle has beta_1 = 1
+    X = from_facets([(0, 1), (1, 2), (0, 2)])
+    cyclic = {(0,): ((0, 1), -1), (1,): ((1, 2), -1), (2,): ((0, 2), 1)}
+    planted = ([{}, cyclic, {}, {}], [[()], [], [], []])
+    monkeypatch.setattr(homology, "_element_matching", lambda X, top: planted)
+    with pytest.raises(RuntimeError, match="cycle"):
+        betti_reduced(X, 1)
+    monkeypatch.undo()
+    assert betti_reduced(X, 1).betti == (0, 1)
 
 
 def test_euler_poincare():

@@ -1,6 +1,7 @@
 """Witness search, prime selection, threshold arithmetic, end-to-end theorem."""
 
 import random
+import tracemalloc
 import warnings
 from fractions import Fraction
 from itertools import combinations, islice
@@ -52,6 +53,21 @@ def test_enumerate_faces_deeper_than_the_call_stack():
     # the first 1,500 faces are one path, far past the recursion limit
     faces = list(islice(enumerate_faces(UniformMatroid(1500, 1500), 1500), 1500))
     assert faces[-1] == tuple(range(1500))
+
+
+def test_enumerate_faces_memory_is_linear_in_the_depth():
+    # one face and one id set, grown and undone in place: the 1,500-deep
+    # path, each face dropped once seen, peaks near 0.3 MB traced (a face
+    # and an id set kept per depth came to 60 MB)
+    tracemalloc.start()
+    try:
+        for face in islice(enumerate_faces(UniformMatroid(1500, 1500), 1500), 1500):
+            pass
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert face == tuple(range(1500))
+    assert peak < 3 * 2**20
 
 
 def test_tuples_match_brute_force():
