@@ -108,21 +108,20 @@ def independent_sets(M, max_dim, cap=None):
     """Nonempty independent sets of M with at most max_dim+1 elements.
 
     Returns dim -> lexicographically sorted faces.  Faces of size s+1 extend
-    faces of size s by a larger element, so enumeration is exhaustive by
-    hereditarity; loops never appear.  A level is abandoned with a
-    ResourceLimitError as soon as it holds more than ``cap`` faces.
+    faces of size s by a larger element, one ``M._extensions`` call a face,
+    so enumeration is exhaustive by hereditarity; loops never appear.  A
+    level is abandoned with a ResourceLimitError as soon as it holds more
+    than ``cap`` faces.
     """
     by_dim = {}
     level = [()]
     for d in range(max_dim + 1):
         nxt = []
         for face in level:
-            base = frozenset(face)
-            for e in range(face[-1] + 1 if face else 0, M.n):
-                if M._indep(base | {e}):
-                    nxt.append(face + (e,))
-                    if cap is not None and len(nxt) > cap:
-                        _check_cap(len(nxt), d, cap)
+            for e in M._extensions(face, face[-1] + 1 if face else 0):
+                nxt.append(face + (e,))
+                if cap is not None and len(nxt) > cap:
+                    _check_cap(len(nxt), d, cap)
         if not nxt:
             break
         by_dim[d] = level = nxt

@@ -72,28 +72,33 @@ def _element_matching(X, top):
 
     For each vertex v in ascending order, every unmatched face s without v
     is paired with t = s + v when t is an unmatched face too; a stage visits
-    only the faces t that contain its vertex.  Faces are indexed by their
-    size k = dimension + 1.  Returns ``up`` and ``critical``: up[k] maps each
-    paired k-face s to (t, sign of s in the boundary of t), and critical[k]
-    lists the unpaired k-faces, sorted.
+    only the faces t that contain its vertex, size by size, and skips a size
+    whose free t or free s have run out: a free set only shrinks, so those
+    faces could pair nothing.  Faces are indexed by their size k = dimension
+    + 1.  Returns ``up`` and ``critical``: up[k] maps each paired k-face s to
+    (t, sign of s in the boundary of t), and critical[k] lists the unpaired
+    k-faces, sorted.
     """
     free = [{()}] + [set(X.faces(d)) for d in range(top + 1)]
     up = [{} for _ in free]
-    holding = {v: [] for (v,) in X.faces(0)}  # vertex -> the faces with it, by size
+    holding = {v: [[] for _ in range(top + 1)] for (v,) in X.faces(0)}  # v -> d -> faces
     for d in range(top + 1):
         for t in X.faces(d):
             for v in t:
-                holding[v].append(t)
+                holding[v][d].append(t)
     for (v,) in X.faces(0):
-        for t in holding.pop(v):
-            k = len(t)
-            if t in free[k]:
-                i = t.index(v)
-                s = t[:i] + t[i + 1:]
-                if s in free[k - 1]:
-                    free[k - 1].remove(s)
-                    free[k].remove(t)
-                    up[k - 1][s] = (t, -1 if i % 2 else 1)
+        for k, faces in enumerate(holding.pop(v), 1):
+            lower, upper = free[k - 1], free[k]
+            if not (lower and upper):
+                continue
+            for t in faces:
+                if t in upper:
+                    i = t.index(v)
+                    s = t[:i] + t[i + 1:]
+                    if s in lower:
+                        lower.remove(s)
+                        upper.remove(t)
+                        up[k - 1][s] = (t, -1 if i % 2 else 1)
     return up, [sorted(cells) for cells in free]
 
 

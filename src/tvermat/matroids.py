@@ -6,11 +6,13 @@ rank in closed form as ``_rank``; a set is independent iff its rank equals
 its size, and ``_indep`` is overridden only where a measured workload needs
 the shortcut (uniform and partition matroids in base packing).
 ``_ground_rank`` is overridden where the rank of the whole ground set has
-a closed form, so a large declared ground set is never built.  Loops
-(elements in no independent singleton) are first-class: restriction and
-contraction return oracles over the *original* index space with removed
-elements turned into loops, which keeps labeled-vertex bookkeeping in joins
-uniform.
+a closed form, so a large declared ground set is never built.
+``_extensions``, the elements that keep a face independent, is overridden
+by graphic matroids alone: face enumeration labels a forest's trees once
+instead of ranking every candidate edge.  Loops (elements in no
+independent singleton) are first-class: restriction and contraction return
+oracles over the *original* index space with removed elements turned into
+loops, which keeps labeled-vertex bookkeeping in joins uniform.
 """
 
 from fractions import Fraction
@@ -51,6 +53,12 @@ class Matroid:
         """Rank of the ground set; a family with a closed form for it
         overrides this and never builds the ground set."""
         return self._rank(frozenset(range(self.n)))
+
+    def _extensions(self, face, start):
+        """The elements e >= start outside the independent tuple ``face``
+        with face + e independent."""
+        base = frozenset(face)
+        return [e for e in range(start, self.n) if e not in base and self._indep(base | {e})]
 
     # -- public oracle ----------------------------------------------------
 
@@ -184,6 +192,20 @@ class GraphicMatroid(Matroid):
                 parent[ru] = rv
                 merges += 1
         return merges
+
+    def _extensions(self, face, start):
+        """The edges e >= start whose ends lie in different trees of the
+        forest ``face``, whose components are labelled once."""
+        label = {}  # vertex -> its tree's label; an untouched vertex is its own
+        for e in face:
+            u, v = self.edges[e]
+            lu, lv = label.get(u, u), label.get(v, v)
+            for x, lx in label.items():
+                if lx == lv:
+                    label[x] = lu
+            label[u] = label[v] = lu
+        get = label.get
+        return [e for e, (u, v) in enumerate(self.edges[start:], start) if get(u, u) != get(v, v)]
 
     def fundamental_circuit(self, part, x):
         """The edges of the forest ``part`` on the path between the ends of x.

@@ -3,7 +3,8 @@
 These deliberately share no code with the package internals: graphic ranks
 by counting connected components, linear ranks by dense elimination over
 Q or GF(p), packing maxima by exhaustive set packing, deleted joins by
-testing every vertex set, Betti numbers via dense integer Smith reduction, hull intersection via
+testing every vertex set, Betti numbers via dense integer Smith reduction, the
+element matching by visiting every face that holds each vertex, hull intersection via
 Fourier-Motzkin elimination, the rational-tableau phase-1 simplex that
 the fraction-free solver must match pivot for pivot, and the first Tverberg
 witness by trying every disjoint face tuple in order.
@@ -211,6 +212,33 @@ def snf_betti(faces_by_dim, up_to):
     return tuple(
         f.get(i, 0) - ranks[i] - ranks[i + 1] for i in range(up_to + 1)
     )
+
+
+def element_matching(X, top):
+    """The element matching on the faces of X of dimensions -1..top, as
+    ``homology._element_matching`` returns it: (up, critical) by face size.
+
+    Each vertex v in ascending order visits every face t holding it, of
+    every size, and pairs t with s = t - v when both are still unmatched.
+    """
+    free = [{()}] + [set(X.faces(d)) for d in range(top + 1)]
+    up = [{} for _ in free]
+    holding = {v: [] for (v,) in X.faces(0)}  # vertex -> the faces with it, by size
+    for d in range(top + 1):
+        for t in X.faces(d):
+            for v in t:
+                holding[v].append(t)
+    for (v,) in X.faces(0):
+        for t in holding.pop(v):
+            k = len(t)
+            if t in free[k]:
+                i = t.index(v)
+                s = t[:i] + t[i + 1:]
+                if s in free[k - 1]:
+                    free[k - 1].remove(s)
+                    free[k].remove(t)
+                    up[k - 1][s] = (t, -1 if i % 2 else 1)
+    return up, [sorted(cells) for cells in free]
 
 
 # -- hull intersection ---------------------------------------------------------

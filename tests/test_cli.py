@@ -409,8 +409,9 @@ def test_deep_search_ends_in_a_report(tmp_path, capsys):
     write_matroid(tmp_path / "u1.matroid", UniformMatroid(1, 1201))
     write_points(tmp_path / "deep.pts",
                  PointConfig(1, {e: (Fraction(e == 1200),) for e in range(1201)}))
-    code, out = run(capsys, "tverberg", "--matroid", str(tmp_path / "u1.matroid"),
-                    "--points", str(tmp_path / "deep.pts"), "--t", "1201")
+    with pytest.warns(UserWarning, match="matroid rank 1 differs from d\\+1 = 2"):
+        code, out = run(capsys, "tverberg", "--matroid", str(tmp_path / "u1.matroid"),
+                        "--points", str(tmp_path / "deep.pts"), "--t", "1201")
     payload = json.loads(out)["payload"]
     assert code == 0 and payload["exhausted"]
     assert (payload["tuples_examined"], payload["subtrees_pruned"]) == (1, 0)

@@ -79,6 +79,19 @@ def test_deleted_join_matches_brute_force():
             [UniformMatroid(1, m)] * k, min(k, m) - 1)[0]
 
 
+def test_deleted_join_with_loop_and_parallel_edge_matches_brute_force():
+    # a graphic factor whose self-loop never enters a face and whose
+    # parallel pair never shares one, alone and beside a uniform factor
+    G = GraphicMatroid(4, [(0, 1), (1, 1), (1, 0), (1, 2), (2, 3), (3, 1)])
+    for mats in ([G], [G, G], [G, G, G], [G, UniformMatroid(2, 6)],
+                 [UniformMatroid(3, 6), G]):
+        for trunc in range(-1, G.n + 1):
+            X = deleted_join(mats, trunc)
+            faces, complete = brute_deleted_join(mats, trunc)
+            assert X.faces_by_dim == faces, (mats, trunc)
+            assert X.complete == complete, (mats, trunc)
+
+
 def test_chessboard_facets():
     c34 = chessboard(3, 4)
     assert len(c34.faces(2)) == 24

@@ -1,13 +1,17 @@
 """Homology tests: boundary structure, Betti numbers vs an independent SNF
 oracle, and the connectivity verifiers."""
 
+import os
 import random
+import subprocess
+import sys
 from itertools import combinations
+from pathlib import Path
 
 import pytest
 
 from generator import small_matroid_family
-from oracles import column_rank, snf_betti
+from oracles import column_rank, element_matching, snf_betti
 from tvermat import (
     GraphicMatroid,
     HypothesisViolation,
@@ -27,7 +31,12 @@ from tvermat import (
 )
 from tvermat.formats import jsonable
 from tvermat import homology
-from tvermat.homology import _morse_complex, _rank_sparse_exact, join_connectivity
+from tvermat.homology import (
+    _element_matching,
+    _morse_complex,
+    _rank_sparse_exact,
+    join_connectivity,
+)
 
 K4 = GraphicMatroid(4, [(0, 1), (0, 2), (0, 3), (1, 2), (1, 3), (2, 3)])
 
@@ -163,6 +172,25 @@ def test_morse_critical_cell_counts():
     assert _critical_counts(chessboard(6, 8, trunc=5), 5) == {3: 14, 4: 1330, 5: 429}
 
 
+def test_element_matching_matches_the_reference():
+    # skipping a size whose free faces have run out pairs the same faces
+    k6 = GraphicMatroid(6, list(combinations(range(6), 2)))
+    k5 = GraphicMatroid(5, list(combinations(range(5), 2)))
+    cases = [(chessboard(k, m, trunc), trunc)
+             for k in range(1, 6) for m in range(1, 7) for trunc in range(5)]
+    cases += [(deleted_join([UniformMatroid(3, 9)] * 3, 3), 3),
+              (deleted_join([k5] * 2, 3), 3), (as_complex(k6, 4), 4)]
+    cases += [(from_facets([]), 1), (from_facets([(0,)]), 1),
+              (from_facets([(0, 1), (1, 2), (0, 2)]), 2), (full_simplex(6), 3)]
+    paired = 0
+    for X, top in cases:
+        for t in range(top + 1):
+            up, critical = _element_matching(X, t)
+            assert (up, critical) == element_matching(X, t), (X, t)
+            paired += sum(map(len, up))
+    assert paired > 20_000
+
+
 def test_morse_ignores_faces_above_the_next_dimension():
     # through dimension 2 the 3-simplex is its boundary, a 2-sphere: the
     # 3-face would pair the last 2-face away if it were looked at
@@ -209,6 +237,29 @@ def test_cyclic_matching_is_rejected(monkeypatch):
         betti_reduced(X, 1)
     monkeypatch.undo()
     assert betti_reduced(X, 1).betti == (0, 1)
+
+
+def test_cyclic_matching_is_rejected_under_python_O():
+    # the acyclicity check is a raise, not an assert, so -O keeps it
+    script = """
+import sys
+from tvermat import betti_reduced, from_facets, homology
+assert sys.flags.optimize == 1
+cyclic = {(0,): ((0, 1), -1), (1,): ((1, 2), -1), (2,): ((0, 2), 1)}
+homology._element_matching = lambda X, top: ([{}, cyclic, {}, {}], [[()], [], [], []])
+try:
+    betti_reduced(from_facets([(0, 1), (1, 2), (0, 2)]), 1)
+    sys.exit("cyclic matching accepted")
+except RuntimeError as err:
+    if "cycle" not in str(err):
+        sys.exit(f"wrong error: {err}")
+print("ok")
+"""
+    src = Path(homology.__file__).resolve().parents[1]
+    proc = subprocess.run([sys.executable, "-O", "-c", script], capture_output=True,
+                          text=True, env={**os.environ, "PYTHONPATH": str(src)}, timeout=60)
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout == "ok\n"
 
 
 def test_euler_poincare():

@@ -23,6 +23,7 @@ from tvermat import (
     validate_matroid,
 )
 
+from generator import small_matroid_family
 from oracles import column_rank, graph_rank
 
 TRIANGLE = GraphicMatroid(3, [(0, 1), (1, 2), (0, 2)])
@@ -216,6 +217,28 @@ def test_uniform_fundamental_circuit_matches_generic():
                         assert M.fundamental_circuit(part, x) == Matroid.fundamental_circuit(
                             M, part, x
                         ), (r, n, part, x)
+
+
+def test_extensions_match_the_independence_loop():
+    # the graphic hook labels the forest's trees once; every other family,
+    # and every minor, keeps the default loop over _indep
+    cases = []
+    for name, M in small_matroid_family():
+        cases.append((name, M))
+        if isinstance(M, GraphicMatroid):
+            cases.append((name + "/restrict", M.restrict(e for e in range(M.n) if e % 3)))
+            cases.append((name + "/contract", M.contract_link(M.non_loops()[-1])))
+    names = {name for name, _ in cases}
+    assert {"doubled_triangle/contract", "triangle_with_loop/restrict"} <= names
+    for name, M in cases:
+        for face in subsets(M.n):
+            base = frozenset(face)
+            if not M._indep(base):
+                continue
+            for start in range(M.n + 1):
+                want = [e for e in range(start, M.n)
+                        if e not in base and M._indep(base | {e})]
+                assert M._extensions(face, start) == want, (name, face, start)
 
 
 def test_explicit_matches_builtins():
