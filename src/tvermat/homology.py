@@ -3,11 +3,12 @@
 Betti numbers come from a discrete Morse reduction.  The element matching
 (Jonsson 2008, *Simplicial Complexes of Graphs*, LNM 1928) takes the vertices
 in ascending order and pairs each unmatched face s without v with s + v when
-that face is unmatched too.  A union of element matchings is acyclic, which
-a topological order of the modified Hasse graph re-checks, so the Morse
-complex on the unpaired (critical) faces has the integral homology of the
-complex (Forman 1998).  Its boundary flows each critical face's boundary
-along gradient paths, every step a +-1 pivot, so its entries stay integers.
+that face is unmatched too.  A union of element matchings is acyclic: one
+sweep certifies the first vertex's pairs as sinks and a topological order
+of the modified Hasse graph re-checks the rest, so the Morse complex on the
+unpaired (critical) faces has the integral homology of the complex (Forman
+1998).  Its boundary flows each critical face's boundary along gradient
+paths, every step a +-1 pivot, so its entries stay integers.
 
 Every rank is exact: each boundary map is eliminated as its transpose, the
 coboundary, with division-free integer elimination, bottom-up with clearing
@@ -20,6 +21,7 @@ dividing a torsion coefficient would change a Betti number, and wrong Betti
 numbers would manufacture false counterexamples.
 """
 
+from bisect import bisect_left
 from dataclasses import dataclass, field
 from heapq import heappop, heappush
 from itertools import chain
@@ -71,27 +73,28 @@ def _element_matching(X, top):
     """The element matching on the faces of X of dimensions -1..top.
 
     For each vertex v in ascending order, every unmatched face s without v
-    is paired with t = s + v when t is an unmatched face too; a stage visits
-    only the faces t that contain its vertex, size by size, and skips a size
-    whose free t or free s have run out: a free set only shrinks, so those
-    faces could pair nothing.  Faces are indexed by their size k = dimension
-    + 1.  Returns ``up`` and ``critical``: up[k] maps each paired k-face s to
-    (t, sign of s in the boundary of t), and critical[k] lists the unpaired
-    k-faces, sorted.
+    is paired with t = s + v when t is an unmatched face too.  A face waits
+    at one vertex: its first, then, while t is free but t - v is taken, the
+    vertex after v.  It leaves once matched, or once its size or the size
+    below has no free face left: free sets only shrink.  A stage's pairs
+    (t - v, t) are disjoint, so its visiting order is free.  Returns ``up``
+    and ``critical`` by face size k = dimension + 1: up[k] maps each paired
+    k-face s to (t, sign of s in the boundary of t), and critical[k] lists
+    the unpaired k-faces in lexicographic order.
     """
-    free = [{()}] + [set(X.faces(d)) for d in range(top + 1)]
-    up = [{} for _ in free]
-    holding = {v: [[] for _ in range(top + 1)] for (v,) in X.faces(0)}  # v -> d -> faces
-    for d in range(top + 1):
-        for t in X.faces(d):
-            for v in t:
-                holding[v][d].append(t)
+    levels = [[()]] + [X.faces(d) for d in range(top + 1)]
+    free = [set(level) for level in levels]
+    up = [{} for _ in levels]
+    waiting = [{} for _ in levels]  # k -> vertex -> the k-faces queued there
+    start = [0] * len(levels)  # k -> the first k-face not yet in a bucket
     for (v,) in X.faces(0):
-        for k, faces in enumerate(holding.pop(v), 1):
-            lower, upper = free[k - 1], free[k]
+        for k in range(1, top + 2):
+            level, lower, upper = levels[k], free[k - 1], free[k]
+            lo, start[k] = start[k], bisect_left(level, (v + 1,), start[k])
+            queued = waiting[k].pop(v, ())
             if not (lower and upper):
                 continue
-            for t in faces:
+            for t in chain(level[lo:start[k]], queued):
                 if t in upper:
                     i = t.index(v)
                     s = t[:i] + t[i + 1:]
@@ -99,7 +102,9 @@ def _element_matching(X, top):
                         lower.remove(s)
                         upper.remove(t)
                         up[k - 1][s] = (t, -1 if i % 2 else 1)
-    return up, [sorted(cells) for cells in free]
+                    elif i + 1 < k:
+                        waiting[k].setdefault(t[i + 1], []).append(t)
+    return up, [[t for t in level if t in cells] for level, cells in zip(levels, free)]
 
 
 def _gradient_paths(pairs, rows):
@@ -108,13 +113,14 @@ def _gradient_paths(pairs, rows):
 
     A path steps from a paired face s, through its partner t, to each other
     facet r of t with coefficient -[t:s][t:r], a +-1 pivot.  ``steps[s]``
-    keeps the steps to faces that are paired as well or critical (in
-    ``rows``): a face paired downward ends its paths.  In the order, s comes
-    before every paired face it steps to.  A directed cycle of the modified
-    Hasse graph (each pair's edge reversed) stays within two adjacent
-    dimensions and passes through paired faces only, so this Kahn order over
-    the pairs of each size certifies that the whole matching is acyclic.  A
-    cycle raises RuntimeError.
+    keeps the steps to faces in ``pairs`` or critical (in ``rows``): a face
+    paired downward, or a first-stage sink left out of ``pairs``, ends its
+    paths.  In the order, s comes before every paired face it steps to.  A
+    directed cycle of the modified Hasse graph (each pair's edge reversed)
+    stays within two adjacent dimensions and passes through paired faces
+    other than sinks only, so this Kahn order over the other pairs of each
+    size certifies that the whole matching is acyclic.  A cycle raises
+    RuntimeError.
     """
     indegree = dict.fromkeys(pairs, 0)
     steps = {}
@@ -258,10 +264,23 @@ def _morse_complex(X, top):
     """The Morse complex of the element matching on the faces of X of
     dimensions -1..top: the critical faces by size (dimension + 1) and the
     boundary maps, maps[i] from critical i-faces to critical (i-1)-faces for
-    i = 0..top.  The matching is re-checked acyclic size by size, and a map
+    i = 0..top.  The first stage pairs each face t holding the first vertex
+    v1 with t[1:]; every other facet of t holds v1 and is paired downward,
+    so the path from t[1:] ends at once with flow 0 and lies on no cycle.
+    One sweep certifies that stage (each level's v1-prefix so paired, and v1
+    in no other lower face nor critical face) and leaves it out of the
+    gradient pass, which re-checks the rest acyclic size by size; a map
     into no critical face is not flowed.
     """
     up, critical = _element_matching(X, top)
+    for (v1,) in X.faces(0)[:1]:
+        for k in range(1, top + 2):
+            level = X.faces(k - 1)
+            if (any(up[k - 1].pop(t[1:], None) != (t, 1) or t in up[k]
+                    for t in level[:bisect_left(level, (v1 + 1,))])
+                    or critical[k][:1] and critical[k][0][0] == v1):
+                raise RuntimeError(f"a cycle is not ruled out: the {k}-faces "
+                                   f"holding the first vertex {v1} are not paired by it")
     maps = [_morse_map(up[k], {face: r for r, face in enumerate(critical[k])},
                        critical[k + 1])
             for k in range(top + 1)]

@@ -4,7 +4,8 @@ These deliberately share no code with the package internals: graphic ranks
 by counting connected components, linear ranks by dense elimination over
 Q or GF(p), packing maxima by exhaustive set packing, deleted joins by
 testing every vertex set, Betti numbers via dense integer Smith reduction, the
-element matching by visiting every face that holds each vertex, hull intersection via
+element matching by visiting every face that holds each vertex and its Morse
+complex by flowing through every pair, hull intersection via
 Fourier-Motzkin elimination, the rational-tableau phase-1 simplex that
 the fraction-free solver must match pivot for pivot, and the first Tverberg
 witness by trying every disjoint face tuple in order.
@@ -239,6 +240,60 @@ def element_matching(X, top):
                     free[k].remove(t)
                     up[k - 1][s] = (t, -1 if i % 2 else 1)
     return up, [sorted(cells) for cells in free]
+
+
+def morse_complex(X, top):
+    """The Morse complex of ``element_matching`` on the faces of X of
+    dimensions -1..top, flowed through every pair: (critical, maps) with
+    maps[k] the (nrows, ncols, sorted (row, col, entry) triplets) of the map
+    from critical (k+1)-faces to critical k-faces.
+
+    Each pair s -> t steps to the other facets r of t with coefficient
+    -[t:s][t:r]; a Kahn order of the pairs (a cycle raises) puts each pair
+    before the pairs it steps to, and the flow of each pair is summed in
+    reverse order from the flows of the faces it steps to.
+    """
+
+    def facets(face):
+        return [(face[:j] + face[j + 1:], -1 if j % 2 else 1) for j in range(len(face))]
+
+    up, critical = element_matching(X, top)
+    maps = []
+    for k in range(top + 1):
+        pairs, rows = up[k], {face: r for r, face in enumerate(critical[k])}
+        indegree = dict.fromkeys(pairs, 0)
+        steps = {}
+        for s, (t, sign) in pairs.items():
+            steps[s] = [(r, -sign * e) for r, e in facets(t)
+                        if r != s and (r in pairs or r in rows)]
+            for r, _ in steps[s]:
+                if r in pairs:
+                    indegree[r] += 1
+        order = [s for s, n in indegree.items() if not n]
+        for s in order:
+            for r, _ in steps[s]:
+                if r in pairs:
+                    indegree[r] -= 1
+                    if not indegree[r]:
+                        order.append(r)
+        if len(order) < len(pairs):
+            raise RuntimeError("matching has a cycle")
+        flow = {}
+
+        def boundary(terms):
+            acc = {}
+            for r, e in terms:
+                for i, v in ({rows[r]: 1} if r in rows else flow.get(r, {})).items():
+                    acc[i] = acc.get(i, 0) + e * v
+            return {i: v for i, v in acc.items() if v}
+
+        for s in reversed(order):
+            flow[s] = boundary(steps[s])
+        cells = critical[k + 1]
+        triplets = sorted((i, j, v) for j, c in enumerate(cells)
+                          for i, v in boundary(facets(c)).items())
+        maps.append((len(rows), len(cells), triplets))
+    return critical, maps
 
 
 # -- hull intersection ---------------------------------------------------------

@@ -5,13 +5,14 @@ import os
 import random
 import subprocess
 import sys
+from copy import deepcopy
 from itertools import combinations
 from pathlib import Path
 
 import pytest
 
 from generator import small_matroid_family
-from oracles import column_rank, element_matching, snf_betti
+from oracles import column_rank, element_matching, morse_complex, snf_betti
 from tvermat import (
     GraphicMatroid,
     HypothesisViolation,
@@ -191,6 +192,95 @@ def test_element_matching_matches_the_reference():
     assert paired > 20_000
 
 
+def test_morse_complex_matches_the_reference():
+    # the first stage's pairs, certified and left out of the gradient pass,
+    # change no critical face and no entry of any map; the gapped, negative
+    # vertex ids put the first stage's cut and the buckets off 0..n-1
+    k6 = GraphicMatroid(6, list(combinations(range(6), 2)))
+    k5 = GraphicMatroid(5, list(combinations(range(5), 2)))
+    cases = [(chessboard(k, m), top)
+             for k in range(1, 6) for m in range(1, 7) for top in range(min(k, m) + 1)]
+    cases += [(deleted_join([UniformMatroid(3, 9)] * 3, 3), 3),
+              (deleted_join([k5] * 2, 3), 3), (as_complex(k6, 4), 4)]
+    gapped = from_facets(list(combinations((-7, 3, 40, 41), 3))
+                         + [(-7, 41, 99), (40, 41, 99), (-2, 3), (-2, 40, 99)])
+    cases += [(gapped, top) for top in range(4)]
+    entries = 0
+    for X, top in cases:
+        critical, maps = _morse_complex(X, top)
+        ref_critical, ref_maps = morse_complex(X, top)
+        assert critical == ref_critical, (X, top)
+        for mat, ref in zip(maps, ref_maps, strict=True):
+            assert (mat.nrows, mat.ncols, sorted(mat.triplets())) == ref, (X, top)
+            entries += len(ref[2])
+    assert entries > 2_500
+
+
+# planted matchings on the hollow triangle whose first stage is not the
+# element matching's, for betti_reduced(X, 1), which asks for faces of sizes
+# 0..3: (0,) ~ (0,1) and (2,) ~ (0,2) is acyclic but pairs no first-stage
+# face with its tail; the one with (1,) ~ (0,1) leaves (0,2) unpaired; the
+# element matching with (0,1) also critical, or with (0,) also paired up to
+# (0,1), uses a face twice
+PLANTED = [
+    ([{}, {(0,): ((0, 1), -1), (2,): ((0, 2), 1)}, {}, {}], [[()], [(1,)], [(1, 2)], []]),
+    ([{(): ((0,), 1)}, {(1,): ((0, 1), 1)}, {}, {}], [[], [(2,)], [(0, 2), (1, 2)], []]),
+    ([{(): ((0,), 1)}, {(1,): ((0, 1), 1), (2,): ((0, 2), 1)}, {}, {}],
+     [[], [], [(0, 1), (1, 2)], []]),
+    ([{(): ((0,), 1)}, {(0,): ((0, 1), -1), (1,): ((0, 1), 1), (2,): ((0, 2), 1)}, {}, {}],
+     [[], [], [(1, 2)], []]),
+]
+
+
+def test_planted_first_stages_are_rejected(monkeypatch):
+    X = from_facets([(0, 1), (1, 2), (0, 2)])
+    for planted in PLANTED:
+        monkeypatch.setattr(homology, "_element_matching", lambda X, top: deepcopy(planted))
+        with pytest.raises(RuntimeError, match="first vertex 0"):
+            betti_reduced(X, 1)
+    monkeypatch.undo()
+    assert betti_reduced(X, 1).betti == (0, 1)
+
+
+def test_planted_first_stages_are_rejected_under_python_O():
+    script = f"""
+import sys
+from tvermat import betti_reduced, from_facets, homology
+assert sys.flags.optimize == 1
+for planted in {PLANTED!r}:
+    homology._element_matching = lambda X, top: planted
+    try:
+        betti_reduced(from_facets([(0, 1), (1, 2), (0, 2)]), 1)
+        sys.exit(f"planted matching accepted: {{planted}}")
+    except RuntimeError as err:
+        if "first vertex 0" not in str(err):
+            sys.exit(f"wrong error: {{err}}")
+print("ok")
+"""
+    src = Path(homology.__file__).resolve().parents[1]
+    proc = subprocess.run([sys.executable, "-O", "-c", script], capture_output=True,
+                          text=True, env={**os.environ, "PYTHONPATH": str(src)}, timeout=60)
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout == "ok\n"
+
+
+def test_first_stage_pairs_leave_the_gradient_pass(monkeypatch):
+    # the work count: every first-stage pair (its upper face holds the first
+    # vertex) is certified by the sweep and never reaches the Kahn walk
+    k6 = GraphicMatroid(6, list(combinations(range(6), 2)))
+    walked = []
+    gradient_paths = homology._gradient_paths
+    monkeypatch.setattr(homology, "_gradient_paths",
+                        lambda pairs, rows: walked.append(len(pairs)) or gradient_paths(pairs, rows))
+    for X, top, first, total in [(deleted_join([UniformMatroid(3, 9)] * 3, 3), 3, 1_733, 2_295),
+                                 (as_complex(k6, 4), 4, 822, 1_186),
+                                 (chessboard(5, 7, trunc=4), 4, 1_045, 4_523)]:
+        up, _ = _element_matching(X, top)
+        walked.clear()
+        _morse_complex(X, top)
+        assert (sum(map(len, up)), sum(walked)) == (total, total - first), X
+
+
 def test_morse_ignores_faces_above_the_next_dimension():
     # through dimension 2 the 3-simplex is its boundary, a 2-sphere: the
     # 3-face would pair the last 2-face away if it were looked at
@@ -253,6 +343,45 @@ try:
 except RuntimeError as err:
     if "cycle" not in str(err):
         sys.exit(f"wrong error: {err}")
+print("ok")
+"""
+    src = Path(homology.__file__).resolve().parents[1]
+    proc = subprocess.run([sys.executable, "-O", "-c", script], capture_output=True,
+                          text=True, env={**os.environ, "PYTHONPATH": str(src)}, timeout=60)
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout == "ok\n"
+
+
+# a planted cycle that the first-stage sweep lets through, so only the Kahn
+# walk can reject it: an isolated vertex 0, paired with the empty face as
+# the element matching pairs it, beside the hollow triangle on 1, 2, 3 with
+# each vertex paired with the next edge; its Morse complex would read
+# beta_0 = beta_1 = 0 where the complex has beta_0 = beta_1 = 1
+SWEPT_CYCLE = ([{(): ((0,), 1)}, {(1,): ((1, 2), 1), (2,): ((2, 3), 1), (3,): ((1, 3), -1)},
+                {}, {}], [[], [], [], []])
+
+
+def test_cycle_past_the_first_stage_is_rejected(monkeypatch):
+    X = from_facets([(0,), (1, 2), (2, 3), (1, 3)])
+    monkeypatch.setattr(homology, "_element_matching", lambda X, top: deepcopy(SWEPT_CYCLE))
+    with pytest.raises(RuntimeError, match="matching has a cycle"):
+        betti_reduced(X, 1)
+    monkeypatch.undo()
+    assert betti_reduced(X, 1).betti == (1, 1)
+
+
+def test_cycle_past_the_first_stage_is_rejected_under_python_O():
+    script = f"""
+import sys
+from tvermat import betti_reduced, from_facets, homology
+assert sys.flags.optimize == 1
+homology._element_matching = lambda X, top: {SWEPT_CYCLE!r}
+try:
+    betti_reduced(from_facets([(0,), (1, 2), (2, 3), (1, 3)]), 1)
+    sys.exit("cyclic matching accepted")
+except RuntimeError as err:
+    if "matching has a cycle" not in str(err):
+        sys.exit(f"wrong error: {{err}}")
 print("ok")
 """
     src = Path(homology.__file__).resolve().parents[1]
