@@ -9,13 +9,17 @@ every complex from matroids: the independence complex is its one-factor case
 and the chessboard C(k, m) is the k-fold deleted join of U(1, m) by
 construction.
 
+A complex built ``relative`` to its first vertex stores only the faces off
+its star, all homology needs, and its exact f-vector.
+
 Materialization is dimension-truncated: ``trunc`` is the largest dimension
 enumerated, ``complete`` records whether any faces beyond it exist.  Counts at
 each materialized dimension are exact.  A per-dimension face cap (default
-5e6) turns combinatorial blowup into a distinct resource-limit error; levels
-fill in order, so it names the lowest over-full dimension.  A d-face costs
-48 + 8(d+1) bytes, its list slot included (87 bytes a face for C(6,8) through
-dimension 5), so a level of 5-faces at the cap holds 0.5 GB.
+5e6, on stored faces and others) turns combinatorial blowup into a distinct
+resource-limit error; levels fill in order, so it names the lowest over-full
+dimension.  A d-face costs 48 + 8(d+1) bytes, its list slot included (87
+bytes a face for C(6,8) through dimension 5), so a level of 5-faces at the
+cap holds 0.5 GB.
 """
 
 from bisect import bisect_left
@@ -29,9 +33,9 @@ DEFAULT_FACE_CAP = 5_000_000
 
 
 def _check_cap(count, dim, cap):
-    if cap is not None and count > cap:
+    if cap is not None and count > cap:  # counting stops at cap + 1
         raise ResourceLimitError(
-            f"face cap exceeded at dimension {dim}: {count} > {cap}",
+            f"face cap exceeded at dimension {dim}: {cap + 1} > {cap}",
             progress={"dimension": dim, "cap": cap},
         )
 
@@ -40,20 +44,22 @@ class SimplicialComplex:
     """Immutable materialized complex.
 
     faces_by_dim: dict dim -> lexicographically sorted list of sorted tuples;
-    builders hand their levels over already sorted.
-    """
+    builders hand their levels over already sorted.  ``f`` is the f-vector.
+    A complex relative to its first vertex has ``vertices``, all in order."""
 
-    def __init__(self, faces_by_dim, trunc, complete):
+    def __init__(self, faces_by_dim, trunc, complete, f=None, vertices=None):
         self.faces_by_dim = faces_by_dim
         self.trunc = trunc
         self.complete = complete
+        self.f = f or tuple(len(faces_by_dim[d]) for d in range(len(faces_by_dim)))
+        self.vertices = vertices
 
     # -- queries -----------------------------------------------------------
 
     @property
     def dimension(self):
         """Largest materialized dimension carrying a face (-1 if none)."""
-        return max(self.faces_by_dim, default=-1)
+        return len(self.f) - 1
 
     def faces(self, dim):
         return self.faces_by_dim.get(dim, [])
@@ -64,17 +70,16 @@ class SimplicialComplex:
 
     def f_vector(self):
         """(f_0, .., f_D) over materialized dimensions; f_{-1}=1 implicit."""
-        top = self.dimension
-        return tuple(len(self.faces(d)) for d in range(top + 1))
+        return self.f
 
     def num_faces(self):
-        return sum(len(fs) for fs in self.faces_by_dim.values())
+        return sum(self.f)
 
     def euler_characteristic(self):
         """Non-reduced Euler characteristic; requires a complete complex."""
         if not self.complete:
             raise PreconditionError("Euler characteristic needs a complete complex")
-        return sum((-1) ** d * len(fs) for d, fs in self.faces_by_dim.items())
+        return sum((-1) ** d * count for d, count in enumerate(self.f))
 
     def _materialized_to(self, d):
         return self.complete or self.trunc >= d
@@ -128,15 +133,28 @@ def independent_sets(M, max_dim, cap=None):
     return by_dim
 
 
-def as_complex(M, max_dim, cap=DEFAULT_FACE_CAP):
+def off_star(levels, v1):
+    """Cut the star of the least vertex v1 out of ``levels``, faces by size
+    0, 1, ..: each level loses its prefix of faces holding v1 and the tails
+    of the next level's prefix.  The last level is only read."""
+    cut = (v1 + 1,)
+    out = []
+    for level, above in zip(levels, levels[1:]):
+        tails = {t[1:] for t in above[:bisect_left(above, cut)]}
+        rest = level[bisect_left(level, cut):]
+        out.append([s for s in rest if s not in tails] if tails else rest)
+    return out
+
+
+def as_complex(M, max_dim, cap=DEFAULT_FACE_CAP, relative=False):
     """Independence complex of a matroid, materialized through ``max_dim``.
 
     Vertices are the non-loops; ``cap`` bounds the faces of each dimension.
     """
-    return deleted_join([M], max_dim, cap)
+    return deleted_join([M], max_dim, cap, relative)
 
 
-def deleted_join(matroids, trunc=None, cap=DEFAULT_FACE_CAP):
+def deleted_join(matroids, trunc=None, cap=DEFAULT_FACE_CAP, relative=False):
     """Deleted join of the independence complexes of ``matroids`` on one
     ground set, materialized through dimension ``trunc`` (all of it if None).
 
@@ -146,7 +164,14 @@ def deleted_join(matroids, trunc=None, cap=DEFAULT_FACE_CAP):
     fill in lexicographic order: a face grows by a larger vertex, either in
     its last copy, extending that copy's part, or in a later copy by an
     element no part uses yet.  A level is abandoned with a ResourceLimitError
-    as soon as it holds more than ``cap`` faces.
+    once it holds more than ``cap`` faces.
+
+    ``relative`` stores the faces s off the star of the first vertex
+    v1 = (c1, e1), v1 not in s and s + v1 no face.  The faces holding v1 are
+    t + v1 for the star faces t one size down, a transient level: a child of
+    a star face leaves it iff it adds e1 or a c1-part that e1 does not
+    extend (not looked up at the top where copy c1's complex is cut below
+    its rank: those star faces stay).  A one-factor complex is cut instead.
     """
     mats = list(matroids)
     if not mats:
@@ -165,8 +190,12 @@ def deleted_join(matroids, trunc=None, cap=DEFAULT_FACE_CAP):
         if id(M) not in factors:
             factors[id(M)] = independent_sets(M, min(trunc, r - 1), cap)
     if len(mats) == 1:  # matroid complexes are pure: the rank bound is exact
-        by_dim = factors[id(mats[0])]
-        return SimplicialComplex(by_dim, trunc, complete=trunc >= top)
+        X = SimplicialComplex(factors[id(mats[0])], trunc, complete=trunc >= top)
+        if relative and X.f:
+            X.vertices = [v for (v,) in X.faces(0)]
+            levels = off_star([[()], *X.faces_by_dim.values(), []], X.vertices[0])
+            X.faces_by_dim = dict(enumerate(levels[1:]))
+        return X
 
     # per copy: encoded part -> (vertex, element) of each larger element
     # extending it; the empty part maps to the copy's non-loops
@@ -182,9 +211,9 @@ def deleted_join(matroids, trunc=None, cap=DEFAULT_FACE_CAP):
     for kids in reversed(ext):
         fresh.insert(0, kids.get((), []) + fresh[0])
 
-    def grow(level, stop):
-        """The next level, cut short once it holds more than ``stop`` faces."""
-        nxt = []
+    def grow(level, stop, nxt):
+        """Append the children of ``level`` to ``nxt`` till it passes ``stop``."""
+        append = nxt.append
         for face in level:
             if face:
                 c = face[-1] // n
@@ -197,30 +226,48 @@ def deleted_join(matroids, trunc=None, cap=DEFAULT_FACE_CAP):
                 cands, used = fresh[0], ()
             for v, e in cands:
                 if e not in used:
-                    nxt.append(face + (v,))
-                    if len(nxt) > stop:
-                        return nxt
+                    append(face + (v,))
+            if len(nxt) > stop:
+                break
         return nxt
 
-    by_dim = {}
-    level = [()]
+    if not fresh[0]:  # no vertex, or trunc = -1: the bound decides
+        return SimplicialComplex({}, trunc, trunc >= top)
+    v1, e1 = fresh[0][0]
+    c1 = v1 // n
+    # the parts of copy c1 holding v1: a star face's child t there stays iff (v1,) + t is one
+    link = {tuple(c1 * n + e for e in part) for level in factors[id(mats[c1])].values()
+            for part in level[:bisect_left(level, (e1 + 1,))]}
+    stop = inf if cap is None else cap
+    by_dim, f, star, off = {}, [], [()], []
     for d in range(trunc + 1):
-        level = grow(level, inf if cap is None else cap)
-        _check_cap(len(level), d, cap)
-        if not level:
+        cone = len(star)  # the d-faces t + v1 of the star faces t below
+        nstar, noff = [], []
+        for t in grow(star, stop - cone, []):
+            v = t[-1]
+            if v != v1:
+                (nstar if v % n != e1 and (v // n != c1 or (v1,) + t in link) else noff).append(t)
+        grow(off, stop - cone - len(nstar), noff)
+        count = cone + len(nstar) + len(noff)
+        _check_cap(count, d, cap)
+        if not count:
             break
-        by_dim[d] = level
-    # below the bound, complete iff no top face extends (trunc = -1 is decided
-    # by the bound alone: a vertex exists iff some rank is positive)
-    complete = trunc >= top or (trunc >= 0 and not grow(level, 0))
-    return SimplicialComplex(by_dim, trunc, complete)
+        noff.sort()  # two sorted runs: the leavers and the children of off
+        by_dim[d] = noff if relative else [(v1,) + t for t in star] + sorted(nstar + noff)
+        star, off = nstar, noff
+        f.append(count)
+    # a face of dimension trunc+1 is t + v1 for a star face t, or extends an
+    # off-star one; copy c1's complex cut below its rank has one anyway
+    complete = trunc >= top or (trunc >= ranks[c1] - 1 and not star and not grow(off, 0, []))
+    return SimplicialComplex(by_dim, trunc, complete, tuple(f),
+                             [v for v, _ in fresh[0]] if relative else None)
 
 
 # compatibility name: the benchmark's tracer wraps this binding
 matroid_deleted_join = deleted_join
 
 
-def chessboard(k, m, trunc=None, cap=DEFAULT_FACE_CAP):
+def chessboard(k, m, trunc=None, cap=DEFAULT_FACE_CAP, relative=False):
     """Chessboard complex C(k, m): partial placements of non-attacking rooks.
 
     Built as the k-fold deleted join of U(1, m), so the cell in row r and
@@ -228,4 +275,4 @@ def chessboard(k, m, trunc=None, cap=DEFAULT_FACE_CAP):
     """
     if k < 1 or m < 1:
         raise InputError(f"need k >= 1 and m >= 1, got k={k}, m={m}")
-    return deleted_join([UniformMatroid(1, m)] * k, trunc, cap)
+    return deleted_join([UniformMatroid(1, m)] * k, trunc, cap, relative)

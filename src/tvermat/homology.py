@@ -1,14 +1,17 @@
 """Exact reduced rational homology and the connectivity verifiers built on it.
 
-Betti numbers come from a discrete Morse reduction.  The element matching
-(Jonsson 2008, *Simplicial Complexes of Graphs*, LNM 1928) takes the vertices
-in ascending order and pairs each unmatched face s without v with s + v when
-that face is unmatched too.  A union of element matchings is acyclic: one
-sweep certifies the first vertex's pairs as sinks and a topological order
-of the modified Hasse graph re-checks the rest, so the Morse complex on the
-unpaired (critical) faces has the integral homology of the complex (Forman
-1998).  Its boundary flows each critical face's boundary along gradient
-paths, every step a +-1 pivot, so its entries stay integers.
+Betti numbers come from a discrete Morse reduction of X relative to the star
+of its first vertex v1, a cone: through dimension top, less some top faces,
+it is a subcomplex L with H~_j(L) = 0 for j < top, so H_i(X, L) = H~_i(X)
+for i < top, and the chains are the faces s without v1 and with s + v1 no
+face.  The element matching (Jonsson 2008, *Simplicial Complexes of Graphs*,
+LNM 1928) would pair the star first, so it runs on them from the second
+vertex on: each vertex v in ascending order pairs each unmatched face s
+without v with s + v when that face is unmatched too.  Its acyclicity is
+re-checked by a topological order of the modified Hasse graph, so the Morse
+complex on the unpaired (critical) faces has the integral homology of the
+pair (Forman 1998).  Its boundary flows along gradient paths, every step a
++-1 pivot, so its entries stay integers.
 
 Every rank is exact: each boundary map is eliminated as its transpose, the
 coboundary, with division-free integer elimination, bottom-up with clearing
@@ -28,7 +31,7 @@ from itertools import chain
 from math import gcd
 
 from .errors import HypothesisViolation, InputError, PreconditionError
-from .complexes import DEFAULT_FACE_CAP, deleted_join
+from .complexes import DEFAULT_FACE_CAP, deleted_join, off_star
 from .packing import max_disjoint_bases, pack_into_independent, partition_almost_equal
 
 
@@ -59,7 +62,7 @@ def boundary_matrix(X, i):
     """
     if i < 0:
         raise InputError(f"boundary dimension must be >= 0, got {i}")
-    if not X._materialized_to(i):
+    if X.vertices or not X._materialized_to(i):
         raise PreconditionError(f"faces at dimension {i} not materialized")
     faces_i = X.faces(i)
     if i == 0:
@@ -70,24 +73,30 @@ def boundary_matrix(X, i):
 
 
 def _element_matching(X, top):
-    """The element matching on the faces of X of dimensions -1..top.
+    """The element matching on the faces of X of dimensions -1..top off the
+    star of the first vertex v1: a stored X is cut to them, and a raise
+    checks that no face of a relative X holds v1 (the first of each level).
 
-    For each vertex v in ascending order, every unmatched face s without v
-    is paired with t = s + v when t is an unmatched face too.  A face waits
-    at one vertex: its first, then, while t is free but t - v is taken, the
-    vertex after v.  It leaves once matched, or once its size or the size
-    below has no free face left: free sets only shrink.  A stage's pairs
-    (t - v, t) are disjoint, so its visiting order is free.  Returns ``up``
-    and ``critical`` by face size k = dimension + 1: up[k] maps each paired
-    k-face s to (t, sign of s in the boundary of t), and critical[k] lists
-    the unpaired k-faces in lexicographic order.
+    For each later vertex v in ascending order, every unmatched face s
+    without v is paired with t = s + v when t is an unmatched face too.  A
+    face waits at one vertex: its first, then, while t is free but t - v is
+    taken, the vertex after v.  It leaves once matched, or once its size or
+    the size below has no free face left: free sets only shrink.  A stage's
+    pairs (t - v, t) are disjoint, so its visiting order is free.  Returns
+    ``up`` and ``critical`` by face size k = dimension + 1: up[k] maps each
+    paired k-face s to (t, sign of s in the boundary of t), and critical[k]
+    lists the unpaired k-faces in lexicographic order.
     """
-    levels = [[()]] + [X.faces(d) for d in range(top + 1)]
+    vertices = X.vertices or [v for (v,) in X.faces(0)]
+    levels = [[()]] + [X.faces(d) for d in range(top + 2)]
+    if X.vertices and any(level and level[0][0] == vertices[0] for level in levels[1:]):
+        raise RuntimeError(f"a stored face holds the first vertex {vertices[0]}")
+    levels = off_star(levels, vertices[0]) if vertices else levels[:-1]
     free = [set(level) for level in levels]
     up = [{} for _ in levels]
     waiting = [{} for _ in levels]  # k -> vertex -> the k-faces queued there
     start = [0] * len(levels)  # k -> the first k-face not yet in a bucket
-    for (v,) in X.faces(0):
+    for v in vertices[1:]:
         for k in range(1, top + 2):
             level, lower, upper = levels[k], free[k - 1], free[k]
             lo, start[k] = start[k], bisect_left(level, (v + 1,), start[k])
@@ -104,7 +113,9 @@ def _element_matching(X, top):
                         up[k - 1][s] = (t, -1 if i % 2 else 1)
                     elif i + 1 < k:
                         waiting[k].setdefault(t[i + 1], []).append(t)
-    return up, [[t for t in level if t in cells] for level, cells in zip(levels, free)]
+    # a filter walks the level, a sort costs about log2 of the cells a cell
+    return up, [sorted(cells) if len(cells) * len(cells).bit_length() < len(level)
+                else [t for t in level if t in cells] for level, cells in zip(levels, free)]
 
 
 def _gradient_paths(pairs, rows):
@@ -114,13 +125,12 @@ def _gradient_paths(pairs, rows):
     A path steps from a paired face s, through its partner t, to each other
     facet r of t with coefficient -[t:s][t:r], a +-1 pivot.  ``steps[s]``
     keeps the steps to faces in ``pairs`` or critical (in ``rows``): a face
-    paired downward, or a first-stage sink left out of ``pairs``, ends its
-    paths.  In the order, s comes before every paired face it steps to.  A
+    paired downward, or one of the star, which is no chain of the pair, ends
+    its paths.  In the order, s comes before every paired face it steps to.  A
     directed cycle of the modified Hasse graph (each pair's edge reversed)
-    stays within two adjacent dimensions and passes through paired faces
-    other than sinks only, so this Kahn order over the other pairs of each
-    size certifies that the whole matching is acyclic.  A cycle raises
-    RuntimeError.
+    stays within two adjacent dimensions, so this Kahn order over the pairs
+    of each size certifies that the whole matching is acyclic.  A cycle
+    raises RuntimeError.
     """
     indegree = dict.fromkeys(pairs, 0)
     steps = {}
@@ -262,42 +272,29 @@ class BettiVector:
 
 def _morse_complex(X, top):
     """The Morse complex of the element matching on the faces of X of
-    dimensions -1..top: the critical faces by size (dimension + 1) and the
-    boundary maps, maps[i] from critical i-faces to critical (i-1)-faces for
-    i = 0..top.  The first stage pairs each face t holding the first vertex
-    v1 with t[1:]; every other facet of t holds v1 and is paired downward,
-    so the path from t[1:] ends at once with flow 0 and lies on no cycle.
-    One sweep certifies that stage (each level's v1-prefix so paired, and v1
-    in no other lower face nor critical face) and leaves it out of the
-    gradient pass, which re-checks the rest acyclic size by size; a map
-    into no critical face is not flowed.
+    dimensions -1..top off the star of the first vertex: the critical faces
+    by size (dimension + 1) and the boundary maps, maps[i] from critical
+    i-faces to critical (i-1)-faces for i = 0..top.  A facet in the star is
+    no chain, so it drops out of every boundary; a map into no critical face
+    is not flowed.
     """
     up, critical = _element_matching(X, top)
-    for (v1,) in X.faces(0)[:1]:
-        for k in range(1, top + 2):
-            level = X.faces(k - 1)
-            if (any(up[k - 1].pop(t[1:], None) != (t, 1) or t in up[k]
-                    for t in level[:bisect_left(level, (v1 + 1,))])
-                    or critical[k][:1] and critical[k][0][0] == v1):
-                raise RuntimeError(f"a cycle is not ruled out: the {k}-faces "
-                                   f"holding the first vertex {v1} are not paired by it")
     maps = [_morse_map(up[k], {face: r for r, face in enumerate(critical[k])},
                        critical[k + 1])
             for k in range(top + 1)]
     return critical, maps
 
 
-def betti_reduced(X, up_to, exact_only=False):
+def betti_reduced(X, up_to):
     """Reduced Betti numbers of X through degree ``up_to``.
 
     Requires materialization through dimension up_to+1 (the image of the next
-    boundary map); faces above it are ignored.  The ranks are taken on the
-    Morse complex of the element matching on dimensions -1..up_to+1, so
-    beta_i = c_i - rank d_i - rank d_(i+1) with c_i the critical i-faces.
-    Every rank is exact; each coboundary skips the rows that led a pivot of
-    the map below it.  ``exact_only`` takes every rank on the boundary
-    columns of X itself with no reduction and no clearing: the reference the
-    Morse pass is tested against.
+    boundary map); faces above it are ignored.  X may be stored or built
+    relative to its first vertex.  The ranks are taken on the Morse complex
+    of the element matching on the faces off the first vertex's star through
+    dimension up_to+1, so beta_i = c_i - rank d_i - rank d_(i+1) with c_i the
+    critical i-faces.  Every rank is exact; each coboundary skips the rows
+    that led a pivot of the map below it.
     """
     if up_to < 0:
         raise InputError(f"up_to must be >= 0, got {up_to}")
@@ -305,26 +302,20 @@ def betti_reduced(X, up_to, exact_only=False):
         raise PreconditionError(
             f"betti through {up_to} needs faces at dimension {up_to + 1}"
         )
-    f = [len(X.faces(d)) for d in range(up_to + 2)]
-    if exact_only:
-        cells = f
-        ranks = [len(_rank_sparse_exact([dict(col) for col in boundary_matrix(X, i).cols]))
-                 for i in range(up_to + 2)]
-    else:
-        critical, maps = _morse_complex(X, up_to + 1)
-        cells = [len(faces) for faces in critical[1:]]
-        # Clearing: the rows of the faces that led a pivot of map i-1 are
-        # skipped in map i.  The reduced row with lead c is a coboundary dx,
-        # and ddx = 0 puts the coboundary of c in the span over Q of the rows
-        # after it, so the skipped rows leave the rank unchanged.
-        ranks, leads = [], set()
-        for mat in maps:
-            leads = _coboundary_leads(mat, leads)
-            ranks.append(len(leads))
+    critical, maps = _morse_complex(X, up_to + 1)
+    cells = [len(faces) for faces in critical[1:]]
+    # Clearing: the rows of the faces that led a pivot of map i-1 are
+    # skipped in map i.  The reduced row with lead c is a coboundary dx,
+    # and ddx = 0 puts the coboundary of c in the span over Q of the rows
+    # after it, so the skipped rows leave the rank unchanged.
+    ranks, leads = [], set()
+    for mat in maps:
+        leads = _coboundary_leads(mat, leads)
+        ranks.append(len(leads))
     betti = [cells[i] - ranks[i] - ranks[i + 1] for i in range(up_to + 1)]
     if any(b < 0 for b in betti):
         raise RuntimeError("negative Betti number: rank computation inconsistent")
-    return BettiVector(tuple(betti), up_to, tuple(f[: up_to + 1]))
+    return BettiVector(tuple(betti), up_to, (X.f_vector() + (0,) * (up_to + 1))[: up_to + 1])
 
 
 @dataclass
@@ -360,7 +351,7 @@ def homologically_connected(X, c):
     """
     if c < -1:
         raise InputError(f"connectivity bound must be >= -1, got {c}")
-    nonempty = bool(X.faces(0))
+    nonempty = bool(X.f_vector())
     betti = betti_reduced(X, c).betti if nonempty and c >= 0 else ()
     flags = tuple(b == 0 for b in betti) if nonempty else (False,) * (c + 1)
     return ConnectivityReport(
@@ -377,12 +368,12 @@ def homologically_connected(X, c):
 
 def join_connectivity(matroids, c, cap=DEFAULT_FACE_CAP, context=None):
     """The c-connectivity check of the deleted join of ``matroids``, built
-    through dimension c+1; a bound below -1 is vacuous.  ``context`` is
-    copied into the report."""
+    relative to its first vertex through dimension c+1; a bound below -1 is
+    vacuous.  ``context`` is copied into the report."""
     if c < -1:
         rep = ConnectivityReport(c, True, note="bound below -1 is vacuous")
     else:
-        rep = homologically_connected(deleted_join(matroids, max(c + 1, 0), cap), c)
+        rep = homologically_connected(deleted_join(matroids, max(c + 1, 0), cap, True), c)
     rep.context.update(context or {})
     return rep
 

@@ -4,16 +4,21 @@ These deliberately share no code with the package internals: graphic ranks
 by counting connected components, linear ranks by dense elimination over
 Q or GF(p), packing maxima by exhaustive set packing, deleted joins by
 testing every vertex set, Betti numbers via dense integer Smith reduction, the
-element matching by visiting every face that holds each vertex and its Morse
-complex by flowing through every pair, hull intersection via
-Fourier-Motzkin elimination, the rational-tableau phase-1 simplex that
-the fraction-free solver must match pivot for pivot, and the first Tverberg
-witness by trying every disjoint face tuple in order.
+element matching off the first vertex's star by visiting every face that
+holds each vertex and its Morse complex by flowing through every pair, hull
+intersection via Fourier-Motzkin elimination, the rational-tableau phase-1
+simplex that the fraction-free solver must match pivot for pivot, and the
+first Tverberg witness by trying every disjoint face tuple in order.  The
+one exception is ``exact_betti``: it ranks the package's own boundary
+matrices with its exact elimination, and so checks the Morse reduction
+alone (the Smith oracle checks the elimination).
 """
 
 from fractions import Fraction
 from itertools import combinations
 from math import gcd
+
+from tvermat.homology import _rank_sparse_exact, boundary_matrix
 
 
 # -- matroid ranks -------------------------------------------------------------
@@ -215,21 +220,40 @@ def snf_betti(faces_by_dim, up_to):
     )
 
 
+def exact_betti(X, up_to):
+    """Reduced Betti numbers of the stored complex X through ``up_to``, every
+    rank taken on the boundary columns of X itself, with no reduction and no
+    clearing: the reference the Morse pass is tested against."""
+    ranks = [len(_rank_sparse_exact([dict(col) for col in boundary_matrix(X, i).cols]))
+             for i in range(up_to + 2)]
+    return tuple(len(X.faces(i)) - ranks[i] - ranks[i + 1] for i in range(up_to + 1))
+
+
 def element_matching(X, top):
-    """The element matching on the faces of X of dimensions -1..top, as
+    """The element matching on the faces of the stored complex X of
+    dimensions -1..top off the star of its first vertex v1, as
     ``homology._element_matching`` returns it: (up, critical) by face size.
 
-    Each vertex v in ascending order visits every face t holding it, of
-    every size, and pairs t with s = t - v when both are still unmatched.
+    A face s is off the star when v1 is not in s and s + v1 is not a stored
+    face.  Each later vertex v in ascending order visits every face t holding
+    it, of every size, and pairs t with s = t - v when both are still
+    unmatched.
     """
-    free = [{()}] + [set(X.faces(d)) for d in range(top + 1)]
+    vertices = [v for (v,) in X.faces(0)]
+    levels = [[()]] + [X.faces(d) for d in range(top + 1)]
+    if vertices:
+        stored = set(X.all_faces()) | {()}
+        v1 = vertices[0]
+        levels = [[s for s in level if v1 not in s and tuple(sorted(s + (v1,))) not in stored]
+                  for level in levels]
+    free = [set(level) for level in levels]
     up = [{} for _ in free]
-    holding = {v: [] for (v,) in X.faces(0)}  # vertex -> the faces with it, by size
-    for d in range(top + 1):
-        for t in X.faces(d):
+    holding = {v: [] for v in vertices}  # vertex -> the faces with it, by size
+    for level in levels:
+        for t in level:
             for v in t:
                 holding[v].append(t)
-    for (v,) in X.faces(0):
+    for v in vertices[1:]:
         for t in holding.pop(v):
             k = len(t)
             if t in free[k]:
@@ -244,7 +268,8 @@ def element_matching(X, top):
 
 def morse_complex(X, top):
     """The Morse complex of ``element_matching`` on the faces of X of
-    dimensions -1..top, flowed through every pair: (critical, maps) with
+    dimensions -1..top off the first vertex's star, flowed through every
+    pair (a facet in the star is no chain): (critical, maps) with
     maps[k] the (nrows, ncols, sorted (row, col, entry) triplets) of the map
     from critical (k+1)-faces to critical k-faces.
 

@@ -163,3 +163,38 @@ def test_join_input_errors():
         deleted_join([])
     with pytest.raises(InputError):
         deleted_join([UniformMatroid(3, 6)] * 2, trunc=-2)
+
+
+def _cap_outcome(build):
+    try:
+        X = build()
+    except ResourceLimitError as err:
+        return str(err), err.progress
+    return X.f_vector(), X.complete
+
+
+def test_relative_builds_count_every_face_against_the_cap():
+    # the relative build stores only the faces off the first vertex's star
+    # but counts the star and its cone too: every cap ends the same way
+    for mats, trunc in (([UniformMatroid(1, 4)] * 3, 2), ([UniformMatroid(2, 5)] * 2, 3),
+                        ([UniformMatroid(0, 6), K4, UniformMatroid(2, 6)], 3)):
+        total = sum(deleted_join(mats, trunc).f_vector())
+        for cap in range(total + 1):
+            assert _cap_outcome(lambda: deleted_join(mats, trunc, cap, relative=True)) == \
+                _cap_outcome(lambda: deleted_join(mats, trunc, cap)), (mats, cap)
+
+
+def test_first_copy_cut_below_its_rank_is_incomplete():
+    # the first copy's complex cut below its rank files the top's children in
+    # that copy off the star unchecked; the first vertex 0 is a coloop here,
+    # so the only faces above the top hold it
+    bridge = GraphicMatroid(3, [(0, 1), (1, 2), (1, 2)])
+    for mats in ([UniformMatroid(2, 2), UniformMatroid(0, 2)],
+                 [UniformMatroid(3, 3), UniformMatroid(1, 3)],
+                 [bridge, UniformMatroid(0, 3)], [bridge, bridge]):
+        for trunc in range(-1, 3):
+            faces, complete = brute_deleted_join(mats, trunc)
+            for relative in (False, True):
+                X = deleted_join(mats, trunc, relative=relative)
+                assert (sum(X.f_vector()), X.complete) == (
+                    sum(map(len, faces.values())), complete), (mats, trunc, relative)

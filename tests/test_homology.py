@@ -12,10 +12,12 @@ from pathlib import Path
 import pytest
 
 from generator import small_matroid_family
-from oracles import column_rank, element_matching, morse_complex, snf_betti
+from oracles import column_rank, element_matching, exact_betti, morse_complex, snf_betti
 from tvermat import (
     GraphicMatroid,
     HypothesisViolation,
+    PartitionMatroid,
+    SimplicialComplex,
     UniformMatroid,
     as_complex,
     betti_reduced,
@@ -85,7 +87,7 @@ def test_betti_examples():
 
 def test_betti_exact_only_path_agrees():
     c34 = chessboard(3, 4)
-    assert betti_reduced(c34, 2, exact_only=True).betti == (0, 2, 1)
+    assert exact_betti(c34, 2) == (0, 2, 1)
 
 
 def test_betti_vs_snf_oracle_random():
@@ -121,7 +123,7 @@ def test_cleared_ranks_vs_exact_and_snf_random():
         d = X.dimension
         assert d in (2, 3)
         ours = betti_reduced(X, d).betti
-        assert ours == betti_reduced(X, d, exact_only=True).betti, facets
+        assert ours == exact_betti(X, d), facets
         assert ours == snf_betti(X.faces_by_dim, d), facets
         multi += sum(1 for b in ours if b) >= 2
     assert multi >= 10
@@ -138,7 +140,7 @@ def test_cleared_ranks_vs_exact_on_deleted_joins():
                 continue
             X = deleted_join([M] * k, up + 1)
             ours = betti_reduced(X, up).betti
-            assert ours == betti_reduced(X, up, exact_only=True).betti, (M, k)
+            assert ours == exact_betti(X, up), (M, k)
             checked += 1
             nonvanishing += any(ours)
     assert checked >= 80 and nonvanishing >= 60
@@ -174,7 +176,8 @@ def test_morse_critical_cell_counts():
 
 
 def test_element_matching_matches_the_reference():
-    # skipping a size whose free faces have run out pairs the same faces
+    # skipping a size whose free faces have run out pairs the same faces; the
+    # faces off the first vertex's star hold about half of all pairs
     k6 = GraphicMatroid(6, list(combinations(range(6), 2)))
     k5 = GraphicMatroid(5, list(combinations(range(5), 2)))
     cases = [(chessboard(k, m, trunc), trunc)
@@ -189,13 +192,14 @@ def test_element_matching_matches_the_reference():
             up, critical = _element_matching(X, t)
             assert (up, critical) == element_matching(X, t), (X, t)
             paired += sum(map(len, up))
-    assert paired > 20_000
+    assert paired > 10_000
 
 
 def test_morse_complex_matches_the_reference():
-    # the first stage's pairs, certified and left out of the gradient pass,
-    # change no critical face and no entry of any map; the gapped, negative
-    # vertex ids put the first stage's cut and the buckets off 0..n-1
+    # the faces off the first vertex's star, cut by levels and flowed along
+    # the Kahn order, give the reference's critical faces and every entry of
+    # every map; the gapped, negative vertex ids put the star's cut and the
+    # buckets off 0..n-1
     k6 = GraphicMatroid(6, list(combinations(range(6), 2)))
     k5 = GraphicMatroid(5, list(combinations(range(5), 2)))
     cases = [(chessboard(k, m), top)
@@ -216,42 +220,34 @@ def test_morse_complex_matches_the_reference():
     assert entries > 2_500
 
 
-# planted matchings on the hollow triangle whose first stage is not the
-# element matching's, for betti_reduced(X, 1), which asks for faces of sizes
-# 0..3: (0,) ~ (0,1) and (2,) ~ (0,2) is acyclic but pairs no first-stage
-# face with its tail; the one with (1,) ~ (0,1) leaves (0,2) unpaired; the
-# element matching with (0,1) also critical, or with (0,) also paired up to
-# (0,1), uses a face twice
-PLANTED = [
-    ([{}, {(0,): ((0, 1), -1), (2,): ((0, 2), 1)}, {}, {}], [[()], [(1,)], [(1, 2)], []]),
-    ([{(): ((0,), 1)}, {(1,): ((0, 1), 1)}, {}, {}], [[], [(2,)], [(0, 2), (1, 2)], []]),
-    ([{(): ((0,), 1)}, {(1,): ((0, 1), 1), (2,): ((0, 2), 1)}, {}, {}],
-     [[], [], [(0, 1), (1, 2)], []]),
-    ([{(): ((0,), 1)}, {(0,): ((0, 1), -1), (1,): ((0, 1), 1), (2,): ((0, 2), 1)}, {}, {}],
-     [[], [], [(1, 2)], []]),
-]
+# planted complexes that claim to be the hollow triangle relative to its
+# first vertex 0, for betti_reduced(X, 1), which reads faces of dimensions
+# 0..2, but store faces holding 0: every face; the edge (0, 2) besides the
+# one off-star edge (1, 2); a 2-face (0, 1, 2) above them
+PLANTED = [{0: [(0,), (1,), (2,)], 1: [(0, 1), (0, 2), (1, 2)]},
+           {0: [], 1: [(0, 2), (1, 2)]},
+           {0: [], 1: [(1, 2)], 2: [(0, 1, 2)]}]
 
 
-def test_planted_first_stages_are_rejected(monkeypatch):
-    X = from_facets([(0, 1), (1, 2), (0, 2)])
+def test_planted_first_stages_are_rejected():
     for planted in PLANTED:
-        monkeypatch.setattr(homology, "_element_matching", lambda X, top: deepcopy(planted))
+        X = SimplicialComplex(planted, 1, True, (3, 3), [0, 1, 2])
         with pytest.raises(RuntimeError, match="first vertex 0"):
             betti_reduced(X, 1)
-    monkeypatch.undo()
+    X = as_complex(UniformMatroid(2, 3), 1, relative=True)
+    assert (X.faces_by_dim, X.vertices) == ({0: [], 1: [(1, 2)]}, [0, 1, 2])
     assert betti_reduced(X, 1).betti == (0, 1)
 
 
 def test_planted_first_stages_are_rejected_under_python_O():
     script = f"""
 import sys
-from tvermat import betti_reduced, from_facets, homology
+from tvermat import SimplicialComplex, betti_reduced
 assert sys.flags.optimize == 1
 for planted in {PLANTED!r}:
-    homology._element_matching = lambda X, top: planted
     try:
-        betti_reduced(from_facets([(0, 1), (1, 2), (0, 2)]), 1)
-        sys.exit(f"planted matching accepted: {{planted}}")
+        betti_reduced(SimplicialComplex(planted, 1, True, (3, 3), [0, 1, 2]), 1)
+        sys.exit(f"planted complex accepted: {{planted}}")
     except RuntimeError as err:
         if "first vertex 0" not in str(err):
             sys.exit(f"wrong error: {{err}}")
@@ -265,28 +261,41 @@ print("ok")
 
 
 def test_first_stage_pairs_leave_the_gradient_pass(monkeypatch):
-    # the work count: every first-stage pair (its upper face holds the first
-    # vertex) is certified by the sweep and never reaches the Kahn walk
+    # the work count: a complex built relative to its first vertex stores
+    # no face of that vertex's star, so no pair of the element matching's
+    # first stage reaches the matching or the Kahn walk.  Pinned: stored
+    # faces, all faces, pairs walked and critical top faces; a stored build
+    # walks the same pairs, but its top faces in the star stay critical
+    # (the whole element matching makes 2,295, 1,186 and 4,523 pairs)
     k6 = GraphicMatroid(6, list(combinations(range(6), 2)))
     walked = []
     gradient_paths = homology._gradient_paths
     monkeypatch.setattr(homology, "_gradient_paths",
                         lambda pairs, rows: walked.append(len(pairs)) or gradient_paths(pairs, rows))
-    for X, top, first, total in [(deleted_join([UniformMatroid(3, 9)] * 3, 3), 3, 1_733, 2_295),
-                                 (as_complex(k6, 4), 4, 822, 1_186),
-                                 (chessboard(5, 7, trunc=4), 4, 1_045, 4_523)]:
-        up, _ = _element_matching(X, top)
+    for build, top, pinned, stored_top in [
+            (lambda **kw: deleted_join([UniformMatroid(3, 9)] * 3, 3, **kw), 3,
+             (4_082, 12_447, 562, 2_958), 7_858),
+            (lambda **kw: as_complex(k6, 4, **kw), 4, (1_288, 2_931, 364, 560), 560),
+            (lambda **kw: chessboard(5, 7, trunc=4, **kw), 4, (7_186, 9_275, 3_478, 132), 132)]:
+        X = build(relative=True)
         walked.clear()
-        _morse_complex(X, top)
-        assert (sum(map(len, up)), sum(walked)) == (total, total - first), X
+        critical, _ = _morse_complex(X, top)
+        assert (sum(map(len, X.faces_by_dim.values())), X.num_faces(), sum(walked),
+                len(critical[-1])) == pinned, X
+        walked.clear()
+        critical, _ = _morse_complex(build(), top)
+        assert (sum(walked), len(critical[-1])) == (pinned[2], stored_top), X
 
 
 def test_morse_ignores_faces_above_the_next_dimension():
-    # through dimension 2 the 3-simplex is its boundary, a 2-sphere: the
-    # 3-face would pair the last 2-face away if it were looked at
+    # through dimension 2 the 3-simplex is its boundary, a 2-sphere, whose
+    # 2-face (1, 2, 3) off the star of 0 stays critical; the stored 3-face
+    # puts it in the star, and the faces above are not looked at
     X = full_simplex(4)
-    assert _critical_counts(X, 2) == {2: 1}
-    assert _critical_counts(X, 3) == {}
+    sphere = from_facets(combinations(range(4), 3))
+    assert _critical_counts(sphere, 2) == {2: 1}
+    assert betti_reduced(sphere, 2).betti == (0, 0, 1)
+    assert _critical_counts(X, 1) == _critical_counts(X, 2) == _critical_counts(X, 3) == {}
     assert betti_reduced(X, 1).betti == (0, 0)
     assert betti_reduced(X, 2).betti == (0, 0, 0)
     board = chessboard(4, 6)
@@ -296,7 +305,7 @@ def test_morse_ignores_faces_above_the_next_dimension():
 def test_morse_empty_complex_and_single_vertex():
     empty = from_facets([])
     assert _critical_counts(empty, 1) == {-1: 1}
-    assert betti_reduced(empty, 1).betti == (0, 0) == betti_reduced(empty, 1, exact_only=True).betti
+    assert betti_reduced(empty, 1).betti == (0, 0) == exact_betti(empty, 1)
     point = from_facets([(0,)])
     assert _critical_counts(point, 1) == {}
     assert betti_reduced(point, 0).betti == (0,)
@@ -312,7 +321,7 @@ def test_morse_complex_keeps_the_3_torsion():
     top = maps[3]
     dense = [[dict(col).get(r, 0) for r in range(top.nrows)] for col in top.cols]
     assert column_rank(dense) == 30 and column_rank(dense, 3) == 29
-    assert betti_reduced(X, 2).betti == (0, 0, 0) == betti_reduced(X, 2, exact_only=True).betti
+    assert betti_reduced(X, 2).betti == (0, 0, 0) == exact_betti(X, 2)
 
 
 def test_cyclic_matching_is_rejected(monkeypatch):
@@ -352,12 +361,12 @@ print("ok")
     assert proc.stdout == "ok\n"
 
 
-# a planted cycle that the first-stage sweep lets through, so only the Kahn
-# walk can reject it: an isolated vertex 0, paired with the empty face as
-# the element matching pairs it, beside the hollow triangle on 1, 2, 3 with
-# each vertex paired with the next edge; its Morse complex would read
-# beta_0 = beta_1 = 0 where the complex has beta_0 = beta_1 = 1
-SWEPT_CYCLE = ([{(): ((0,), 1)}, {(1,): ((1, 2), 1), (2,): ((2, 3), 1), (3,): ((1, 3), -1)},
+# a planted cycle among the faces off the first vertex's star, where the
+# matching runs, so only the Kahn walk can reject it: beside the isolated
+# first vertex 0, whose star holds no other face, the hollow triangle on
+# 1, 2, 3 with each vertex paired with the next edge; its Morse complex
+# would read beta_0 = beta_1 = 0 where the complex has beta_0 = beta_1 = 1
+SWEPT_CYCLE = ([{}, {(1,): ((1, 2), 1), (2,): ((2, 3), 1), (3,): ((1, 3), -1)},
                 {}, {}], [[], [], [], []])
 
 
@@ -389,6 +398,62 @@ print("ok")
                           text=True, env={**os.environ, "PYTHONPATH": str(src)}, timeout=60)
     assert proc.returncode == 0, proc.stderr
     assert proc.stdout == "ok\n"
+
+
+def _relative_matches_stored(build, up_to, betti):
+    """The build relative to the first vertex against the stored one, both
+    through dimension up_to + 1: f-vector, face count and completeness
+    agree, and the Betti numbers are ``betti``, those of the whole complex;
+    on a small complex they are the Smith oracle's, and the connectivity
+    reports agree.  Returns 1 for the count."""
+    stored, rel = build(up_to + 1), build(up_to + 1, relative=True)
+    assert (rel.f_vector(), rel.num_faces(), rel.complete) == (
+        stored.f_vector(), stored.num_faces(), stored.complete), (stored, up_to)
+    assert all(v not in face for v in (rel.vertices or ())[:1] for face in rel.all_faces())
+    if up_to >= 0:
+        assert betti_reduced(rel, up_to).betti == betti[:up_to + 1], (stored, up_to)
+    if 0 <= up_to and stored.num_faces() <= 300:
+        assert betti[:up_to + 1] == snf_betti(stored.faces_by_dim, up_to), (stored, up_to)
+        assert (homologically_connected(rel, up_to).to_payload()
+                == homologically_connected(stored, up_to).to_payload())
+    return 1
+
+
+def _all_ups(build, lo=-1):
+    """_relative_matches_stored at every up_to from lo to one past the
+    dimension, against the Betti numbers of the stored whole complex."""
+    top = build(None).dimension + 1
+    betti = betti_reduced(build(None), top).betti if top >= 0 else ()
+    return sum(_relative_matches_stored(build, up_to, betti) for up_to in range(lo, top + 1))
+
+
+def test_relative_builds_match_stored_builds():
+    cases = 0
+    for k in range(1, 7):
+        for m in range(1, 8):
+            cases += _all_ups(lambda t, **kw: chessboard(k, m, t, **kw), 0)
+    loop_graph = GraphicMatroid(3, [(0, 1), (1, 1), (1, 2), (0, 1), (0, 2)])
+    factors = [UniformMatroid(2, 5), UniformMatroid(3, 5), loop_graph,
+               PartitionMatroid([[0, 1], [2, 3, 4]], [1, 2])]
+    parallel = GraphicMatroid(4, [(0, 1), (0, 1), (1, 2), (2, 3), (0, 3), (1, 3)])
+    for M in factors + [UniformMatroid(1, 3), UniformMatroid(2, 4), parallel]:
+        for k in (1, 2, 3):
+            cases += _all_ups(lambda t, **kw: deleted_join([M] * k, t, **kw))
+    # distinct factors whose first copy is all loops, so v1 lies in a later
+    # copy, as verify-claim builds them
+    for mats in ([UniformMatroid(0, 5), UniformMatroid(2, 5), loop_graph],
+                 [UniformMatroid(0, 5), UniformMatroid(0, 5), factors[3], UniformMatroid(1, 5)],
+                 [loop_graph, UniformMatroid(0, 5), UniformMatroid(2, 5)]):
+        cases += _all_ups(lambda t, **kw: deleted_join(mats, t, **kw))
+    # cones, whose relative levels hold no vertex: the full simplex, an edge
+    # 0 that is a coloop; then the empty complex and a single vertex
+    cone = GraphicMatroid(4, [(0, 1), (1, 2), (2, 3), (1, 3)])
+    for M in (UniformMatroid(4, 4), cone, UniformMatroid(0, 3), UniformMatroid(1, 1)):
+        cases += _all_ups(lambda t, **kw: as_complex(M, t, **kw))
+    for M in (UniformMatroid(4, 4), cone):
+        X = as_complex(M, 3, relative=True)
+        assert not X.faces(0) and homologically_connected(X, 1).verified
+    assert cases >= 300
 
 
 def test_euler_poincare():
