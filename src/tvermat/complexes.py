@@ -171,7 +171,8 @@ def deleted_join(matroids, trunc=None, cap=DEFAULT_FACE_CAP, relative=False):
     t + v1 for the star faces t one size down, a transient level: a child of
     a star face leaves it iff it adds e1 or a c1-part that e1 does not
     extend (not looked up at the top where copy c1's complex is cut below
-    its rank: those star faces stay).  A one-factor complex is cut instead.
+    its rank: those star faces stay).  The top's star is counted, and only
+    its leavers are built.  A one-factor complex is cut instead.
     """
     mats = list(matroids)
     if not mats:
@@ -210,6 +211,7 @@ def deleted_join(matroids, trunc=None, cap=DEFAULT_FACE_CAP, relative=False):
     fresh = [[]]  # fresh[j]: the non-loop vertices of copies j.., in order
     for kids in reversed(ext):
         fresh.insert(0, kids.get((), []) + fresh[0])
+    loose = [{e for _, e in kids.get((), [])} for kids in ext]  # the non-loops of each copy
 
     def grow(level, stop, nxt):
         """Append the children of ``level`` to ``nxt`` till it passes ``stop``."""
@@ -243,12 +245,32 @@ def deleted_join(matroids, trunc=None, cap=DEFAULT_FACE_CAP, relative=False):
     for d in range(trunc + 1):
         cone = len(star)  # the d-faces t + v1 of the star faces t below
         nstar, noff = [], []
-        for t in grow(star, stop - cone, []):
-            v = t[-1]
-            if v != v1:
-                (nstar if v % n != e1 and (v // n != c1 or (v1,) + t in link) else noff).append(t)
-        grow(off, stop - cone - len(nstar), noff)
-        count = cone + len(nstar) + len(noff)
+        if relative and 0 < d == trunc:  # count the top's star, build its leavers
+            width = 0
+            for face in star:
+                c = face[-1] // n
+                used = set(map(n.__rmod__, face))
+                for v, e in ext[c].get(face[bisect_left(face, c * n):], ()):  # its own copy
+                    if e not in used:
+                        if e == e1 or (c == c1 and (v1,) + face + (v,) not in link):
+                            noff.append(face + (v,))
+                        else:
+                            width += 1
+                for j in range(c + 1, len(mats)):  # every unused non-loop; e1 leaves
+                    width += len(loose[j]) - len(used & loose[j])
+                    if e1 in loose[j]:
+                        noff.append(face + (j * n + e1,))
+                        width -= 1
+                if cone + width + len(noff) > stop:
+                    break
+        else:
+            for t in grow(star, stop - cone, []):
+                v = t[-1]
+                if v != v1:
+                    (nstar if v % n != e1 and (v // n != c1 or (v1,) + t in link) else noff).append(t)
+            width = len(nstar)
+        grow(off, stop - cone - width, noff)
+        count = cone + width + len(noff)
         _check_cap(count, d, cap)
         if not count:
             break
@@ -258,7 +280,7 @@ def deleted_join(matroids, trunc=None, cap=DEFAULT_FACE_CAP, relative=False):
         f.append(count)
     # a face of dimension trunc+1 is t + v1 for a star face t, or extends an
     # off-star one; copy c1's complex cut below its rank has one anyway
-    complete = trunc >= top or (trunc >= ranks[c1] - 1 and not star and not grow(off, 0, []))
+    complete = trunc >= top or (trunc >= ranks[c1] - 1 and not width and not grow(off, 0, []))
     return SimplicialComplex(by_dim, trunc, complete, tuple(f),
                              [v for v, _ in fresh[0]] if relative else None)
 

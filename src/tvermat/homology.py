@@ -27,7 +27,7 @@ numbers would manufacture false counterexamples.
 from bisect import bisect_left
 from dataclasses import dataclass, field
 from heapq import heappop, heappush
-from itertools import chain
+from itertools import chain, combinations
 from math import gcd
 
 from .errors import HypothesisViolation, InputError, PreconditionError
@@ -50,8 +50,11 @@ class SparseIntMatrix:
 
 
 def _facets(face):
-    """(facet, sign) pairs of a face: omitting position j has sign (-1)^j."""
-    return [(face[:j] + face[j + 1:], -1 if j % 2 else 1) for j in range(len(face))]
+    """An iterator of the (facet, sign) pairs of a nonempty k-face: omitting
+    position j has sign (-1)^j.  ``combinations`` omits the last position
+    first, so the facets come in lexicographic order, signed (-1)^(k-1), .., 1."""
+    k = len(face)
+    return zip(combinations(face, k - 1), ((-1, 1) * k)[k:])
 
 
 def boundary_matrix(X, i):
@@ -124,7 +127,8 @@ def _gradient_paths(pairs, rows):
 
     A path steps from a paired face s, through its partner t, to each other
     facet r of t with coefficient -[t:s][t:r], a +-1 pivot.  ``steps[s]``
-    keeps the steps to faces in ``pairs`` or critical (in ``rows``): a face
+    lists the facets r with their signs [t:r], walked once through
+    ``combinations``, that are in ``pairs`` or critical (in ``rows``): a face
     paired downward, or one of the star, which is no chain of the pair, ends
     its paths.  In the order, s comes before every paired face it steps to.  A
     directed cycle of the modified Hasse graph (each pair's edge reversed)
@@ -132,23 +136,25 @@ def _gradient_paths(pairs, rows):
     of each size certifies that the whole matching is acyclic.  A cycle
     raises RuntimeError.
     """
-    indegree = dict.fromkeys(pairs, 0)
-    steps = {}
-    for s, (t, sign) in pairs.items():
-        to_paired, to_critical = steps[s] = [], []
-        for r, e in _facets(t):
-            if r in indegree:
+    k = len(next(iter(pairs), ()))
+    signs = ((-1, 1) * (k + 1))[k + 1:]  # as in _facets, for the (k+1)-faces t
+    steps, indegree = {}, dict.fromkeys(pairs, 0)
+    for s, (t, _) in pairs.items():
+        steps[s] = rs = []
+        for r, e in zip(combinations(t, k), signs):
+            if r in pairs:
                 if r != s:
                     indegree[r] += 1
-                    to_paired.append((r, -sign * e))
+                    rs.append((r, e))
             elif r in rows:
-                to_critical.append((r, -sign * e))
+                rs.append((r, e))
     order = [s for s, n in indegree.items() if not n]
     for s in order:  # grows while it is walked
-        for r, _ in steps[s][0]:
-            indegree[r] -= 1
-            if not indegree[r]:
-                order.append(r)
+        for r, _ in steps[s]:
+            if r in pairs:
+                indegree[r] -= 1
+                if not indegree[r]:
+                    order.append(r)
     if len(order) < len(pairs):
         raise RuntimeError(
             f"matching has a cycle: {len(pairs) - len(order)} pairs of size-"
@@ -162,34 +168,24 @@ def _morse_map(pairs, rows, cells):
     faces ``rows`` (face -> row), one size down; ``pairs`` is the matching
     between those two sizes.
 
-    A boundary flows along the gradient paths to the critical faces.  Where
-    the paths of a paired face s end, ``flow[s]``, is built once, in reverse
-    gradient order, from the flows of the faces it steps to.
+    A boundary flows along the gradient paths to the critical faces: where
+    the paths from a face end, ``flow``, is a row's own unit, and is built
+    once for each paired face s, in reverse gradient order, from the steps'
+    flows times -[t:s][t:r] (formed only once the map has rows), then for
+    each cell from its facets' flows, which is its column.
     """
     order, steps = _gradient_paths(pairs, rows)
     if not rows:
         return SparseIntMatrix(0, len(cells), [[] for _ in cells])
-
-    def add(acc, r, e):
-        if r in rows:
-            i = rows[r]
-            acc[i] = acc.get(i, 0) + e
-        elif r in flow:
-            for i, v in flow[r].items():
+    flow = {r: {i: 1} for r, i in rows.items()}
+    for s, walk, sign in chain(((s, steps[s], -pairs[s][1]) for s in reversed(order)),
+                               ((c, _facets(c), 1) for c in cells)):
+        acc = {}
+        for r, e in walk:
+            for i, v in flow.get(r, {}).items():
                 acc[i] = acc.get(i, 0) + e * v
-
-    flow = {}
-    for s in reversed(order):
-        acc = {}
-        for r, e in chain(*steps[s]):
-            add(acc, r, e)
-        flow[s] = {i: v for i, v in acc.items() if v}
-    cols = []
-    for c in cells:
-        acc = {}
-        for r, e in _facets(c):
-            add(acc, r, e)
-        cols.append(sorted((i, v) for i, v in acc.items() if v))
+        flow[s] = {i: sign * v for i, v in acc.items() if v}
+    cols = [sorted(flow[c].items()) for c in cells]
     return SparseIntMatrix(len(rows), len(cells), cols)
 
 

@@ -403,6 +403,32 @@ def test_complex_commands_golden_bytes(tmp_path, monkeypatch, capsys):
         assert (code, hashlib.sha256(out.encode()).hexdigest()) == (want_code, want_sha), argv
 
 
+# sha256 of each exported boundary file, pinned with the report that names them
+GOLDEN_BOUNDARY_EXPORTS = [
+    (("homology", "--chessboard", "3,4", "--up-to", "1", "--export-boundary", "c34"),
+     "11ff8295699003e8dab9b79f0edeec62b9a09fb54066c907ef2bdb7f9ad2abce",
+     {"c34.d0.triplets": "a48fd8b029d72c2bad95312e349dfff06dcea702401f0308129a60bde035dc66",
+      "c34.d1.triplets": "6648af911e3205e3332857f6f7e47641d1ea26d297cf8ac330b08ecf2b60450c",
+      "c34.d2.triplets": "37b98eaeec5b7d3c8d360d225c31d4aa356b36bd4ee2999eef3f3c07c9d308a3"}),
+    (("homology", "--matroid", "k4.matroid", "--up-to", "2", "--export-boundary", "k4"),
+     "dc27e13dfbc2782f61ada3d550da5256b21d2dcdf2a415190289ac7928c674d9",
+     {"k4.d0.triplets": "265b28f68c910c270a75d34b71516385918a11250a6c10223d7b186599f34838",
+      "k4.d1.triplets": "7b7b65e1e16e353bc40577ae9b331afdc71856ed68b7215111b2e949c0dfa560",
+      "k4.d2.triplets": "746532be97b682cc831433f313730a298ba337130036d71e1675b23c522083e0"}),
+]
+
+
+def test_boundary_export_golden_bytes(tmp_path, monkeypatch, capsys):
+    monkeypatch.chdir(tmp_path)
+    write_matroid("k4.matroid", GraphicMatroid(4, [(0, 1), (0, 2), (0, 3), (1, 2), (1, 3), (2, 3)]))
+    for argv, want_sha, want_files in GOLDEN_BOUNDARY_EXPORTS:
+        code, out = run(capsys, *argv)
+        assert (code, hashlib.sha256(out.encode()).hexdigest()) == (0, want_sha), argv
+        assert json.loads(out)["payload"]["exported_boundaries"] == list(want_files), argv
+        for name, sha in want_files.items():
+            assert hashlib.sha256((tmp_path / name).read_bytes()).hexdigest() == sha, name
+
+
 def test_deep_search_ends_in_a_report(tmp_path, capsys):
     # 1,201 singleton faces whose boxes meet until the last one: the tuple
     # stream's path is far deeper than the recursion limit

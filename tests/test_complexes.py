@@ -198,3 +198,55 @@ def test_first_copy_cut_below_its_rank_is_incomplete():
                 X = deleted_join(mats, trunc, relative=relative)
                 assert (sum(X.f_vector()), X.complete) == (
                     sum(map(len, faces.values())), complete), (mats, trunc, relative)
+
+
+def _relative_levels(mats, trunc):
+    """The levels a build relative to the first vertex v1 stores, by brute
+    force: the faces s without v1 and s + v1 no face; at the top, where v1's
+    copy c1 is cut below its rank, the star faces inside copy c1 stay too."""
+    faces, _ = brute_deleted_join(mats, trunc + 1)
+    if not faces:
+        return []
+    n, (v1,) = mats[0].n, faces[0][0]
+    cut = trunc < mats[v1 // n].rank() - 1
+    levels = []
+    for d in range(trunc + 1):
+        above = set(faces.get(d + 1, ()))
+        levels.append([s for s in faces.get(d, ()) if v1 not in s and (
+            (v1,) + s not in above or d == trunc and cut and {v // n for v in s} == {v1 // n})])
+    return levels[:len(deleted_join(mats, trunc).f_vector())]
+
+
+def test_counted_top_star_matches_the_built_star():
+    # a relative build counts the star faces of its top level and builds
+    # only the children that leave the star; the stored build builds them
+    # all.  Cases: e1 = 0 a loop of copy 1; e1 = 1, which a copy-1 part
+    # {0} extends in its own copy; K4's triangles, whose parts leave the
+    # star in copy c1 itself; U(3,5), cut below its rank at trunc 0 and 1;
+    # v1 in a later copy; a cone over v1, whose top star alone makes the
+    # build incomplete.  trunc 0 counts nothing.
+    loop_first = GraphicMatroid(4, [(1, 1), (0, 1), (1, 2), (2, 3), (0, 3), (0, 2)])
+    apex, base = GraphicMatroid(3, [(0, 1), (1, 1), (2, 2)]), GraphicMatroid(3, [(0, 0), (0, 1), (1, 2)])
+    cases = ([UniformMatroid(2, 6), loop_first, UniformMatroid(3, 6)],
+             [loop_first, UniformMatroid(2, 6)], [K4] * 2, [UniformMatroid(3, 5)] * 2,
+             [UniformMatroid(0, 6), K4, UniformMatroid(2, 6)], [apex, base])
+    for mats in cases:
+        for trunc in range(min(sum(M.rank() for M in mats), mats[0].n) + 1):
+            rel, stored = deleted_join(mats, trunc, relative=True), deleted_join(mats, trunc)
+            assert (rel.f_vector(), rel.complete) == (stored.f_vector(), stored.complete), \
+                (mats, trunc)
+            assert list(rel.faces_by_dim.values()) == _relative_levels(mats, trunc), (mats, trunc)
+
+
+def test_counted_top_star_pins_and_caps():
+    # the f-vector counts the top's star faces the relative build never
+    # stores; a cap that fires inside that level ends as the stored build's
+    K5 = GraphicMatroid(5, [(a, b) for a in range(5) for b in range(a + 1, 5)])
+    for mats, f, stored in (([UniformMatroid(3, 9)] * 3, (27, 324, 2268, 9828), [2, 48, 560, 3472]),
+                            ([K5] * 2, (20, 180, 940, 3050), [1, 21, 189, 910])):
+        X = deleted_join(mats, 3, relative=True)
+        assert (X.f_vector(), [len(X.faces(d)) for d in range(4)]) == (f, stored)
+        for cap in (f[2], f[2] + 1, (f[2] + f[3]) // 2, f[3] - stored[3], f[3] - 1, f[3]):
+            outcome = _cap_outcome(lambda: deleted_join(mats, 3, cap, relative=True))
+            assert outcome == _cap_outcome(lambda: deleted_join(mats, 3, cap)), (mats, cap)
+            assert outcome[1] == ({"dimension": 3, "cap": cap} if cap < f[3] else X.complete)

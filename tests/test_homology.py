@@ -36,12 +36,24 @@ from tvermat.formats import jsonable
 from tvermat import homology
 from tvermat.homology import (
     _element_matching,
+    _facets,
     _morse_complex,
     _rank_sparse_exact,
     join_connectivity,
 )
 
 K4 = GraphicMatroid(4, [(0, 1), (0, 2), (0, 3), (1, 2), (1, 3), (2, 3)])
+
+
+def test_facets_match_the_slicing_definition():
+    # omitting position j has sign (-1)^j; the size-1 face's only facet is ()
+    assert list(_facets((7,))) == [((), 1)]
+    for k in range(1, 9):
+        face = tuple(range(3, 3 + 2 * k, 2))
+        want = {(face[:j] + face[j + 1:], (-1) ** j) for j in range(k)}
+        got = list(_facets(face))
+        assert len(got) == k and set(got) == want, face
+        assert [r for r, _ in got] == sorted(r for r, _ in want), face
 
 
 def test_boundary_single_edge():
