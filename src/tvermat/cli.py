@@ -338,17 +338,17 @@ def dispatch(args, inputs, params):
         if len(given) != 1:
             raise InputError("give exactly one of --matroid, --chessboard, --faces")
         params["up-to"] = args.up_to
-        relative = not args.export_boundary  # an export needs every face
         if args.matroid:
             M = load_matroid(args.matroid)
-            X = as_complex(M, args.up_to + 1, args.max_faces, relative)
+            X = as_complex(M, args.up_to + 1, args.max_faces)
         elif args.chessboard:
             try:
                 k, m = (int(t) for t in args.chessboard.split(","))
             except ValueError as exc:
                 raise InputError(f"bad chessboard spec {args.chessboard[:40]!r}") from exc
             params["chessboard"] = args.chessboard
-            X = chessboard(k, m, args.up_to + 1, args.max_faces, relative)
+            X = chessboard(k, m, args.up_to + 1, args.max_faces,
+                           relative=not args.export_boundary)  # an export needs every face
         else:
             inputs[args.faces] = _digest(args.faces)
             X = formats.read_faces(args.faces)

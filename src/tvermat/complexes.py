@@ -5,12 +5,10 @@ Faces are sorted tuples of encoded vertex ids, stored per dimension in
 lexicographic order; the empty face is implicit (f_{-1} = 1).  A deleted join
 of k matroids on a ground set of size n has the labeled vertices
 copy*n + element with 0-based copies.  One builder, ``deleted_join``, makes
-every complex from matroids: the independence complex is its one-factor case
-and the chessboard C(k, m) is the k-fold deleted join of U(1, m) by
-construction.
-
-A complex built ``relative`` to its first vertex stores only the faces off
-its star, all homology needs, and its exact f-vector.
+every complex from matroids: the independence complex is its one-factor case,
+stored whole, and the chessboard C(k, m) is the k-fold deleted join of U(1, m).
+A join built ``relative`` to its first vertex stores only the faces off its
+star, all homology needs, and its exact f-vector.
 
 Materialization is dimension-truncated: ``trunc`` is the largest dimension
 enumerated, ``complete`` records whether any faces beyond it exist.  Counts at
@@ -146,12 +144,12 @@ def off_star(levels, v1):
     return out
 
 
-def as_complex(M, max_dim, cap=DEFAULT_FACE_CAP, relative=False):
-    """Independence complex of a matroid, materialized through ``max_dim``.
+def as_complex(M, max_dim, cap=DEFAULT_FACE_CAP):
+    """Independence complex of a matroid, stored whole through ``max_dim``.
 
     Vertices are the non-loops; ``cap`` bounds the faces of each dimension.
     """
-    return deleted_join([M], max_dim, cap, relative)
+    return deleted_join([M], max_dim, cap)
 
 
 def deleted_join(matroids, trunc=None, cap=DEFAULT_FACE_CAP, relative=False):
@@ -160,19 +158,20 @@ def deleted_join(matroids, trunc=None, cap=DEFAULT_FACE_CAP, relative=False):
 
     A face is a union of faces, one per labeled copy, whose parts are pairwise
     disjoint as sets of elements; ``deleted_join([M] * k)`` is the k-fold
-    deleted join of M.  Each distinct matroid's complex is built once.  Levels
-    fill in lexicographic order: a face grows by a larger vertex, either in
-    its last copy, extending that copy's part, or in a later copy by an
-    element no part uses yet.  A level is abandoned with a ResourceLimitError
-    once it holds more than ``cap`` faces.
+    deleted join of M.  One matroid's complex is ``independent_sets``,
+    stored whole.  For k >= 2 no factor complex is built: levels fill in
+    lexicographic order, a face growing by a larger vertex, either one of
+    its last part's ``children`` or an element no part uses in a later
+    copy.  A level is abandoned with a ResourceLimitError once it holds more
+    than ``cap`` faces.
 
-    ``relative`` stores the faces s off the star of the first vertex
+    ``relative`` (k >= 2) stores the faces s off the star of the first vertex
     v1 = (c1, e1), v1 not in s and s + v1 no face.  The faces holding v1 are
-    t + v1 for the star faces t one size down, a transient level: a child of
-    a star face leaves it iff it adds e1 or a c1-part that e1 does not
-    extend (not looked up at the top where copy c1's complex is cut below
-    its rank: those star faces stay).  The top's star is counted, and only
-    its leavers are built.  A one-factor complex is cut instead.
+    t + v1 for the star faces t one size down, a transient level: a child t
+    of a star face leaves it iff it adds e1, or t[-1] lies in copy c1 and is
+    no child of (v1,) + t[:-1] there.  The top's star is counted, its leavers
+    built, and every child in copy c1 leaves: (v1,) + t has trunc + 2
+    elements, past the build, exact unless copy c1 is cut below its rank.
     """
     mats = list(matroids)
     if not mats:
@@ -186,32 +185,31 @@ def deleted_join(matroids, trunc=None, cap=DEFAULT_FACE_CAP, relative=False):
         trunc = top
     if trunc < -1:
         raise InputError(f"max_dim must be >= -1, got {trunc}")
-    factors = {}
-    for M, r in zip(mats, ranks):
-        if id(M) not in factors:
-            factors[id(M)] = independent_sets(M, min(trunc, r - 1), cap)
     if len(mats) == 1:  # matroid complexes are pure: the rank bound is exact
-        X = SimplicialComplex(factors[id(mats[0])], trunc, complete=trunc >= top)
-        if relative and X.f:
-            X.vertices = [v for (v,) in X.faces(0)]
-            levels = off_star([[()], *X.faces_by_dim.values(), []], X.vertices[0])
-            X.faces_by_dim = dict(enumerate(levels[1:]))
-        return X
+        levels = independent_sets(mats[0], min(trunc, ranks[0] - 1), cap)
+        return SimplicialComplex(levels, trunc, complete=trunc >= top)
 
-    # per copy: encoded part -> (vertex, element) of each larger element
-    # extending it; the empty part maps to the copy's non-loops
-    ext = []
-    for c, M in enumerate(mats):
-        kids = {}
-        for faces in factors[id(M)].values():
-            for f in faces:
-                key = tuple(c * n + e for e in f[:-1])
-                kids.setdefault(key, []).append((c * n + f[-1], f[-1]))
-        ext.append(kids)
+    asked = {id(M): {} for M in mats}  # per matroid: element part -> its extensions
+    ext = [{} for _ in mats]  # per copy: encoded part -> its children, once asked
+
+    def children(c, part):
+        """The (vertex, element) pairs of the larger elements extending copy
+        c's encoded part (the non-loops for the empty part, none at the rank),
+        from ``M._extensions`` when first asked, once per element part over
+        M's copies."""
+        kids = ext[c].get(part)
+        if kids is None:
+            memo, key = asked[id(mats[c])], tuple([v - c * n for v in part])
+            if key not in memo:
+                memo[key] = (mats[c]._extensions(key, key[-1] + 1 if key else 0)
+                             if len(key) < ranks[c] else [])
+            kids = ext[c][part] = [(c * n + e, e) for e in memo[key]]
+        return kids
+
     fresh = [[]]  # fresh[j]: the non-loop vertices of copies j.., in order
-    for kids in reversed(ext):
-        fresh.insert(0, kids.get((), []) + fresh[0])
-    loose = [{e for _, e in kids.get((), [])} for kids in ext]  # the non-loops of each copy
+    for c in reversed(range(len(mats))):
+        fresh.insert(0, children(c, ()) + fresh[0])
+    loose = [{e for _, e in kids[()]} for kids in ext]  # the non-loops of each copy
 
     def grow(level, stop, nxt):
         """Append the children of ``level`` to ``nxt`` till it passes ``stop``."""
@@ -220,7 +218,10 @@ def deleted_join(matroids, trunc=None, cap=DEFAULT_FACE_CAP, relative=False):
             if face:
                 c = face[-1] // n
                 cands = fresh[c + 1]
-                same = ext[c].get(face[bisect_left(face, c * n):])
+                part = face[bisect_left(face, c * n):]
+                same = ext[c].get(part)  # children() inlined: a call a face costs more
+                if same is None:
+                    same = children(c, part)
                 if same:
                     cands = chain(same, cands)
                 used = set(map(n.__rmod__, face))
@@ -233,13 +234,10 @@ def deleted_join(matroids, trunc=None, cap=DEFAULT_FACE_CAP, relative=False):
                 break
         return nxt
 
-    if not fresh[0]:  # no vertex, or trunc = -1: the bound decides
+    if trunc < 0 or not fresh[0]:  # trunc = -1, or no vertex: the bound decides
         return SimplicialComplex({}, trunc, trunc >= top)
     v1, e1 = fresh[0][0]
     c1 = v1 // n
-    # the parts of copy c1 holding v1: a star face's child t there stays iff (v1,) + t is one
-    link = {tuple(c1 * n + e for e in part) for level in factors[id(mats[c1])].values()
-            for part in level[:bisect_left(level, (e1 + 1,))]}
     stop = inf if cap is None else cap
     by_dim, f, star, off = {}, [], [()], []
     for d in range(trunc + 1):
@@ -250,9 +248,9 @@ def deleted_join(matroids, trunc=None, cap=DEFAULT_FACE_CAP, relative=False):
             for face in star:
                 c = face[-1] // n
                 used = set(map(n.__rmod__, face))
-                for v, e in ext[c].get(face[bisect_left(face, c * n):], ()):  # its own copy
+                for v, e in children(c, face[bisect_left(face, c * n):]):  # its own copy
                     if e not in used:
-                        if e == e1 or (c == c1 and (v1,) + face + (v,) not in link):
+                        if e == e1 or c == c1:
                             noff.append(face + (v,))
                         else:
                             width += 1
@@ -266,8 +264,9 @@ def deleted_join(matroids, trunc=None, cap=DEFAULT_FACE_CAP, relative=False):
         else:
             for t in grow(star, stop - cone, []):
                 v = t[-1]
-                if v != v1:
-                    (nstar if v % n != e1 and (v // n != c1 or (v1,) + t in link) else noff).append(t)
+                if v != v1:  # below the top, a child in copy c1 is looked up
+                    (nstar if v % n != e1 and (v // n != c1 or d < trunc and (v, v % n) in
+                                               children(c1, (v1,) + t[:-1])) else noff).append(t)
             width = len(nstar)
         grow(off, stop - cone - width, noff)
         count = cone + width + len(noff)

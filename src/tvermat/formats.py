@@ -315,7 +315,7 @@ def parse_triplets(text):
 def jsonable(obj):
     """Map report values onto JSON types: Fractions become exact strings,
     sets sorted lists, and a dataclass instance the dict of its fields."""
-    if obj is None or isinstance(obj, (int, str)):  # bool is an int
+    if obj is None or isinstance(obj, (int, float, str)):  # bool is an int
         return obj
     if isinstance(obj, (list, tuple)):
         return [jsonable(v) for v in obj]

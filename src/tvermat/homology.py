@@ -363,9 +363,9 @@ def homologically_connected(X, c):
 
 
 def join_connectivity(matroids, c, cap=DEFAULT_FACE_CAP, context=None):
-    """The c-connectivity check of the deleted join of ``matroids``, built
-    relative to its first vertex through dimension c+1; a bound below -1 is
-    vacuous.  ``context`` is copied into the report."""
+    """The c-connectivity check of the deleted join of ``matroids`` through
+    dimension c+1, relative to its first vertex for k >= 2 copies; a bound
+    below -1 is vacuous.  ``context`` is copied into the report."""
     if c < -1:
         rep = ConnectivityReport(c, True, note="bound below -1 is vacuous")
     else:

@@ -234,6 +234,33 @@ def test_matroid_complex_commands_honour_face_cap(tmp_path, capsys):
         assert rep["payload"]["progress"] == {"dimension": 1, "cap": 500}, argv
 
 
+def test_join_cap_names_the_lowest_over_full_dimension(tmp_path, capsys):
+    # U(3,30)'s own 4,060 triangles are over the cap, but the join's 1,740
+    # edges are the lowest over-full level
+    path = tmp_path / "u3_30.matroid"
+    write_matroid(path, UniformMatroid(3, 30))
+    code, out = run(capsys, "conjecture-scan", "--matroid", str(path), "--k", "2",
+                    "--max-faces", "1000")
+    rep = json.loads(out)
+    assert code == 3 and rep["outcome"] == "resource-limit"
+    assert rep["payload"]["progress"] == {"dimension": 1, "cap": 1000}
+    assert "at dimension 1:" in rep["payload"]["error"]
+
+
+def test_timings_end_in_a_report(capsys):
+    for fmt in ("json", "text"):
+        code, out = run(capsys, "prime", "--b", "100", "--timings", "--format", fmt)
+        assert code == 0, out
+        if fmt == "json":
+            wall = json.loads(out)["wall-time-s"]
+        else:
+            (wall,) = [json.loads(line.split()[1]) for line in out.splitlines()
+                       if line.startswith("wall-time-s ")]
+        assert isinstance(wall, float) and wall >= 0, fmt
+    code, out = run(capsys, "prime", "--b", "100")
+    assert code == 0 and json.loads(out)["wall-time-s"] is None
+
+
 def test_pack_modes(files, capsys):
     code, out = run(capsys, "pack", "--matroid", files["k4.matroid"], "--k", "2")
     assert code == 0 and json.loads(out)["payload"]["packed"] is True

@@ -1,5 +1,7 @@
 """Complex-engine tests: independence complexes, deleted joins, chessboards."""
 
+from itertools import combinations
+
 import pytest
 
 from generator import small_matroid_family
@@ -134,6 +136,37 @@ def test_truncation_and_cap():
     P = deleted_join([K4] * 2, trunc=0)
     assert P.f_vector() == (12,)
     assert not P.complete
+
+
+def test_join_cap_names_the_lowest_over_full_dimension():
+    # U(3,30) has 435 edges, under the cap, but the join's 1,740 edges are not
+    with pytest.raises(ResourceLimitError) as err:
+        deleted_join([UniformMatroid(3, 30)] * 2, 2, 1000)
+    assert err.value.progress == {"dimension": 1, "cap": 1000}
+
+
+class _AskCounting(UniformMatroid):
+    """U(r, n) recording every face it is asked to extend."""
+
+    def __init__(self, r, n):
+        super().__init__(r, n)
+        self.asked = []
+
+    def _extensions(self, face, start):
+        self.asked.append(tuple(face))
+        return super()._extensions(face, start)
+
+
+def test_join_asks_each_element_part_once():
+    # the copies of one matroid share its answers: every independent set of
+    # at most trunc elements, below the rank, is asked once and no per-copy
+    # repeat follows
+    for trunc in range(5):
+        for relative in (False, True):
+            M = _AskCounting(3, 7)
+            X = deleted_join([M] * 3, trunc, relative=relative)
+            parts = [s for k in range(min(trunc, 2) + 1) for s in combinations(range(7), k)]
+            assert X.f_vector() and sorted(M.asked) == sorted(parts), (trunc, relative)
 
 
 def test_chessboard_cap_checked_while_a_level_grows():

@@ -246,9 +246,10 @@ def test_planted_first_stages_are_rejected():
         X = SimplicialComplex(planted, 1, True, (3, 3), [0, 1, 2])
         with pytest.raises(RuntimeError, match="first vertex 0"):
             betti_reduced(X, 1)
-    X = as_complex(UniformMatroid(2, 3), 1, relative=True)
-    assert (X.faces_by_dim, X.vertices) == ({0: [], 1: [(1, 2)]}, [0, 1, 2])
+    # the true relative complex is accepted, and the stored one is cut to it
+    X = SimplicialComplex({0: [], 1: [(1, 2)]}, 1, True, (3, 3), [0, 1, 2])
     assert betti_reduced(X, 1).betti == (0, 1)
+    assert betti_reduced(as_complex(UniformMatroid(2, 3), 1), 1).betti == (0, 1)
 
 
 def test_planted_first_stages_are_rejected_under_python_O():
@@ -278,7 +279,8 @@ def test_first_stage_pairs_leave_the_gradient_pass(monkeypatch):
     # first stage reaches the matching or the Kahn walk.  Pinned: stored
     # faces, all faces, pairs walked and critical top faces; a stored build
     # walks the same pairs, but its top faces in the star stay critical
-    # (the whole element matching makes 2,295, 1,186 and 4,523 pairs)
+    # (the whole element matching makes 2,295, 1,186 and 4,523 pairs).  One
+    # factor, K6, is stored whole, and the matching cuts its star itself
     k6 = GraphicMatroid(6, list(combinations(range(6), 2)))
     walked = []
     gradient_paths = homology._gradient_paths
@@ -287,7 +289,7 @@ def test_first_stage_pairs_leave_the_gradient_pass(monkeypatch):
     for build, top, pinned, stored_top in [
             (lambda **kw: deleted_join([UniformMatroid(3, 9)] * 3, 3, **kw), 3,
              (4_082, 12_447, 562, 2_958), 7_858),
-            (lambda **kw: as_complex(k6, 4, **kw), 4, (1_288, 2_931, 364, 560), 560),
+            (lambda **kw: deleted_join([k6], 4, **kw), 4, (2_931, 2_931, 364, 560), 560),
             (lambda **kw: chessboard(5, 7, trunc=4, **kw), 4, (7_186, 9_275, 3_478, 132), 132)]:
         X = build(relative=True)
         walked.clear()
@@ -461,9 +463,10 @@ def test_relative_builds_match_stored_builds():
     # 0 that is a coloop; then the empty complex and a single vertex
     cone = GraphicMatroid(4, [(0, 1), (1, 2), (2, 3), (1, 3)])
     for M in (UniformMatroid(4, 4), cone, UniformMatroid(0, 3), UniformMatroid(1, 1)):
-        cases += _all_ups(lambda t, **kw: as_complex(M, t, **kw))
+        cases += _all_ups(lambda t, **kw: deleted_join([M], t, **kw))
+    # one factor is stored whole; beside a copy of loops it is built relative
     for M in (UniformMatroid(4, 4), cone):
-        X = as_complex(M, 3, relative=True)
+        X = deleted_join([M, UniformMatroid(0, M.n)], 3, relative=True)
         assert not X.faces(0) and homologically_connected(X, 1).verified
     assert cases >= 300
 
