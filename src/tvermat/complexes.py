@@ -152,6 +152,21 @@ def as_complex(M, max_dim, cap=DEFAULT_FACE_CAP):
     return deleted_join([M], max_dim, cap)
 
 
+class _Suffixes(dict):
+    """suffixes[j]: the (vertex, element) children of the empty part in copies
+    j, j+1, .. in order, joined the first time j is asked for.  All k of
+    them up front would hold about k*k*m/2 entries for k copies of m
+    non-loops, before the first face."""
+
+    def __init__(self, children, k):
+        super().__init__()
+        self.children, self.k = children, k
+
+    def __missing__(self, j):
+        joined = self[j] = [kid for c in range(j, self.k) for kid in self.children(c, ())]
+        return joined
+
+
 def deleted_join(matroids, trunc=None, cap=DEFAULT_FACE_CAP, relative=False):
     """Deleted join of the independence complexes of ``matroids`` on one
     ground set, materialized through dimension ``trunc`` (all of it if None).
@@ -206,10 +221,7 @@ def deleted_join(matroids, trunc=None, cap=DEFAULT_FACE_CAP, relative=False):
             kids = ext[c][part] = [(c * n + e, e) for e in memo[key]]
         return kids
 
-    fresh = [[]]  # fresh[j]: the non-loop vertices of copies j.., in order
-    for c in reversed(range(len(mats))):
-        fresh.insert(0, children(c, ()) + fresh[0])
-    loose = [{e for _, e in kids[()]} for kids in ext]  # the non-loops of each copy
+    fresh = _Suffixes(children, len(mats))  # fresh[j]: copies j..'s non-loop vertices
 
     def grow(level, stop, nxt):
         """Append the children of ``level`` to ``nxt`` till it passes ``stop``."""
@@ -244,6 +256,7 @@ def deleted_join(matroids, trunc=None, cap=DEFAULT_FACE_CAP, relative=False):
         cone = len(star)  # the d-faces t + v1 of the star faces t below
         nstar, noff = [], []
         if relative and 0 < d == trunc:  # count the top's star, build its leavers
+            loose = [{e for _, e in children(j, ())} for j in range(len(mats))]
             width = 0
             for face in star:
                 c = face[-1] // n

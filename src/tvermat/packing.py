@@ -10,13 +10,16 @@ part outright.  Both come from one query per (x, part),
 closed form and the other oracles by independence calls.  Applying a
 BFS-shortest path keeps all swaps simultaneously valid.  When no augmenting
 path exists, the set of reachable elements is an exact Edmonds-style
-certificate of maximality.  b(M) comes from one such run that appends an
-empty part each time the parts have grown into bases.  Each returned family
-is checked once, by ``_check_family``, before it leaves this module.
+certificate of maximality.  A run keeps its state across augmentations in
+one ``_Union``; a basis accepts no element, so each BFS level asks the parts
+not yet full for a sink before the full parts are asked for circuits.  b(M)
+comes from one run that appends an empty part each time the parts have grown
+into bases; the first growth that finds no path is undone from a log of its
+moves.  Each returned family is checked once, by ``_check_family``, before
+it leaves this module.
 """
 
 import time
-from collections import deque
 from dataclasses import dataclass, field
 
 from .errors import InputError, ResourceLimitError
@@ -86,70 +89,133 @@ class CoverCertificate:
         return True
 
 
-def _augment(M, parts, universe):
-    """One BFS augmentation over the exchange digraph.
+class _Union:
+    """One matroid-union run: its state lives across the augmentations.
 
-    parts: list of disjoint independent sets (mutated on success).
-    universe: elements allowed to participate (sources drawn from here).
-    Returns None after growing total size by one, or the frozenset of
-    reachable elements when no augmenting path exists.
+    ``parts`` are pairwise disjoint independent sets and ``covered`` maps each
+    packed element to its part's index.  ``universe`` is the sorted sequence
+    the sources come from; ``cursor`` sits at its first uncovered element.
+    ``open`` lists, in part order, the parts below the rank: a basis accepts
+    no element, so only these are asked for a sink.  ``packed`` counts the
+    elements in all parts.  ``log`` maps each element moved since the last
+    ``add_part`` to its part before that, None if uncovered, for ``undo``.
     """
-    covered = {}
-    for i, part in enumerate(parts):
-        for e in part:
-            covered[e] = i
-    sources = [e for e in sorted(universe) if e not in covered]
 
-    parent = {}  # element -> (predecessor element, part the element leaves)
-    reached = set()
-    queue = deque()
-    for e in sources:
-        reached.add(e)
-        queue.append(e)
+    def __init__(self, M, universe, k):
+        self.M = M
+        self.full = M.rank()
+        self.universe = universe
+        self.cursor = 0
+        self.parts = [set() for _ in range(k)]
+        self.covered = {}
+        self.open = list(range(k))
+        self.packed = 0
+        self.log = {}
 
-    while queue:
-        x = queue.popleft()
-        # the first part (fixed order => determinism) that accepts x is the
-        # sink; the arcs of x are enqueued, in part order, only if none does
-        circuits = []
-        for i, part in enumerate(parts):
-            if x in part:
-                continue
-            circuit = M.fundamental_circuit(part, x)
-            if circuit is None:
-                # unwind: insert x into part i, then replay the recorded swaps
-                parts[i].add(x)
-                cur = x
-                while cur in parent:
-                    prev, j = parent[cur]
-                    parts[j].discard(cur)
-                    parts[j].add(prev)
-                    cur = prev
-                return None
-            circuits.append((i, circuit))
-        for i, circuit in circuits:
-            for y in circuit:
-                if y not in reached:
-                    reached.add(y)
-                    parent[y] = (x, i)
-                    queue.append(y)
-    return frozenset(reached)
+    def add_part(self):
+        """Append an empty part and start a new undo log."""
+        self.open.append(len(self.parts))
+        self.parts.append(set())
+        self.log = {}
 
+    def undo(self):
+        """Put every element moved since the last ``add_part`` back where it
+        was then; only the parts and ``covered`` are restored."""
+        parts, covered = self.parts, self.covered
+        for e, j in self.log.items():
+            parts[covered[e]].discard(e)
+            if j is None:
+                del covered[e]
+            else:
+                parts[j].add(e)
+                covered[e] = j
 
-def _grow(M, parts, universe, target, deadline=None):
-    """Augment ``parts`` until they hold ``target`` elements in total.
+    def grow(self, target, deadline):
+        """Augment until the parts hold ``target`` elements in total.
 
-    Returns None on success, or the reached set of the first augmentation
-    that finds no path.  ``deadline`` (a ``time.monotonic()`` instant) is
-    checked before each augmentation.
-    """
-    while (packed := sum(len(p) for p in parts)) < target:
-        if deadline is not None and time.monotonic() > deadline:
-            raise ResourceLimitError("time limit exceeded", progress={"packed": packed})
-        reached = _augment(M, parts, universe)
-        if reached is not None:
-            return reached
-    return None
+        Returns None on success, or the reached set of the first augmentation
+        that finds no path.  ``deadline`` (a ``time.monotonic()`` instant) is
+        checked before each augmentation.
+        """
+        while self.packed < target:
+            if deadline is not None and time.monotonic() > deadline:
+                raise ResourceLimitError("time limit exceeded",
+                                         progress={"packed": self.packed})
+            reached = self._augment()
+            if reached is not None:
+                return reached
+        return None
+
+    def _augment(self):
+        """One BFS augmentation over the exchange digraph, a level at a time.
+
+        Returns None after packing one more element, or the frozenset of
+        reached elements when no augmenting path exists.  A level's sink is
+        its first element, in BFS order, that an open part accepts, in part
+        order; only when there is none are its arcs enqueued, part by part,
+        the open parts' circuits reused and the full parts asked.
+        """
+        fc = self.M.fundamental_circuit
+        parts, covered, universe = self.parts, self.covered, self.universe
+        cur = self.cursor
+        while cur < len(universe) and universe[cur] in covered:
+            cur += 1
+        self.cursor = cur
+        # the sources, drawn lazily: the first one is often the sink
+        level = (e for e in map(universe.__getitem__, range(cur, len(universe)))
+                 if e not in covered)
+        parent = {}  # element -> (predecessor element, part the element leaves)
+        reached = set()
+        while True:
+            rows = []
+            for x in level:
+                reached.add(x)
+                own = covered.get(x)
+                row = {}
+                for i in self.open:
+                    if i != own:
+                        circuit = fc(parts[i], x)
+                        if circuit is None:
+                            self._apply(x, i, parent)
+                            return None
+                        row[i] = circuit
+                rows.append((x, own, row))
+            level = []
+            for x, own, row in rows:
+                for i, part in enumerate(parts):
+                    if i == own:
+                        continue
+                    circuit = row.get(i)
+                    if circuit is None:
+                        circuit = fc(part, x)
+                        if circuit is None:
+                            raise RuntimeError(
+                                f"circuit oracle accepts element {x} into basis {i}")
+                    for y in circuit:
+                        if y not in reached:
+                            reached.add(y)
+                            parent[y] = (x, i)
+                            level.append(y)
+            if not level:
+                return frozenset(reached)
+
+    def _apply(self, x, sink, parent):
+        """Insert x into part ``sink``, then replay the swaps back to the
+        source: each predecessor takes the place its successor left."""
+        parts, covered, i = self.parts, self.covered, sink
+        while True:
+            j = covered.get(x)
+            if j is not None:
+                parts[j].discard(x)
+            parts[i].add(x)
+            covered[x] = i
+            self.log.setdefault(x, j)
+            if x not in parent:
+                break
+            x, i = parent[x]
+        self.packed += 1
+        if len(parts[sink]) == self.full:
+            self.open.remove(sink)
 
 
 def pack_k_bases(M, k, deadline=None):
@@ -161,13 +227,13 @@ def pack_k_bases(M, k, deadline=None):
     """
     if k < 1:
         raise InputError(f"k must be positive, got {k}")
-    parts = [set() for _ in range(k)]
-    reached = _grow(M, parts, range(M.n), k * M.rank(), deadline)
+    union = _Union(M, range(M.n), k)
+    reached = union.grow(k * union.full, deadline)
     if reached is not None:
         cert = PackingCertificate(reached, k)
         cert.check(M)
         return cert
-    packing = BasePacking([frozenset(p) for p in parts], M)
+    packing = BasePacking([frozenset(p) for p in union.parts], M)
     packing.check()
     return packing
 
@@ -177,25 +243,24 @@ def max_disjoint_bases(M, deadline=None):
 
     One matroid-union run: after the parts have grown into k bases, an empty
     part is appended and the k+1 parts are grown to (k+1)*rank elements.  The
-    first growth that finds no augmenting path leaves the k bases as the
-    packing and its reached set as the certificate that k+1 are impossible.
-    Rank-0 matroids return b = 0 with no certificate (degenerate: the empty
-    set is the unique basis).
+    first growth that finds no augmenting path is undone, which leaves the k
+    bases as the packing, and its reached set is the certificate that k+1
+    are impossible.  Rank-0 matroids return b = 0 with no certificate
+    (degenerate: the empty set is the unique basis).
     """
-    full = M.rank()
-    if full == 0:
+    union = _Union(M, range(M.n), 0)
+    if union.full == 0:
         return 0, BasePacking([], M), None
-    parts = []
     while True:
-        bases = [frozenset(p) for p in parts]
-        parts.append(set())
-        reached = _grow(M, parts, range(M.n), len(parts) * full, deadline)
+        union.add_part()
+        reached = union.grow(len(union.parts) * union.full, deadline)
         if reached is not None:
-            packing = BasePacking(bases, M)
+            union.undo()
+            packing = BasePacking([frozenset(p) for p in union.parts[:-1]], M)
             packing.check()
-            cert = PackingCertificate(reached, len(parts))
+            cert = PackingCertificate(reached, len(union.parts))
             cert.check(M)
-            return len(bases), packing, cert
+            return len(packing), packing, cert
 
 
 def pack_into_independent(M, A, m, deadline=None):
@@ -207,13 +272,13 @@ def pack_into_independent(M, A, m, deadline=None):
     if m < 1:
         raise InputError(f"m must be positive, got {m}")
     A = _as_idset(A, M.n, "cover target")
-    parts = [set() for _ in range(m)]
-    reached = _grow(M, parts, A, len(A), deadline)
+    union = _Union(M, sorted(A), m)
+    reached = union.grow(len(A), deadline)
     if reached is not None:
         cert = CoverCertificate(reached, m)
         cert.check(M)
         return cert
-    cover = [frozenset(p) for p in parts if p]
+    cover = [frozenset(p) for p in union.parts if p]
     _check_family(M, cover)
     if frozenset().union(*cover) != A:
         raise RuntimeError("independent cover does not cover its target")

@@ -2,7 +2,9 @@
 
 These deliberately share no code with the package internals: graphic ranks
 by counting connected components, linear ranks by dense elimination over
-Q or GF(p), packing maxima by exhaustive set packing, deleted joins by
+Q or GF(p), packing maxima by exhaustive set packing, packings, covers and
+their certificates by a plain matroid-union BFS that asks every part for
+every element and rebuilds its state on each augmentation, deleted joins by
 testing every vertex set, Betti numbers via dense integer Smith reduction, the
 element matching off the first vertex's star by visiting every face that
 holds each vertex and its Morse complex by flowing through every pair, hull
@@ -14,6 +16,7 @@ matrices with its exact elimination, and so checks the Morse reduction
 alone (the Smith oracle checks the elimination).
 """
 
+from collections import deque
 from fractions import Fraction
 from itertools import combinations
 from math import gcd
@@ -101,6 +104,83 @@ def brute_max_disjoint_bases(M):
 
     rec(0, frozenset(), 0)
     return best
+
+
+def _reference_augment(M, parts, universe):
+    """One plain BFS augmentation, every part asked for every element: the
+    covered map and the sorted sources are rebuilt on each call.  Returns
+    None after growing the parts by one element, or the reached set."""
+    covered = {}
+    for i, part in enumerate(parts):
+        for e in part:
+            covered[e] = i
+    sources = [e for e in sorted(universe) if e not in covered]
+    parent = {}
+    reached = set(sources)
+    queue = deque(sources)
+    while queue:
+        x = queue.popleft()
+        circuits = []
+        for i, part in enumerate(parts):
+            if x in part:
+                continue
+            circuit = M.fundamental_circuit(part, x)
+            if circuit is None:
+                parts[i].add(x)
+                cur = x
+                while cur in parent:
+                    prev, j = parent[cur]
+                    parts[j].discard(cur)
+                    parts[j].add(prev)
+                    cur = prev
+                return None
+            circuits.append((i, circuit))
+        for i, circuit in circuits:
+            for y in circuit:
+                if y not in reached:
+                    reached.add(y)
+                    parent[y] = (x, i)
+                    queue.append(y)
+    return frozenset(reached)
+
+
+def _reference_grow(M, parts, universe, target):
+    while sum(len(p) for p in parts) < target:
+        reached = _reference_augment(M, parts, universe)
+        if reached is not None:
+            return reached
+    return None
+
+
+def reference_pack_k_bases(M, k):
+    """k disjoint bases as a list of frozensets, or the reached set that
+    certifies there are none, by the plain per-call BFS."""
+    parts = [set() for _ in range(k)]
+    reached = _reference_grow(M, parts, range(M.n), k * M.rank())
+    return reached if reached is not None else [frozenset(p) for p in parts]
+
+
+def reference_max_disjoint_bases(M):
+    """(b, bases, certificate set) by the plain per-call BFS, which copies
+    every base before it appends each new part; (0, [], None) at rank 0."""
+    full = M.rank()
+    if full == 0:
+        return 0, [], None
+    parts = []
+    while True:
+        bases = [frozenset(p) for p in parts]
+        parts.append(set())
+        reached = _reference_grow(M, parts, range(M.n), len(parts) * full)
+        if reached is not None:
+            return len(bases), bases, reached
+
+
+def reference_pack_into_independent(M, A, m):
+    """The nonempty parts covering A, or the reached set that certifies A is
+    no union of m independent sets, by the plain per-call BFS."""
+    parts = [set() for _ in range(m)]
+    reached = _reference_grow(M, parts, frozenset(A), len(set(A)))
+    return reached if reached is not None else [frozenset(p) for p in parts if p]
 
 
 def brute_coverable(M, A, m):

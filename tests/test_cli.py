@@ -565,6 +565,16 @@ def test_packing_honours_time_limit(tmp_path, capsys):
     assert rep["payload"]["progress"]["packed"] > 0
 
 
+def test_wide_chessboard_ends_in_a_report(capsys):
+    # k = m = 1024: the 2**20 vertices pass the cap of 100,000 at dimension 0
+    t0 = time.monotonic()
+    code, out = run(capsys, "chessboard", "--k", "1024", "--m", "1024", "--max-dim", "0",
+                    "--max-faces", "100000")
+    assert time.monotonic() - t0 < 10.0
+    rep = json.loads(out)
+    assert code == 3 and rep["payload"]["progress"] == {"dimension": 0, "cap": 100000}
+
+
 @pytest.fixture
 def u2_big(tmp_path):
     path = tmp_path / "u2_big.matroid"

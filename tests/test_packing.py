@@ -1,11 +1,19 @@
 """Base packing and independent-cover tests against brute-force oracles."""
 
+import random
+import time
 from itertools import combinations
 
 import pytest
 
 from generator import small_matroid_family
-from oracles import brute_coverable, brute_max_disjoint_bases
+from oracles import (
+    brute_coverable,
+    brute_max_disjoint_bases,
+    reference_max_disjoint_bases,
+    reference_pack_into_independent,
+    reference_pack_k_bases,
+)
 from tvermat import (
     BasePacking,
     CoverCertificate,
@@ -22,6 +30,14 @@ from tvermat import (
 
 TRIANGLE = GraphicMatroid(3, [(0, 1), (1, 2), (0, 2)])
 K4 = GraphicMatroid(4, [(0, 1), (0, 2), (0, 3), (1, 2), (1, 3), (2, 3)])
+
+
+def complete_graph(n, seed=None):
+    """K_n with its edges in lexicographic order, or shuffled by ``seed``."""
+    edges = [(u, v) for u in range(n) for v in range(u + 1, n)]
+    if seed is not None:
+        random.Random(seed).shuffle(edges)
+    return GraphicMatroid(n, edges)
 
 
 def test_pack_singletons():
@@ -178,6 +194,83 @@ def test_partition_almost_equal():
         partition_almost_equal(3, 0)
 
 
+def _same_bases(M):
+    b, packing, cert = max_disjoint_bases(M)
+    ref_b, ref_bases, ref_cert = reference_max_disjoint_bases(M)
+    assert (b, packing.bases) == (ref_b, ref_bases), M
+    assert (cert and cert.witness_set) == ref_cert, M
+
+
+def _same_pack(M, k):
+    res = pack_k_bases(M, k)
+    got = res.witness_set if isinstance(res, PackingCertificate) else res.bases
+    assert got == reference_pack_k_bases(M, k), (M, k)
+
+
+def _same_cover(M, A, m):
+    res = pack_into_independent(M, A, m)
+    got = res.witness_set if isinstance(res, CoverCertificate) else res
+    assert got == reference_pack_into_independent(M, A, m), (M, A, m)
+
+
+def test_packing_matches_the_plain_bfs():
+    # the state kept across augmentations and the open parts asked first
+    # must leave every base, part and certificate set as the plain BFS has it
+    for _, M in small_matroid_family():
+        _same_bases(M)
+        for k in (1, 2, 3):
+            _same_pack(M, k)
+        for m in (1, 2):
+            _same_cover(M, range(M.n), m)
+    for n in range(8, 17):
+        _same_bases(complete_graph(n))
+        _same_bases(complete_graph(n, seed=n))
+    _same_bases(UniformMatroid(2, 33))
+    _same_bases(UniformMatroid(3, 31))
+    _same_pack(complete_graph(14), 7)
+    K10 = complete_graph(10, seed=10)
+    _same_cover(K10, range(45), 5)
+    _same_cover(K10, range(0, 45, 2), 2)
+
+
+def _count_circuit_queries(monkeypatch, cls):
+    calls = []
+    query = cls.fundamental_circuit
+
+    def counted(self, part, x):
+        calls.append(1)
+        return query(self, part, x)
+
+    monkeypatch.setattr(cls, "fundamental_circuit", counted)
+    return calls
+
+
+def test_packing_circuit_queries_pinned(monkeypatch):
+    # the plain BFS asks every full part before the one open part: 16,512
+    # queries for U(2,256) and 6,714 for K16 with lexicographic edges
+    calls = _count_circuit_queries(monkeypatch, UniformMatroid)
+    b, _, _ = max_disjoint_bases(UniformMatroid(2, 256))
+    assert b == 128 and len(calls) == 256  # one per augmentation
+    calls = _count_circuit_queries(monkeypatch, GraphicMatroid)
+    b, _, _ = max_disjoint_bases(complete_graph(16))
+    assert b == 8 and len(calls) == 5347
+
+
+def test_uniform_packing_is_linear():
+    # the plain BFS is quadratic in n here: about 20 minutes at n = 2**16
+    t0 = time.monotonic()
+    b, packing, cert = max_disjoint_bases(UniformMatroid(2, 1 << 16))
+    assert b == 1 << 15 and cert.k == b + 1
+    assert time.monotonic() - t0 < 5.0
+
+
+class _OverfullGraphic(GraphicMatroid):
+    """A broken circuit oracle: it claims every edge fits into every forest."""
+
+    def fundamental_circuit(self, part, x):
+        return None
+
+
 class _OverfullUniform(UniformMatroid):
     """A broken circuit oracle: it claims every element fits into every part,
     even into a part that is already a basis."""
@@ -187,12 +280,16 @@ class _OverfullUniform(UniformMatroid):
 
 
 def test_builders_refuse_a_family_from_a_broken_oracle():
-    # the only check left on the packing path is the builder's own
-    # _check_family on the family it returns: it must fire
-    M = _OverfullUniform(2, 6)
-    with pytest.raises(RuntimeError):
+    # edges 0 and 1 are parallel: the open part that takes both is dependent,
+    # and the builder's own _check_family on the family it returns must fire
+    M = _OverfullGraphic(3, [(0, 1), (0, 1), (1, 2)])
+    with pytest.raises(RuntimeError, match="dependent"):
         max_disjoint_bases(M)
-    with pytest.raises(RuntimeError):
-        pack_k_bases(M, 2)
-    with pytest.raises(RuntimeError):
-        pack_into_independent(M, range(6), 2)
+    with pytest.raises(RuntimeError, match="dependent"):
+        pack_k_bases(M, 1)
+    with pytest.raises(RuntimeError, match="dependent"):
+        pack_into_independent(M, range(3), 2)
+    # a basis that accepts an element is an oracle fault, caught when the
+    # full parts are asked for their circuits
+    with pytest.raises(RuntimeError, match="into basis"):
+        pack_into_independent(_OverfullUniform(2, 6), range(6), 2)
