@@ -15,7 +15,9 @@ that would say otherwise did not parse; ``--help`` prints usage and exits 0.
 Identical inputs and seed give byte-identical stdout; wall time is reported
 only under ``--timings`` (it is the one intentionally nondeterministic field,
 so it defaults to null).  ``--threads`` is accepted and ignored: every search
-runs on the calling thread.
+runs on the calling thread.  A ``homology --up-to`` above
+formats.MAX_GROUND_SIZE (2**20) is an input error; the Betti numbers above
+the complex's dimension are 0 and are not computed.
 
 File formats (all versioned with a leading format-version field):
 
@@ -338,6 +340,8 @@ def dispatch(args, inputs, params):
         if len(given) != 1:
             raise InputError("give exactly one of --matroid, --chessboard, --faces")
         params["up-to"] = args.up_to
+        if args.up_to > formats.MAX_GROUND_SIZE:
+            raise InputError(f"--up-to {args.up_to} exceeds the cap {formats.MAX_GROUND_SIZE}")
         if args.matroid:
             M = load_matroid(args.matroid)
             X = as_complex(M, args.up_to + 1, args.max_faces)

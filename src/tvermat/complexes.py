@@ -21,6 +21,7 @@ cap holds 0.5 GB.
 """
 
 from bisect import bisect_left
+from collections import Counter
 from itertools import chain, combinations
 from math import inf
 
@@ -192,19 +193,26 @@ def deleted_join(matroids, trunc=None, cap=DEFAULT_FACE_CAP, relative=False):
     if not mats:
         raise InputError("need at least one matroid")
     n = mats[0].n
-    if any(M.n != n for M in mats):
+    copies = Counter(map(id, mats))  # per matroid, not per copy: k may be huge
+    distinct = {id(M): M for M in mats}
+    if any(M.n != n for M in distinct.values()):
         raise InputError("matroids must share the ground set")
-    ranks = [M.rank() for M in mats]
-    top = min(sum(ranks), n) - 1  # a face has at most min(sum rank, n) vertices
+    rank = {i: M.rank() for i, M in distinct.items()}
+    # a face has at most min(sum rank, n) vertices
+    top = min(sum(rank[i] * c for i, c in copies.items()), n) - 1
     if trunc is None:
         trunc = top
     if trunc < -1:
         raise InputError(f"max_dim must be >= -1, got {trunc}")
-    if len(mats) == 1:  # matroid complexes are pure: the rank bound is exact
-        levels = independent_sets(mats[0], min(trunc, ranks[0] - 1), cap)
+    # matroid complexes are pure: the rank bound is exact; trunc = -1 builds nothing
+    if len(mats) == 1 or trunc < 0:
+        levels = independent_sets(mats[0], min(trunc, rank[id(mats[0])] - 1), cap)
         return SimplicialComplex(levels, trunc, complete=trunc >= top)
 
-    asked = {id(M): {} for M in mats}  # per matroid: element part -> its extensions
+    # per matroid: element part -> its extensions; the empty part's, the
+    # non-loops, count f_0, which meets the cap before any per-copy state
+    asked = {i: {(): M._extensions((), 0) if rank[i] else []} for i, M in distinct.items()}
+    _check_cap(sum(len(asked[i][()]) * c for i, c in copies.items()), 0, cap)
     ext = [{} for _ in mats]  # per copy: encoded part -> its children, once asked
 
     def children(c, part):
@@ -217,7 +225,7 @@ def deleted_join(matroids, trunc=None, cap=DEFAULT_FACE_CAP, relative=False):
             memo, key = asked[id(mats[c])], tuple([v - c * n for v in part])
             if key not in memo:
                 memo[key] = (mats[c]._extensions(key, key[-1] + 1 if key else 0)
-                             if len(key) < ranks[c] else [])
+                             if len(key) < rank[id(mats[c])] else [])
             kids = ext[c][part] = [(c * n + e, e) for e in memo[key]]
         return kids
 
@@ -246,7 +254,7 @@ def deleted_join(matroids, trunc=None, cap=DEFAULT_FACE_CAP, relative=False):
                 break
         return nxt
 
-    if trunc < 0 or not fresh[0]:  # trunc = -1, or no vertex: the bound decides
+    if not fresh[0]:  # no vertex: the bound decides
         return SimplicialComplex({}, trunc, trunc >= top)
     v1, e1 = fresh[0][0]
     c1 = v1 // n
@@ -292,7 +300,8 @@ def deleted_join(matroids, trunc=None, cap=DEFAULT_FACE_CAP, relative=False):
         f.append(count)
     # a face of dimension trunc+1 is t + v1 for a star face t, or extends an
     # off-star one; copy c1's complex cut below its rank has one anyway
-    complete = trunc >= top or (trunc >= ranks[c1] - 1 and not width and not grow(off, 0, []))
+    complete = trunc >= top or (trunc >= rank[id(mats[c1])] - 1 and not width
+                                and not grow(off, 0, []))
     return SimplicialComplex(by_dim, trunc, complete, tuple(f),
                              [v for v, _ in fresh[0]] if relative else None)
 

@@ -121,71 +121,62 @@ def _element_matching(X, top):
                 else [t for t in level if t in cells] for level, cells in zip(levels, free)]
 
 
-def _gradient_paths(pairs, rows):
-    """The paired faces of one size in a topological order of their gradient
-    paths, and the steps of those paths.
-
-    A path steps from a paired face s, through its partner t, to each other
-    facet r of t with coefficient -[t:s][t:r], a +-1 pivot.  ``steps[s]``
-    lists the facets r with their signs [t:r], walked once through
-    ``combinations``, that are in ``pairs`` or critical (in ``rows``): a face
-    paired downward, or one of the star, which is no chain of the pair, ends
-    its paths.  In the order, s comes before every paired face it steps to.  A
-    directed cycle of the modified Hasse graph (each pair's edge reversed)
-    stays within two adjacent dimensions, so this Kahn order over the pairs
-    of each size certifies that the whole matching is acyclic.  A cycle
-    raises RuntimeError.
-    """
-    k = len(next(iter(pairs), ()))
-    signs = ((-1, 1) * (k + 1))[k + 1:]  # as in _facets, for the (k+1)-faces t
-    steps, indegree = {}, dict.fromkeys(pairs, 0)
-    for s, (t, _) in pairs.items():
-        steps[s] = rs = []
-        for r, e in zip(combinations(t, k), signs):
-            if r in pairs:
-                if r != s:
-                    indegree[r] += 1
-                    rs.append((r, e))
-            elif r in rows:
-                rs.append((r, e))
-    order = [s for s, n in indegree.items() if not n]
-    for s in order:  # grows while it is walked
-        for r, _ in steps[s]:
-            if r in pairs:
-                indegree[r] -= 1
-                if not indegree[r]:
-                    order.append(r)
-    if len(order) < len(pairs):
-        raise RuntimeError(
-            f"matching has a cycle: {len(pairs) - len(order)} pairs of size-"
-            f"{len(next(iter(pairs)))} faces are not ordered"
-        )
-    return order, steps
-
-
 def _morse_map(pairs, rows, cells):
     """The Morse boundary from the critical faces ``cells`` to the critical
-    faces ``rows`` (face -> row), one size down; ``pairs`` is the matching
-    between those two sizes.
+    faces ``rows``, one size down; ``pairs`` is the matching between those
+    two sizes, each paired face s -> (its partner t, the sign [t:s]).
 
-    A boundary flows along the gradient paths to the critical faces: where
-    the paths from a face end, ``flow``, is a row's own unit, and is built
-    once for each paired face s, in reverse gradient order, from the steps'
-    flows times -[t:s][t:r] (formed only once the map has rows), then for
-    each cell from its facets' flows, which is its column.
+    Each face is hashed once, to an index: a paired face its place 0..P-1 in
+    ``pairs``, a critical one P + its row.  A gradient path steps from a
+    paired s, through t, to each other facet r of t with coefficient
+    -[t:s][t:r], a +-1 pivot; ``steps[i]`` lists the indices of those r
+    with [t:r], walked once through ``combinations``: a facet paired
+    downward, or one of the star, which is no chain of the pair, ends its
+    paths.  A directed cycle of the modified Hasse graph (each pair's edge
+    reversed) stays within two adjacent dimensions, so a Kahn order over the
+    pairs of each size, s before every paired face it steps to, certifies
+    that the whole matching is acyclic; a cycle raises RuntimeError.  Where
+    the paths from a face end, its ``flow`` (a row's own unit), is built in
+    reverse order for each paired face from its steps' flows, then for each
+    cell from its facets' flows, which is its column.
     """
-    order, steps = _gradient_paths(pairs, rows)
+    index = {face: i for i, face in enumerate(chain(pairs, rows))}
+    npairs, k = len(pairs), len(next(iter(pairs), ()))
+    signs = ((-1, 1) * (k + 1))[k + 1:]  # as in _facets, for the (k+1)-faces t
+    steps, indegree, get = [], [0] * npairs, index.get
+    for i, (t, _) in enumerate(pairs.values()):
+        steps.append(walk := [])
+        for r, e in zip(combinations(t, k), signs):
+            j = get(r, i)  # a facet with no index reads as s: skipped
+            if j != i:
+                walk.append((j, e))
+                if j < npairs:
+                    indegree[j] += 1
+    order = [i for i, n in enumerate(indegree) if not n]
+    for i in order:  # grows while it is walked
+        for j, _ in steps[i]:
+            if j < npairs:
+                indegree[j] -= 1
+                if not indegree[j]:
+                    order.append(j)
+    if len(order) < npairs:
+        raise RuntimeError(f"matching has a cycle: {npairs - len(order)} pairs of "
+                           f"size-{k} faces are not ordered")
     if not rows:
         return SparseIntMatrix(0, len(cells), [[] for _ in cells])
-    flow = {r: {i: 1} for r, i in rows.items()}
-    for s, walk, sign in chain(((s, steps[s], -pairs[s][1]) for s in reversed(order)),
-                               ((c, _facets(c), 1) for c in cells)):
+    flow = [None] * npairs + [{r: 1} for r in range(len(rows))]
+
+    def flowed(walk, sign):
         acc = {}
-        for r, e in walk:
-            for i, v in flow.get(r, {}).items():
-                acc[i] = acc.get(i, 0) + e * v
-        flow[s] = {i: sign * v for i, v in acc.items() if v}
-    cols = [sorted(flow[c].items()) for c in cells]
+        for j, e in walk:
+            for r, v in flow[j].items():
+                acc[r] = acc.get(r, 0) + e * v
+        return {r: sign * v for r, v in acc.items() if v}
+    pair_signs = [-e for _, e in pairs.values()]
+    for i in reversed(order):
+        flow[i] = flowed(steps[i], pair_signs[i])
+    cols = [sorted(flowed([(j, e) for r, e in _facets(c) if (j := index.get(r)) is not None],
+                          1).items()) for c in cells]
     return SparseIntMatrix(len(rows), len(cells), cols)
 
 
@@ -275,9 +266,7 @@ def _morse_complex(X, top):
     is not flowed.
     """
     up, critical = _element_matching(X, top)
-    maps = [_morse_map(up[k], {face: r for r, face in enumerate(critical[k])},
-                       critical[k + 1])
-            for k in range(top + 1)]
+    maps = [_morse_map(up[k], critical[k], critical[k + 1]) for k in range(top + 1)]
     return critical, maps
 
 
@@ -288,8 +277,9 @@ def betti_reduced(X, up_to):
     boundary map); faces above it are ignored.  X may be stored or built
     relative to its first vertex.  The ranks are taken on the Morse complex
     of the element matching on the faces off the first vertex's star through
-    dimension up_to+1, so beta_i = c_i - rank d_i - rank d_(i+1) with c_i the
-    critical i-faces.  Every rank is exact; each coboundary skips the rows
+    dimension up_to+1, or the dimension of X if that is lower (the Betti
+    numbers above it are 0), so beta_i = c_i - rank d_i - rank d_(i+1) with
+    c_i the critical i-faces.  Every rank is exact; each coboundary skips the rows
     that led a pivot of the map below it.
     """
     if up_to < 0:
@@ -298,7 +288,8 @@ def betti_reduced(X, up_to):
         raise PreconditionError(
             f"betti through {up_to} needs faces at dimension {up_to + 1}"
         )
-    critical, maps = _morse_complex(X, up_to + 1)
+    top = min(up_to, X.dimension)  # every Betti number above it is 0
+    critical, maps = _morse_complex(X, top + 1)
     cells = [len(faces) for faces in critical[1:]]
     # Clearing: the rows of the faces that led a pivot of map i-1 are
     # skipped in map i.  The reduced row with lead c is a coboundary dx,
@@ -308,7 +299,7 @@ def betti_reduced(X, up_to):
     for mat in maps:
         leads = _coboundary_leads(mat, leads)
         ranks.append(len(leads))
-    betti = [cells[i] - ranks[i] - ranks[i + 1] for i in range(up_to + 1)]
+    betti = [cells[i] - ranks[i] - ranks[i + 1] for i in range(top + 1)] + [0] * (up_to - top)
     if any(b < 0 for b in betti):
         raise RuntimeError("negative Betti number: rank computation inconsistent")
     return BettiVector(tuple(betti), up_to, (X.f_vector() + (0,) * (up_to + 1))[: up_to + 1])

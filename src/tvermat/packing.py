@@ -130,6 +130,15 @@ class _Union:
                 parts[j].add(e)
                 covered[e] = j
 
+    def freeze(self, count):
+        """The first ``count`` parts as frozensets, the run's end: its state
+        is released, each part's set as it is frozen, to hold one packing."""
+        parts, self.parts, self.covered, self.log = self.parts, None, None, None
+        del parts[count:]
+        for i, part in enumerate(parts):
+            parts[i] = frozenset(part)
+        return parts
+
     def grow(self, target, deadline):
         """Augment until the parts hold ``target`` elements in total.
 
@@ -233,7 +242,7 @@ def pack_k_bases(M, k, deadline=None):
         cert = PackingCertificate(reached, k)
         cert.check(M)
         return cert
-    packing = BasePacking([frozenset(p) for p in union.parts], M)
+    packing = BasePacking(union.freeze(k), M)
     packing.check()
     return packing
 
@@ -256,9 +265,9 @@ def max_disjoint_bases(M, deadline=None):
         reached = union.grow(len(union.parts) * union.full, deadline)
         if reached is not None:
             union.undo()
-            packing = BasePacking([frozenset(p) for p in union.parts[:-1]], M)
+            packing = BasePacking(union.freeze(len(union.parts) - 1), M)
             packing.check()
-            cert = PackingCertificate(reached, len(union.parts))
+            cert = PackingCertificate(reached, len(packing) + 1)
             cert.check(M)
             return len(packing), packing, cert
 
@@ -278,7 +287,7 @@ def pack_into_independent(M, A, m, deadline=None):
         cert = CoverCertificate(reached, m)
         cert.check(M)
         return cert
-    cover = [frozenset(p) for p in union.parts if p]
+    cover = [p for p in union.freeze(m) if p]
     _check_family(M, cover)
     if frozenset().union(*cover) != A:
         raise RuntimeError("independent cover does not cover its target")

@@ -87,6 +87,37 @@ def test_homology_through_the_top_coboundary(capsys):
         assert json.loads(out)["payload"]["betti"] == betti
 
 
+def test_huge_up_to_ends_in_a_report(capsys):
+    # above the complex's dimension every Betti number is 0 and is not
+    # computed; an --up-to above the ground-size cap is an input error
+    t0 = time.monotonic()
+    code, out = run(capsys, "homology", "--chessboard", "3,4", "--up-to", "100000000")
+    assert time.monotonic() - t0 < 2.0
+    rep = json.loads(out)
+    assert code == 2 and rep["outcome"] == "input-error"
+    assert rep["payload"] == {"error": "--up-to 100000000 exceeds the cap 1048576"}
+    for up_to in (99, 1_000_000):
+        code, out = run(capsys, "homology", "--chessboard", "3,4", "--up-to", str(up_to))
+        assert code == 0
+        assert json.loads(out)["payload"] == {
+            "betti": [0, 2, 1] + [0] * (up_to - 2), "up_to": up_to,
+            "f_vector": [1, 12, 36, 24]}
+
+
+def test_many_copies_meet_the_face_cap_first(tmp_path, capsys):
+    # 2,000,000 copies of U(2,5) have 10**7 vertices: the cap fires before
+    # any per-copy state is built
+    path = tmp_path / "u2_5.matroid"
+    write_matroid(path, UniformMatroid(2, 5))
+    t0 = time.monotonic()
+    code, out = run(capsys, "conjecture-scan", "--matroid", str(path), "--k", "2000000")
+    assert time.monotonic() - t0 < 5.0
+    rep = json.loads(out)
+    assert code == 3 and rep["outcome"] == "resource-limit"
+    assert rep["payload"] == {"error": "face cap exceeded at dimension 0: 5000001 > 5000000",
+                              "progress": {"cap": 5000000, "dimension": 0}}
+
+
 def test_verify_corollary_and_conn(files, capsys):
     code, out = run(capsys, "verify-corollary", "--matroid", files["u2_4.matroid"], "--k", "2")
     assert code == 0

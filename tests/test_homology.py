@@ -283,9 +283,9 @@ def test_first_stage_pairs_leave_the_gradient_pass(monkeypatch):
     # factor, K6, is stored whole, and the matching cuts its star itself
     k6 = GraphicMatroid(6, list(combinations(range(6), 2)))
     walked = []
-    gradient_paths = homology._gradient_paths
-    monkeypatch.setattr(homology, "_gradient_paths",
-                        lambda pairs, rows: walked.append(len(pairs)) or gradient_paths(pairs, rows))
+    morse_map = homology._morse_map
+    monkeypatch.setattr(homology, "_morse_map", lambda pairs, rows, cells:
+                        walked.append(len(pairs)) or morse_map(pairs, rows, cells))
     for build, top, pinned, stored_top in [
             (lambda **kw: deleted_join([UniformMatroid(3, 9)] * 3, 3, **kw), 3,
              (4_082, 12_447, 562, 2_958), 7_858),
@@ -379,18 +379,24 @@ print("ok")
 # matching runs, so only the Kahn walk can reject it: beside the isolated
 # first vertex 0, whose star holds no other face, the hollow triangle on
 # 1, 2, 3 with each vertex paired with the next edge; its Morse complex
-# would read beta_0 = beta_1 = 0 where the complex has beta_0 = beta_1 = 1
+# would read beta_0 = beta_1 = 0 where the complex has beta_0 = beta_1 = 1.
+# The second case adds an isolated vertex 4, left critical, so the critical
+# vertex and the paired ones share the Morse map's index
 SWEPT_CYCLE = ([{}, {(1,): ((1, 2), 1), (2,): ((2, 3), 1), (3,): ((1, 3), -1)},
                 {}, {}], [[], [], [], []])
+SWEPT_CASES = [(SWEPT_CYCLE, [(0,), (1, 2), (2, 3), (1, 3)], (1, 1)),
+               ((SWEPT_CYCLE[0], [[], [(4,)], [], []]),
+                [(0,), (4,), (1, 2), (2, 3), (1, 3)], (2, 1))]
 
 
 def test_cycle_past_the_first_stage_is_rejected(monkeypatch):
-    X = from_facets([(0,), (1, 2), (2, 3), (1, 3)])
-    monkeypatch.setattr(homology, "_element_matching", lambda X, top: deepcopy(SWEPT_CYCLE))
-    with pytest.raises(RuntimeError, match="matching has a cycle"):
-        betti_reduced(X, 1)
-    monkeypatch.undo()
-    assert betti_reduced(X, 1).betti == (1, 1)
+    for planted, facets, betti in SWEPT_CASES:
+        X = from_facets(facets)
+        monkeypatch.setattr(homology, "_element_matching", lambda X, top: deepcopy(planted))
+        with pytest.raises(RuntimeError, match="matching has a cycle"):
+            betti_reduced(X, 1)
+        monkeypatch.undo()
+        assert betti_reduced(X, 1).betti == betti
 
 
 def test_cycle_past_the_first_stage_is_rejected_under_python_O():
@@ -398,13 +404,14 @@ def test_cycle_past_the_first_stage_is_rejected_under_python_O():
 import sys
 from tvermat import betti_reduced, from_facets, homology
 assert sys.flags.optimize == 1
-homology._element_matching = lambda X, top: {SWEPT_CYCLE!r}
-try:
-    betti_reduced(from_facets([(0,), (1, 2), (2, 3), (1, 3)]), 1)
-    sys.exit("cyclic matching accepted")
-except RuntimeError as err:
-    if "matching has a cycle" not in str(err):
-        sys.exit(f"wrong error: {{err}}")
+for planted, facets, _ in {SWEPT_CASES!r}:
+    homology._element_matching = lambda X, top: planted
+    try:
+        betti_reduced(from_facets(facets), 1)
+        sys.exit(f"cyclic matching accepted: {{facets}}")
+    except RuntimeError as err:
+        if "matching has a cycle" not in str(err):
+            sys.exit(f"wrong error: {{err}}")
 print("ok")
 """
     src = Path(homology.__file__).resolve().parents[1]
