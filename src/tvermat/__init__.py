@@ -29,7 +29,6 @@ from .packing import (
     max_disjoint_bases,
     pack_into_independent,
     pack_k_bases,
-    partition_almost_equal,
 )
 from .complexes import (
     SimplicialComplex,

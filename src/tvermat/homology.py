@@ -31,8 +31,8 @@ from itertools import chain, combinations
 from math import gcd
 
 from .errors import HypothesisViolation, InputError, PreconditionError
-from .complexes import DEFAULT_FACE_CAP, deleted_join, off_star
-from .packing import max_disjoint_bases, pack_into_independent, partition_almost_equal
+from .complexes import DEFAULT_FACE_CAP, _check_cap, deleted_join, off_star
+from .packing import max_disjoint_bases, pack_into_independent
 
 
 @dataclass
@@ -365,6 +365,14 @@ def join_connectivity(matroids, c, cap=DEFAULT_FACE_CAP, context=None):
     return rep
 
 
+def _fold_connectivity(M, k, c, cap, context):
+    """``join_connectivity`` of k copies of M; f_0 = k * |non-loops| meets the
+    cap, as in ``deleted_join``, before the k copies are listed."""
+    if c >= -1 and cap is not None and k * M.n > cap:
+        _check_cap(k * len(M._extensions((), 0)), 0, cap)
+    return join_connectivity([M] * k, c, cap, context)
+
+
 def _ceil_div(a, b):
     return -(-a // b)
 
@@ -425,11 +433,12 @@ def verify_corollary(M, k, cap=DEFAULT_FACE_CAP, deadline=None):
     m = _ceil_div(b, k)
     # the packed bases are checked disjoint independent sets, so a group of
     # at most m of them is a union of at most m independent sets
-    if any(len(grp) > m for grp in partition_almost_equal(b, k)):
+    q, r = divmod(b, k)  # r groups of q + 1 bases, k - r of q
+    if q + (r > 0) > m:
         raise RuntimeError("a group holds more than m packed bases")
     c = (b * rho) // (m + 1) - 2
     context["m"] = m
-    return join_connectivity([M] * k, c, cap, context)
+    return _fold_connectivity(M, k, c, cap, context)
 
 
 @dataclass
@@ -454,6 +463,6 @@ def conjecture_scan(M, k, cap=DEFAULT_FACE_CAP, deadline=None):
     rho = M.rank()
     b, _, _ = max_disjoint_bases(M, deadline)
     c = k * rho - 2
-    rep = join_connectivity([M] * k, c, cap, {"b": b, "rank": rho, "k": k, "target": c})
+    rep = _fold_connectivity(M, k, c, cap, {"b": b, "rank": rho, "k": k, "target": c})
     return ConjectureRecord(b=b, rank=rho, k=k, target=c, verified=rep.verified,
                             report=rep)

@@ -19,15 +19,15 @@ def solve_equality_feasibility(A, b):
     """A feasible point of {x >= 0 : Ax = b}, or None.
 
     A is a list of m rows of length n; int or Fraction entries, as is b.
-    Phase-1 simplex: minimize the sum of artificial variables; feasibility
-    holds iff the optimum is zero, and otherwise the final simplex
-    multipliers are a Farkas ray, checked before None is returned.
+    ``_phase1`` gets each row [A_i | b_i] times the lcm of its denominators,
+    negated where b_i < 0.
     """
-    m = len(A)
-    n = len(A[0]) if m else 0
+    if not A:
+        return []
+    n = len(A[0])
     rows = []  # [a_i1 .. a_in, b_i] times scales[i], integers, b_i >= 0
     scales = []
-    for i in range(m):
+    for i in range(len(A)):
         if len(A[i]) != n:
             raise InputError("ragged constraint matrix")
         row = [*A[i], b[i]]
@@ -35,9 +35,16 @@ def solve_equality_feasibility(A, b):
         scale = lcm(*(x.denominator for x in row))
         rows.append([sign * x.numerator * (scale // x.denominator) for x in row])
         scales.append(scale)
-    if m == 0:
-        return [Fraction(0)] * n
+    return _phase1(rows, scales)
 
+
+def _phase1(rows, scales):
+    """A feasible point of {x >= 0 : Ax = b}, or None, given m >= 1 integer
+    rows [A_i | b_i] * scales[i], b_i >= 0.  Phase-1 simplex: feasible iff
+    the sum of the artificial variables has minimum zero; otherwise the final
+    simplex multipliers are a Farkas ray, checked before None is returned."""
+    m = len(rows)
+    n = len(rows[0]) - 1
     # tableau row i is T[i] / den[i]: n original columns, m artificial
     # columns (basic at the start), then the rhs.  Row m is the phase-1 cost
     # row [reduced costs | -objective] for costs (0..0, 1..1).
@@ -106,7 +113,7 @@ def _check_farkas(rows, y):
 def _as_point(pt, dim):
     if len(pt) != dim:
         raise InputError(f"point of dimension {len(pt)}, expected {dim}")
-    return tuple(Fraction(c) for c in pt)
+    return tuple(c if type(c) is Fraction else Fraction(c) for c in pt)
 
 
 def hulls_intersect(point_sets):
@@ -115,7 +122,8 @@ def hulls_intersect(point_sets):
     Returns (p, lambdas) where lambdas[i][j] >= 0 are convex coefficients with
     sum 1 per set and sum_j lambdas[i][j] * point = p exactly for every set.
     Decided by exact phase-1 simplex on the convexity and pairwise-equal
-    barycenter equations.
+    barycenter equations, built as the integer rows ``_phase1`` takes: each
+    barycenter row is scaled by the lcm of its coordinates' denominators.
     """
     sets = [list(s) for s in point_sets]
     if not sets or any(not s for s in sets):
@@ -129,25 +137,20 @@ def hulls_intersect(point_sets):
     offsets = [sum(sizes[:i]) for i in range(t)]
     nvar = sum(sizes)
 
-    rows = []
-    rhs = []
-    for i in range(t):
-        row = [0] * nvar
-        for j in range(sizes[i]):
-            row[offsets[i] + j] = 1
-        rows.append(row)
-        rhs.append(1)
+    rows = [[0] * offsets[i] + [1] * sizes[i] + [0] * (nvar - offsets[i] - sizes[i]) + [1]
+            for i in range(t)]
+    scales = [1] * t
     for i in range(1, t):
         for ell in range(dim):
-            row = [0] * nvar
-            for j, p in enumerate(pts[i]):
-                row[offsets[i] + j] = p[ell]
-            for j, p in enumerate(pts[0]):
-                row[offsets[0] + j] -= p[ell]
+            cs = [p[ell] for p in pts[0]] + [p[ell] for p in pts[i]]
+            scale = lcm(*(c.denominator for c in cs))
+            ints = [c.numerator * (scale // c.denominator) for c in cs]
+            row = [-v for v in ints[: sizes[0]]] + [0] * (nvar + 1 - sizes[0])
+            row[offsets[i] : offsets[i] + sizes[i]] = ints[sizes[0] :]
             rows.append(row)
-            rhs.append(0)
+            scales.append(scale)
 
-    x = solve_equality_feasibility(rows, rhs)
+    x = _phase1(rows, scales)
     if x is None:
         return None
     lambdas = [x[offsets[i] : offsets[i] + sizes[i]] for i in range(t)]

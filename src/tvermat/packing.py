@@ -236,8 +236,13 @@ def pack_k_bases(M, k, deadline=None):
     """
     if k < 1:
         raise InputError(f"k must be positive, got {k}")
-    union = _Union(M, range(M.n), k)
-    reached = union.grow(k * union.full, deadline)
+    if k >= M.n and k * M.rank() > M.n:
+        # each non-loop fits a part of its own, so the run would end reaching
+        # the loops L: k*r(L) + |E - L| < k*r(E), found with no part built
+        reached = frozenset(range(M.n)).difference(M._extensions((), 0))
+    else:
+        union = _Union(M, range(M.n), k)
+        reached = union.grow(k * union.full, deadline)
     if reached is not None:
         cert = PackingCertificate(reached, k)
         cert.check(M)
@@ -293,19 +298,3 @@ def pack_into_independent(M, A, m, deadline=None):
         raise RuntimeError("independent cover does not cover its target")
     return cover
 
-
-def partition_almost_equal(b, k):
-    """Split {1..b} into k contiguous index blocks, sizes within floor/ceil of b/k.
-
-    Larger blocks come first; deterministic.
-    """
-    if b < 0 or k < 1:
-        raise InputError(f"need b >= 0 and k >= 1, got b={b}, k={k}")
-    q, r = divmod(b, k)
-    out = []
-    start = 1
-    for i in range(k):
-        size = q + 1 if i < r else q
-        out.append(list(range(start, start + size)))
-        start += size
-    return out

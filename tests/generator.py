@@ -9,6 +9,7 @@ against the exchange axiom before admission.
 import random
 from itertools import combinations
 
+from tvermat.errors import InputError
 from tvermat.matroids import (
     ExplicitMatroid,
     GraphicMatroid,
@@ -95,3 +96,21 @@ def small_matroid_family(explicit_count=50, explicit_seed=2717):
     fam.extend(partition_family())
     fam.extend(random_explicit_specs(explicit_count, explicit_seed))
     return fam
+
+
+def partition_almost_equal(b, k):
+    """Split {1..b} into k contiguous index blocks, sizes within floor/ceil of b/k.
+
+    Larger blocks come first; deterministic.  These are the groups of packed
+    bases that ``verify_corollary`` bounds from ``divmod(b, k)``.
+    """
+    if b < 0 or k < 1:
+        raise InputError(f"need b >= 0 and k >= 1, got b={b}, k={k}")
+    q, r = divmod(b, k)
+    out = []
+    start = 1
+    for i in range(k):
+        size = q + 1 if i < r else q
+        out.append(list(range(start, start + size)))
+        start += size
+    return out

@@ -8,12 +8,12 @@ every element and rebuilds its state on each augmentation, deleted joins by
 testing every vertex set, Betti numbers via dense integer Smith reduction, the
 element matching off the first vertex's star by visiting every face that
 holds each vertex and its Morse complex by flowing through every pair, hull
-intersection via Fourier-Motzkin elimination, the rational-tableau phase-1
-simplex that the fraction-free solver must match pivot for pivot, and the
-first Tverberg witness by trying every disjoint face tuple in order.  The
-one exception is ``exact_betti``: it ranks the package's own boundary
-matrices with its exact elimination, and so checks the Morse reduction
-alone (the Smith oracle checks the elimination).
+intersection via Fourier-Motzkin elimination, the Fraction rows of a hull
+test, the rational-tableau phase-1 simplex that the fraction-free solver
+must match pivot for pivot, and the first Tverberg witness by trying every
+disjoint face tuple in order.  The one exception is ``exact_betti``: it
+ranks the package's own boundary matrices with its exact elimination, and so
+checks the Morse reduction alone (the Smith oracle checks the elimination).
 """
 
 from collections import deque
@@ -467,37 +467,44 @@ def fourier_motzkin_feasible(ineqs, nvars):
     return all(row[nvars] <= 0 for row in rows)
 
 
-def hulls_intersect_fm(point_sets):
-    """Fourier-Motzkin route to the same feasibility decided by the LP."""
-    sets = [list(s) for s in point_sets]
+def hull_system(point_sets):
+    """The convexity and barycenter equations of a hull test as Fraction rows
+    and right-hand sides: one sum-to-1 row per set, then for each later set i
+    and coordinate ell the row sum_j lambda_ij p_ij[ell] - sum_j lambda_0j
+    p_0j[ell] = 0, where p_ij is point j of set i."""
+    sets = [[tuple(Fraction(c) for c in p) for p in s] for s in point_sets]
     dim = len(sets[0][0])
     sizes = [len(s) for s in sets]
     offsets = [sum(sizes[:i]) for i in range(len(sets))]
     nvar = sum(sizes)
-
-    ineqs = []
-    for j in range(nvar):
-        row = [Fraction(0)] * (nvar + 1)
-        row[j] = Fraction(-1)
-        ineqs.append(row)  # -lambda_j <= 0
-
-    def add_eq(coeffs, const):
-        ineqs.append(coeffs + [Fraction(const)])
-        ineqs.append([-c for c in coeffs] + [Fraction(-const)])
-
-    for i, s in enumerate(sets):
-        coeffs = [Fraction(0)] * nvar
+    rows, rhs = [], []
+    for i in range(len(sets)):
+        row = [0] * nvar
         for j in range(sizes[i]):
-            coeffs[offsets[i] + j] = Fraction(1)
-        add_eq(coeffs, -1)  # sum lambda - 1 <= 0 and >=
+            row[offsets[i] + j] = 1
+        rows.append(row)
+        rhs.append(1)
     for i in range(1, len(sets)):
         for ell in range(dim):
-            coeffs = [Fraction(0)] * nvar
+            row = [0] * nvar
             for j, p in enumerate(sets[i]):
-                coeffs[offsets[i] + j] = Fraction(p[ell])
+                row[offsets[i] + j] = p[ell]
             for j, p in enumerate(sets[0]):
-                coeffs[offsets[0] + j] -= Fraction(p[ell])
-            add_eq(coeffs, 0)
+                row[offsets[0] + j] -= p[ell]
+            rows.append(row)
+            rhs.append(0)
+    return rows, rhs
+
+
+def hulls_intersect_fm(point_sets):
+    """Fourier-Motzkin route to the same feasibility decided by the LP."""
+    rows, rhs = hull_system(point_sets)
+    nvar = len(rows[0])
+    ineqs = [[-1 if i == j else 0 for i in range(nvar)] + [0]
+             for j in range(nvar)]  # -lambda_j <= 0
+    for row, r in zip(rows, rhs):  # row . lambda - r <= 0 and >= 0
+        ineqs.append(row + [-r])
+        ineqs.append([-c for c in row] + [r])
     return fourier_motzkin_feasible(ineqs, nvar)
 
 

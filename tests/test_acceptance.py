@@ -8,7 +8,7 @@ asserted separately per criterion.
 
 import time
 
-from generator import small_matroid_family
+from generator import partition_almost_equal, small_matroid_family
 from oracles import brute_max_disjoint_bases, hulls_intersect_fm
 from tvermat import (
     UniformMatroid,
@@ -21,7 +21,6 @@ from tvermat import (
     as_complex,
     betti_reduced,
     max_disjoint_bases,
-    partition_almost_equal,
     random_point_config,
     verify_claim,
     verify_corollary,

@@ -6,6 +6,7 @@ import io
 import json
 import tempfile
 import time
+import tracemalloc
 from pathlib import Path
 
 import pytest
@@ -116,6 +117,40 @@ def test_many_copies_meet_the_face_cap_first(tmp_path, capsys):
     assert code == 3 and rep["outcome"] == "resource-limit"
     assert rep["payload"] == {"error": "face cap exceeded at dimension 0: 5000001 > 5000000",
                               "progress": {"cap": 5000000, "dimension": 0}}
+
+
+@pytest.fixture(scope="module")
+def u3_9(tmp_path_factory):
+    path = tmp_path_factory.mktemp("hostile") / "u3_9.matroid"
+    write_matroid(path, UniformMatroid(3, 9))
+    return str(path)
+
+
+@pytest.mark.parametrize("command", ["pack", "verify-corollary", "conjecture-scan"])
+@pytest.mark.parametrize("k", [2**20 + 1, 10**8, 10**9, 10**30])
+def test_hostile_k_ends_in_one_small_report(u3_9, command, k):
+    # k parts or k copies are never built: pack certifies with the loops,
+    # none here (k >= n = 9), and the scans meet the face cap at f_0 = 9k
+    out = io.StringIO()
+    tracemalloc.start()
+    t0 = time.monotonic()
+    try:
+        with contextlib.redirect_stdout(out):
+            code = main([command, "--matroid", u3_9, "--k", str(k)])
+        elapsed = time.monotonic() - t0
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    rep = json.loads(out.getvalue())
+    assert EXIT_CODES[rep["outcome"]] == code
+    assert elapsed < 2.0 and peak < 50 * 2**20
+    if command == "pack":
+        assert code == 0 and rep["payload"] == {
+            "packed": False, "certificate": {"k": k, "witness_set": []}}
+    else:
+        assert code == 3 and rep["payload"] == {
+            "error": "face cap exceeded at dimension 0: 5000001 > 5000000",
+            "progress": {"cap": 5000000, "dimension": 0}}
 
 
 def test_verify_corollary_and_conn(files, capsys):

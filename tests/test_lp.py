@@ -10,7 +10,7 @@ from pathlib import Path
 import pytest
 
 import tvermat.lp
-from oracles import fraction_simplex, hulls_intersect_fm
+from oracles import fraction_simplex, hull_system, hulls_intersect_fm
 from tvermat import InputError, hulls_intersect, solve_equality_feasibility
 from tvermat.lp import _check_farkas
 
@@ -88,13 +88,13 @@ def test_corrupted_solver_result_raises(monkeypatch):
 
     # a solution that is not a convex combination: the witness check must
     # reject it even under ``python -O``
-    monkeypatch.setattr(tvermat.lp, "solve_equality_feasibility",
-                        lambda rows, rhs: [Fraction(2), Fraction(-1), Fraction(1)])
+    monkeypatch.setattr(tvermat.lp, "_phase1",
+                        lambda rows, scales: [Fraction(2), Fraction(-1), Fraction(1)])
     with pytest.raises(RuntimeError):
         hulls_intersect([[(0,), (2,)], [(1,)]])
     # convex coefficients whose hulls do not meet at the reported point
-    monkeypatch.setattr(tvermat.lp, "solve_equality_feasibility",
-                        lambda rows, rhs: [Fraction(1), Fraction(0), Fraction(1)])
+    monkeypatch.setattr(tvermat.lp, "_phase1",
+                        lambda rows, scales: [Fraction(1), Fraction(0), Fraction(1)])
     with pytest.raises(RuntimeError):
         hulls_intersect([[(0,), (2,)], [(1,)]])
 
@@ -121,15 +121,31 @@ def test_integer_tableau_matches_fraction_reference(monkeypatch):
     rng = random.Random(2024)
     systems = [_random_system(rng) for _ in range(1500)]
 
-    def record(rows, rhs):
-        systems.append((rows, rhs))
-        return fraction_simplex(rows, rhs)
+    passed = []
 
-    monkeypatch.setattr(tvermat.lp, "solve_equality_feasibility", record)
+    def record(rows, scales):
+        # the hull test's integer rows, compared below as row / scale
+        passed.append((rows, scales))
+        A = [[Fraction(x, s) for x in row[:-1]] for row, s in zip(rows, scales)]
+        b = [Fraction(row[-1], s) for row, s in zip(rows, scales)]
+        systems.append((A, b))
+        return fraction_simplex(A, b)
+
+    monkeypatch.setattr(tvermat.lp, "_phase1", record)
+    families = []
     for _ in range(300):
-        hulls_intersect(_random_instance(rng))
-        hulls_intersect(_degenerate_sets(rng))
+        for sets in (_random_instance(rng), _degenerate_sets(rng)):
+            families.append(sets)
+            hulls_intersect(sets)
+    # they are the rows and scales solve_equality_feasibility derives from the
+    # hull test's Fraction rows, so the pivots and the witness are the same
+    derived = []
+    monkeypatch.setattr(tvermat.lp, "_phase1",
+                        lambda rows, scales: derived.append((rows, scales)))
+    for sets in families:
+        solve_equality_feasibility(*hull_system(sets))
     monkeypatch.undo()
+    assert derived == passed
     assert len(systems) == 2100
     outcomes = set()
     for A, b in systems:
@@ -161,12 +177,13 @@ try:
     sys.exit("wrong Farkas ray accepted")
 except RuntimeError:
     pass
-tvermat.lp.solve_equality_feasibility = lambda rows, rhs: [Fraction(2), Fraction(-1), Fraction(1)]
-try:
-    hulls_intersect([[(0,), (2,)], [(1,)]])
-    sys.exit("wrong solver result accepted")
-except RuntimeError:
-    pass
+for x in ([Fraction(2), Fraction(-1), Fraction(1)], [Fraction(1), Fraction(0), Fraction(1)]):
+    tvermat.lp._phase1 = lambda rows, scales: x
+    try:
+        hulls_intersect([[(0,), (2,)], [(1,)]])
+        sys.exit("wrong solver result accepted")
+    except RuntimeError:
+        pass
 print("ok")
 """
     src = Path(tvermat.lp.__file__).resolve().parents[1]

@@ -7,7 +7,7 @@ from itertools import combinations
 
 import pytest
 
-from generator import small_matroid_family
+from generator import partition_almost_equal, small_matroid_family
 from oracles import (
     brute_coverable,
     brute_max_disjoint_bases,
@@ -26,7 +26,6 @@ from tvermat import (
     max_disjoint_bases,
     pack_into_independent,
     pack_k_bases,
-    partition_almost_equal,
 )
 
 TRIANGLE = GraphicMatroid(3, [(0, 1), (1, 2), (0, 2)])
@@ -180,6 +179,24 @@ def test_cover_duality_exhaustive():
                             seen |= part
                     else:
                         assert res.check(M)
+
+
+def test_k_past_the_ground_set_reaches_the_loops():
+    # with k >= n parts every non-loop fits a part of its own, so the run ends
+    # reaching the loops: pack_k_bases returns them without building a part
+    kinds = set()
+    for name, M in small_matroid_family():
+        loops = frozenset(e for e in range(M.n) if M.rank([e]) == 0)
+        for k in (M.n, M.n + 1, 3 * M.n):
+            if k * M.rank() <= M.n:
+                continue
+            res = pack_k_bases(M, k)
+            assert isinstance(res, PackingCertificate) and res.check(M)
+            assert res.witness_set == loops == reference_pack_k_bases(M, k), (name, k)
+            kinds.add(bool(loops))
+    assert kinds == {False, True}  # matroids with and without loops
+    for k in (2**20 + 1, 10**30):
+        assert pack_k_bases(UniformMatroid(3, 9), k) == PackingCertificate(frozenset(), k)
 
 
 def test_partition_almost_equal():
