@@ -19,7 +19,6 @@ from .matroids import (
     PartitionMatroid,
     UniformMatroid,
     colourful_matroid,
-    explicit_from,
     validate_matroid,
 )
 from .packing import (
@@ -35,8 +34,6 @@ from .complexes import (
     as_complex,
     chessboard,
     deleted_join,
-    from_facets,
-    full_simplex,
 )
 from .homology import (
     BettiVector,

@@ -22,17 +22,16 @@ cap holds 0.5 GB.
 
 from bisect import bisect_left
 from collections import Counter
-from itertools import chain, combinations
-from math import inf
+from itertools import chain
 
-from .errors import InputError, PreconditionError, ResourceLimitError
+from .errors import InputError, ResourceLimitError
 from .matroids import UniformMatroid
 
 DEFAULT_FACE_CAP = 5_000_000
 
 
 def _check_cap(count, dim, cap):
-    if cap is not None and count > cap:  # counting stops at cap + 1
+    if count > cap:  # counting stops at cap + 1
         raise ResourceLimitError(
             f"face cap exceeded at dimension {dim}: {cap + 1} > {cap}",
             progress={"dimension": dim, "cap": cap},
@@ -74,12 +73,6 @@ class SimplicialComplex:
     def num_faces(self):
         return sum(self.f)
 
-    def euler_characteristic(self):
-        """Non-reduced Euler characteristic; requires a complete complex."""
-        if not self.complete:
-            raise PreconditionError("Euler characteristic needs a complete complex")
-        return sum((-1) ** d * count for d, count in enumerate(self.f))
-
     def _materialized_to(self, d):
         return self.complete or self.trunc >= d
 
@@ -88,27 +81,7 @@ class SimplicialComplex:
         return f"SimplicialComplex(f={self.f_vector()}, {kind})"
 
 
-def from_facets(facets):
-    """Complete complex generated by explicit facets (small inputs)."""
-    faces = set()
-    for facet in facets:
-        facet = sorted(set(facet))
-        for k in range(1, len(facet) + 1):
-            faces.update(combinations(facet, k))
-    by_dim = {}
-    for face in sorted(faces):
-        by_dim.setdefault(len(face) - 1, []).append(face)
-    return SimplicialComplex(by_dim, trunc=max(by_dim, default=-1), complete=True)
-
-
-def full_simplex(num_vertices):
-    """The full simplex on ``num_vertices`` vertices (num_vertices-1 dimensional)."""
-    if num_vertices < 0:
-        raise InputError("vertex count must be nonnegative")
-    return from_facets([tuple(range(num_vertices))])
-
-
-def independent_sets(M, max_dim, cap=None):
+def independent_sets(M, max_dim, cap):
     """Nonempty independent sets of M with at most max_dim+1 elements.
 
     Returns dim -> lexicographically sorted faces.  Faces of size s+1 extend
@@ -124,7 +97,7 @@ def independent_sets(M, max_dim, cap=None):
         for face in level:
             for e in M._extensions(face, face[-1] + 1 if face else 0):
                 nxt.append(face + (e,))
-                if cap is not None and len(nxt) > cap:
+                if len(nxt) > cap:
                     _check_cap(len(nxt), d, cap)
         if not nxt:
             break
@@ -258,7 +231,6 @@ def deleted_join(matroids, trunc=None, cap=DEFAULT_FACE_CAP, relative=False):
         return SimplicialComplex({}, trunc, trunc >= top)
     v1, e1 = fresh[0][0]
     c1 = v1 // n
-    stop = inf if cap is None else cap
     by_dim, f, star, off = {}, [], [()], []
     for d in range(trunc + 1):
         cone = len(star)  # the d-faces t + v1 of the star faces t below
@@ -280,16 +252,16 @@ def deleted_join(matroids, trunc=None, cap=DEFAULT_FACE_CAP, relative=False):
                     if e1 in loose[j]:
                         noff.append(face + (j * n + e1,))
                         width -= 1
-                if cone + width + len(noff) > stop:
+                if cone + width + len(noff) > cap:
                     break
         else:
-            for t in grow(star, stop - cone, []):
+            for t in grow(star, cap - cone, []):
                 v = t[-1]
                 if v != v1:  # below the top, a child in copy c1 is looked up
                     (nstar if v % n != e1 and (v // n != c1 or d < trunc and (v, v % n) in
                                                children(c1, (v1,) + t[:-1])) else noff).append(t)
             width = len(nstar)
-        grow(off, stop - cone - width, noff)
+        grow(off, cap - cone - width, noff)
         count = cone + width + len(noff)
         _check_cap(count, d, cap)
         if not count:
@@ -314,8 +286,11 @@ def chessboard(k, m, trunc=None, cap=DEFAULT_FACE_CAP, relative=False):
     """Chessboard complex C(k, m): partial placements of non-attacking rooks.
 
     Built as the k-fold deleted join of U(1, m), so the cell in row r and
-    column c is the vertex r*m + c.
+    column c is the vertex r*m + c.  f_0 = k*m meets the cap before the k
+    copies are listed.
     """
     if k < 1 or m < 1:
         raise InputError(f"need k >= 1 and m >= 1, got k={k}, m={m}")
+    if trunc is None or trunc >= 0:
+        _check_cap(k * m, 0, cap)
     return deleted_join([UniformMatroid(1, m)] * k, trunc, cap, relative)

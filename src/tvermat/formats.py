@@ -13,7 +13,7 @@ from dataclasses import is_dataclass
 from fractions import Fraction
 
 from .errors import InputError
-from .complexes import DEFAULT_FACE_CAP, SimplicialComplex
+from .complexes import SimplicialComplex
 from .matroids import (
     ExplicitMatroid,
     GraphicMatroid,
@@ -48,39 +48,6 @@ def _rational(tok):
 
 
 # -- matroid files (.matroid, JSON) -------------------------------------------
-
-
-def matroid_to_record(M):
-    """JSON-able record for a constructible matroid (the five base types)."""
-    if isinstance(M, UniformMatroid):
-        body = {"type": "uniform", "rank": M.r, "size": M.n}
-    elif isinstance(M, GraphicMatroid):
-        body = {
-            "type": "graphic",
-            "vertices": M.num_vertices,
-            "edges": [[u, v] for u, v in M.edges],
-        }
-    elif isinstance(M, PartitionMatroid):
-        body = {
-            "type": "partition",
-            "blocks": [sorted(b) for b in M.blocks],
-            "capacities": list(M.capacities),
-        }
-    elif isinstance(M, LinearMatroid):
-        body = {
-            "type": "linear",
-            "field": "Q" if M.field is None else f"GF({M.field})",
-            "columns": [[str(x) for x in col] for col in M.columns],
-        }
-    elif isinstance(M, ExplicitMatroid):
-        body = {
-            "type": "explicit",
-            "size": M.n,
-            "maximal_independent_sets": [sorted(s) for s in M.maximal_sets],
-        }
-    else:
-        raise InputError(f"matroid of type {type(M).__name__} is not serializable")
-    return {"format-version": FORMAT_VERSION, **body}
 
 
 def _ground_size(rec):
@@ -134,12 +101,6 @@ def matroid_from_record(rec):
     raise InputError(f"unknown matroid type {kind!r}")
 
 
-def write_matroid(path, M):
-    with open(path, "w") as fh:
-        json.dump(matroid_to_record(M), fh, indent=2, sort_keys=True)
-        fh.write("\n")
-
-
 def read_matroid(path):
     try:
         with open(path) as fh:
@@ -151,7 +112,7 @@ def read_matroid(path):
     return matroid_from_record(rec)
 
 
-# -- line-based files (.pts, .faces, .triplets) ----------------------------------
+# -- line-based files (.pts, .faces) ------------------------------------------
 
 
 def _content_lines(text):
@@ -168,18 +129,6 @@ def _content_lines(text):
 
 
 # -- point configuration files (.pts) -----------------------------------------
-
-
-def write_points(path, cfg):
-    from .tverberg import PointConfig  # local import avoids a cycle
-
-    assert isinstance(cfg, PointConfig)
-    with open(path, "w") as fh:
-        fh.write(f"format-version: {FORMAT_VERSION}\n")
-        fh.write(f"d={cfg.dim}\n")
-        for e in sorted(cfg.coords):
-            coords = " ".join(str(c) for c in cfg.coords[e])
-            fh.write(f"{e}: {coords}\n")
 
 
 def parse_points(text):
@@ -280,33 +229,6 @@ def write_triplets(path, mat):
         fh.write(f"rows {mat.nrows} cols {mat.ncols}\n")
         for r, c, v in mat.triplets():
             fh.write(f"{r} {c} {v}\n")
-
-
-def parse_triplets(text):
-    lines = _content_lines(text)
-    if not lines or not lines[0].startswith("rows "):
-        raise InputError('triplet file needs a "rows <m> cols <n>" header')
-    try:
-        _, m, _, n = lines[0].split()
-        m, n = int(m), int(n)
-    except ValueError as exc:
-        raise InputError(f"bad triplet header {lines[0]!r}") from exc
-    # a boundary matrix has one column per face of a level, and a level
-    # holds at most DEFAULT_FACE_CAP faces unless the cap was raised
-    if m < 0 or not 0 <= n <= DEFAULT_FACE_CAP:
-        raise InputError(f"triplet header {lines[0]!r} out of range")
-    cols = [[] for _ in range(n)]
-    for ln in lines[1:]:
-        try:
-            r, c, v = (int(t) for t in ln.split())
-        except ValueError as exc:
-            raise InputError(f"bad triplet line {ln!r}") from exc
-        if not (0 <= r < m and 0 <= c < n):
-            raise InputError(f"triplet {ln!r} out of bounds")
-        cols[c].append((r, v))
-    from .homology import SparseIntMatrix
-
-    return SparseIntMatrix(m, n, [sorted(col) for col in cols])
 
 
 # -- report rendering ----------------------------------------------------------

@@ -368,7 +368,7 @@ def join_connectivity(matroids, c, cap=DEFAULT_FACE_CAP, context=None):
 def _fold_connectivity(M, k, c, cap, context):
     """``join_connectivity`` of k copies of M; f_0 = k * |non-loops| meets the
     cap, as in ``deleted_join``, before the k copies are listed."""
-    if c >= -1 and cap is not None and k * M.n > cap:
+    if c >= -1 and k * M.n > cap:
         _check_cap(k * len(M._extensions((), 0)), 0, cap)
     return join_connectivity([M] * k, c, cap, context)
 

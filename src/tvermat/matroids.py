@@ -10,16 +10,13 @@ a closed form, so a large declared ground set is never built.
 ``_extensions``, the elements that keep a face independent, is overridden
 by graphic matroids alone: face enumeration labels a forest's trees once
 instead of ranking every candidate edge.  Loops (elements in no
-independent singleton) are first-class: restriction and contraction return
-oracles over the *original* index space with removed elements turned into
-loops, which keeps labeled-vertex bookkeeping in joins uniform.
+independent singleton) stay in the ground set and lie in no face.
 """
 
 from fractions import Fraction
-from itertools import combinations
 from math import gcd
 
-from .errors import InputError, PreconditionError
+from .errors import InputError
 
 
 def _as_idset(S, n, what="element set"):
@@ -82,52 +79,14 @@ class Matroid:
             return None
         return [y for y in sorted(base) if self._indep((base - {y}) | {x})]
 
-    def is_loop(self, e):
-        return not self.is_independent((e,))
-
     def loops(self):
         return [e for e in range(self.n) if not self._indep(frozenset((e,)))]
 
     def non_loops(self):
         return [e for e in range(self.n) if self._indep(frozenset((e,)))]
 
-    # -- minors (single-step, chainable) ----------------------------------
-
-    def restrict(self, keep):
-        """Oracle for M restricted to ``keep``; discarded elements become loops."""
-        return _Restriction(self, _as_idset(keep, self.n, "restriction set"))
-
-    def contract_link(self, v):
-        """Oracle for the link of non-loop v: S independent iff v not in S and
-        S + v independent in M.  v itself becomes a loop of the result."""
-        if not isinstance(v, int) or not 0 <= v < self.n:
-            raise InputError(f"element {v!r} out of range")
-        if not self._indep(frozenset((v,))):
-            raise PreconditionError(f"cannot contract loop {v}")
-        return _Contraction(self, v)
-
     def __repr__(self):
         return f"{type(self).__name__}(n={self.n})"
-
-
-class _Restriction(Matroid):
-    def __init__(self, parent, keep):
-        super().__init__(parent.n)
-        self.parent = parent
-        self.keep = keep
-
-    def _rank(self, ids):
-        return self.parent._rank(ids & self.keep)
-
-
-class _Contraction(Matroid):
-    def __init__(self, parent, v):
-        super().__init__(parent.n)
-        self.parent = parent
-        self.v = v
-
-    def _rank(self, ids):
-        return self.parent._rank(ids | {self.v}) - 1
 
 
 class UniformMatroid(Matroid):
@@ -463,12 +422,3 @@ def validate_matroid(n, maximal_sets):
                 return False, (rest, b)
     return True, None
 
-
-def explicit_from(M):
-    """Re-express any matroid oracle as an ExplicitMatroid (small grounds only)."""
-    bases = []
-    r = M.rank()
-    for c in combinations(range(M.n), r):
-        if M.is_independent(c):
-            bases.append(frozenset(c))
-    return ExplicitMatroid(M.n, bases)

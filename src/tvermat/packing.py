@@ -282,17 +282,20 @@ def pack_into_independent(M, A, m, deadline=None):
 
     Success returns a list of nonempty frozensets with union exactly A.
     Failure returns a CoverCertificate A' <= A with m*rank(A') < |A'|.
+    The run builds min(m, |A|) parts: a non-loop finds an empty one among
+    the first |A|, and no part takes a loop, so more parts change nothing.
     """
     if m < 1:
         raise InputError(f"m must be positive, got {m}")
     A = _as_idset(A, M.n, "cover target")
-    union = _Union(M, sorted(A), m)
+    parts = min(m, len(A))
+    union = _Union(M, sorted(A), parts)
     reached = union.grow(len(A), deadline)
     if reached is not None:
         cert = CoverCertificate(reached, m)
         cert.check(M)
         return cert
-    cover = [p for p in union.freeze(m) if p]
+    cover = [p for p in union.freeze(parts) if p]
     _check_family(M, cover)
     if frozenset().union(*cover) != A:
         raise RuntimeError("independent cover does not cover its target")

@@ -148,7 +148,7 @@ class _LazyFaces(list):
     def reach(self, i):
         """Whether face i exists, building the faces up to it."""
         if len(self) <= i:
-            self.extend(islice(self.source, i + 1 - len(self)))
+            self.extend(islice(self.source, min(i, self.cap) + 1 - len(self)))
             if len(self) > self.cap:
                 raise ResourceLimitError(f"face cap {self.cap} exceeded",
                                          progress={"faces": len(self), "cap": self.cap})

@@ -1,4 +1,5 @@
-"""Deterministic small-matroid families for scans and verification sweeps.
+"""Deterministic small-matroid families for scans and verification sweeps,
+and the test-only builders of complexes, matroids and input files.
 
 The same fixed family backs the oracle-equivalence, connectivity, and
 claim/corollary sweeps, so "every generator matroid" means one reproducible
@@ -6,13 +7,17 @@ list.  Explicit specs are rejection-sampled from a seeded RNG and re-validated
 against the exchange axiom before admission.
 """
 
+import json
 import random
 from itertools import combinations
 
+from tvermat.complexes import SimplicialComplex
 from tvermat.errors import InputError
+from tvermat.formats import FORMAT_VERSION
 from tvermat.matroids import (
     ExplicitMatroid,
     GraphicMatroid,
+    LinearMatroid,
     PartitionMatroid,
     UniformMatroid,
     validate_matroid,
@@ -114,3 +119,67 @@ def partition_almost_equal(b, k):
         out.append(list(range(start, start + size)))
         start += size
     return out
+
+
+# -- complexes and matroids ----------------------------------------------------
+
+
+def from_facets(facets):
+    """Complete complex generated by explicit facets (small inputs)."""
+    faces = set()
+    for facet in facets:
+        facet = sorted(set(facet))
+        for k in range(1, len(facet) + 1):
+            faces.update(combinations(facet, k))
+    by_dim = {}
+    for face in sorted(faces):
+        by_dim.setdefault(len(face) - 1, []).append(face)
+    return SimplicialComplex(by_dim, trunc=max(by_dim, default=-1), complete=True)
+
+
+def full_simplex(num_vertices):
+    """The full simplex on ``num_vertices`` vertices (num_vertices-1 dimensional)."""
+    return from_facets([tuple(range(num_vertices))])
+
+
+def explicit_from(M):
+    """Re-express any matroid oracle as an ExplicitMatroid (small grounds only)."""
+    bases = [frozenset(c) for c in combinations(range(M.n), M.rank()) if M.is_independent(c)]
+    return ExplicitMatroid(M.n, bases)
+
+
+# -- input files ---------------------------------------------------------------
+
+
+def matroid_to_record(M):
+    """JSON-able record for a constructible matroid (the five base types)."""
+    if isinstance(M, UniformMatroid):
+        body = {"type": "uniform", "rank": M.r, "size": M.n}
+    elif isinstance(M, GraphicMatroid):
+        body = {"type": "graphic", "vertices": M.num_vertices,
+                "edges": [[u, v] for u, v in M.edges]}
+    elif isinstance(M, PartitionMatroid):
+        body = {"type": "partition", "blocks": [sorted(b) for b in M.blocks],
+                "capacities": list(M.capacities)}
+    elif isinstance(M, LinearMatroid):
+        body = {"type": "linear", "field": "Q" if M.field is None else f"GF({M.field})",
+                "columns": [[str(x) for x in col] for col in M.columns]}
+    elif isinstance(M, ExplicitMatroid):
+        body = {"type": "explicit", "size": M.n,
+                "maximal_independent_sets": [sorted(s) for s in M.maximal_sets]}
+    else:
+        raise InputError(f"matroid of type {type(M).__name__} is not serializable")
+    return {"format-version": FORMAT_VERSION, **body}
+
+
+def write_matroid(path, M):
+    with open(path, "w") as fh:
+        json.dump(matroid_to_record(M), fh, indent=2, sort_keys=True)
+        fh.write("\n")
+
+
+def write_points(path, cfg):
+    with open(path, "w") as fh:
+        fh.write(f"format-version: {FORMAT_VERSION}\nd={cfg.dim}\n")
+        for e in sorted(cfg.coords):
+            fh.write(f"{e}: {' '.join(str(c) for c in cfg.coords[e])}\n")

@@ -587,3 +587,19 @@ def brute_first_witness(M, points, max_size, t, intersect):
         if res is not None:
             return list(tup), *res
     return None
+
+
+# -- triplet files -------------------------------------------------------------
+
+
+def read_triplets(text):
+    """(rows, cols, columns) of a written triplet file: each column the
+    sorted (row, entry) pairs, after the version and size header lines."""
+    lines = text.splitlines()
+    assert lines[0] == "format-version: 1"
+    _, nrows, _, ncols = lines[1].split()
+    cols = [[] for _ in range(int(ncols))]
+    for ln in lines[2:]:
+        r, c, v = map(int, ln.split())
+        cols[c].append((r, v))
+    return int(nrows), int(ncols), [sorted(col) for col in cols]

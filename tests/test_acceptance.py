@@ -84,7 +84,6 @@ def criterion_3():
         and b34[1] > 0
         and f == (12, 36, 24)
         and euler == 0
-        and c34.euler_characteristic() == 0
     )
     return ok, render_json({
         "criterion": 3, "pass": ok,

@@ -14,8 +14,9 @@ from hypothesis import example, given, strategies as st
 
 from tvermat import GraphicMatroid, UniformMatroid, colourful_matroid
 from tvermat.cli import EXIT_CODES, build_parser, main
-from tvermat.formats import write_matroid, write_points
 from tvermat.tverberg import PointConfig
+
+from generator import write_matroid, write_points
 
 from fractions import Fraction
 
@@ -126,31 +127,65 @@ def u3_9(tmp_path_factory):
     return str(path)
 
 
-@pytest.mark.parametrize("command", ["pack", "verify-corollary", "conjecture-scan"])
-@pytest.mark.parametrize("k", [2**20 + 1, 10**8, 10**9, 10**30])
-def test_hostile_k_ends_in_one_small_report(u3_9, command, k):
-    # k parts or k copies are never built: pack certifies with the loops,
-    # none here (k >= n = 9), and the scans meet the face cap at f_0 = 9k
+CAP_EXCEEDED = {"error": "face cap exceeded at dimension 0: 5000001 > 5000000",
+                "progress": {"cap": 5000000, "dimension": 0}}
+
+
+def _tverberg_exhausted(t):
+    return {"exhausted": True, "faces_enumerated": 129, "subtrees_pruned": 0, "t": t,
+            "tuples_examined": 0, "witness": None}
+
+
+# (id, argv, exit code, payload or None): "U3_9" stands for the U(3,9) file.
+# A huge --k is never built into k parts or k copies: pack certifies with
+# the loops, none here (k >= n = 9), and the scans meet the face cap at
+# f_0 = 9k; a cover builds at most |A| parts, a chessboard meets the cap at
+# f_0 = k*m, and a search reads at most cap + 1 faces whatever t is
+HOSTILE = [
+    *((f"{k}-{command}", [command, "--matroid", "U3_9", "--k", str(k)],
+       0 if command == "pack" else 3,
+       {"packed": False, "certificate": {"k": k, "witness_set": []}}
+       if command == "pack" else CAP_EXCEEDED)
+      for k in (2**20 + 1, 10**8, 10**9, 10**30)
+      for command in ("pack", "verify-corollary", "conjecture-scan")),
+    *((f"pack-m-{m}", ["pack", "--matroid", "U3_9", "--subset", "0,1", "--m", str(m)], 0,
+       {"covered": True, "parts": [[0, 1]]}) for m in (10**9, 10**30)),
+    ("verify-claim-m", ["verify-claim", "--matroid", "U3_9", "--sets", "0,1;2,3",
+                        "--m", str(10**9)], 0, None),
+    *((f"tverberg-t-{t}", ["tverberg", "--matroid", "U3_9", "--random-points", "9",
+                           "--dim", "2", "--t", str(t)], 0, _tverberg_exhausted(t))
+      for t in (10**8, 10**30)),
+    ("chessboard-m", ["chessboard", "--k", "3", "--m", str(10**30)], 3, CAP_EXCEEDED),
+    ("chessboard-k", ["chessboard", "--k", str(10**9), "--m", "2"], 3, CAP_EXCEEDED),
+    ("homology-chessboard", ["homology", "--chessboard", "1000000,1000000", "--up-to", "1"],
+     3, CAP_EXCEEDED),
+    ("complex-max-dim", ["complex", "--matroid", "U3_9", "--max-dim", str(10**30)], 0, None),
+    ("chessboard-max-dim", ["chessboard", "--k", "3", "--m", "4", "--max-dim", str(10**30)],
+     0, None),
+    ("inequality-d", ["inequality", "--b", "64", "--d", str(10**20), "--p", "3"], 0, None),
+    ("prime-b", ["prime", "--b", str(10**30)], 0, None),
+]
+
+
+@pytest.mark.parametrize("argv, code, payload", [row[1:] for row in HOSTILE],
+                         ids=[row[0] for row in HOSTILE])
+def test_hostile_k_ends_in_one_small_report(u3_9, argv, code, payload):
     out = io.StringIO()
     tracemalloc.start()
     t0 = time.monotonic()
     try:
         with contextlib.redirect_stdout(out):
-            code = main([command, "--matroid", u3_9, "--k", str(k)])
+            got = main([u3_9 if a == "U3_9" else a for a in argv])
         elapsed = time.monotonic() - t0
         peak = tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
-    rep = json.loads(out.getvalue())
-    assert EXIT_CODES[rep["outcome"]] == code
+    rep = json.loads(out.getvalue())  # exactly one report
+    assert got == code == EXIT_CODES[rep["outcome"]]
+    assert len(out.getvalue()) < 64 * 2**10
     assert elapsed < 2.0 and peak < 50 * 2**20
-    if command == "pack":
-        assert code == 0 and rep["payload"] == {
-            "packed": False, "certificate": {"k": k, "witness_set": []}}
-    else:
-        assert code == 3 and rep["payload"] == {
-            "error": "face cap exceeded at dimension 0: 5000001 > 5000000",
-            "progress": {"cap": 5000000, "dimension": 0}}
+    if payload is not None:
+        assert rep["payload"] == payload
 
 
 def test_verify_corollary_and_conn(files, capsys):
@@ -169,7 +204,7 @@ def test_conjecture_scan_false_exits_one(files, capsys):
     assert rep["payload"]["verdict"] is True
 
     import tempfile, os
-    from tvermat.formats import write_matroid as wm
+    from generator import write_matroid as wm
 
     with tempfile.TemporaryDirectory() as td:
         path = os.path.join(td, "u1_2.matroid")

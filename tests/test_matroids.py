@@ -1,4 +1,4 @@
-"""Matroid oracle tests: built-in families, axioms, minors, validation."""
+"""Matroid oracle tests: built-in families, axioms, validation."""
 
 import random
 import time
@@ -16,14 +16,12 @@ from tvermat import (
     LinearMatroid,
     Matroid,
     PartitionMatroid,
-    PreconditionError,
     UniformMatroid,
     colourful_matroid,
-    explicit_from,
     validate_matroid,
 )
 
-from generator import small_matroid_family
+from generator import explicit_from, small_matroid_family
 from oracles import column_rank, graph_rank
 
 TRIANGLE = GraphicMatroid(3, [(0, 1), (1, 2), (0, 2)])
@@ -93,8 +91,7 @@ def test_partition_rank():
 
 def test_ground_rank_builds_no_ground_set():
     # the closed forms agree with the rank of the ground set as a set
-    minors = [X for _, _, R, _, C in small_minors() for X in (R, C)]
-    for M in small_instances() + minors:
+    for M in small_instances():
         assert M.rank() == M.rank(range(M.n)), M
     M = UniformMatroid(2, 1 << 20)
     tracemalloc.start()
@@ -113,54 +110,6 @@ def test_loops():
     assert L.loops() == [1]
     P = PartitionMatroid([[0], [1]], [1, 0])
     assert P.loops() == [1]
-
-
-def test_restrict():
-    M = UniformMatroid(2, 4)
-    R = M.restrict((0, 1))
-    assert R.rank() == 2
-    assert R.n == 4  # original index space retained
-    assert R.is_loop(2) and R.is_loop(3)
-    Rt = K4.restrict((0, 1, 3))  # a triangle of K4: edges 01, 02, 12
-    assert Rt.rank() == 2
-    assert M.restrict(()).rank() == 0
-    with pytest.raises(InputError):
-        M.restrict((7,))
-
-
-def test_contract_link():
-    M = UniformMatroid(2, 4).contract_link(0)
-    # behaves as U(1,3) on the remaining elements
-    assert M.rank() == 1
-    assert M.is_independent((1,)) and not M.is_independent((1, 2))
-    assert M.is_loop(0)
-
-    C = TRIANGLE.contract_link(0)
-    # remaining two edges become parallel
-    assert C.rank() == 1
-    assert C.is_independent((1,)) and C.is_independent((2,))
-    assert not C.is_independent((1, 2))
-
-    for M in small_instances():
-        for v in M.non_loops():
-            assert M.contract_link(v).rank() == M.rank() - 1
-            break
-
-
-def test_contract_loop_rejected():
-    G = GraphicMatroid(3, [(0, 1), (1, 1)])
-    with pytest.raises(PreconditionError):
-        G.contract_link(1)
-
-
-def test_restrict_contract_rank_identity():
-    for M in small_instances():
-        if M.n > 6:
-            continue
-        for v in M.non_loops():
-            C = M.contract_link(v)
-            for A in subsets(M.n):
-                assert C.rank(A) == M.rank(set(A) | {v}) - 1
 
 
 def test_validate_matroid():
@@ -220,17 +169,9 @@ def test_uniform_fundamental_circuit_matches_generic():
 
 
 def test_extensions_match_the_independence_loop():
-    # the graphic hook labels the forest's trees once; every other family,
-    # and every minor, keeps the default loop over _indep
-    cases = []
+    # the graphic hook labels the forest's trees once; every other family
+    # keeps the default loop over _indep
     for name, M in small_matroid_family():
-        cases.append((name, M))
-        if isinstance(M, GraphicMatroid):
-            cases.append((name + "/restrict", M.restrict(e for e in range(M.n) if e % 3)))
-            cases.append((name + "/contract", M.contract_link(M.non_loops()[-1])))
-    names = {name for name, _ in cases}
-    assert {"doubled_triangle/contract", "triangle_with_loop/restrict"} <= names
-    for name, M in cases:
         for face in subsets(M.n):
             base = frozenset(face)
             if not M._indep(base):
@@ -248,23 +189,6 @@ def test_explicit_matches_builtins():
         E = explicit_from(M)
         for S in subsets(M.n):
             assert E.is_independent(S) == M.is_independent(S), (M, S)
-
-
-def small_minors():
-    """Each small instance M with its restriction R to the ids in ``keep``
-    and its contraction C at the non-loop v, as (M, keep, R, v, C)."""
-    for M in small_instances():
-        keep = {e for e in range(M.n) if e % 3}
-        v = M.non_loops()[0]
-        yield M, keep, M.restrict(keep), v, M.contract_link(v)
-
-
-def test_minor_independence_matches_definition():
-    for M, keep, R, v, C in small_minors():
-        for S in subsets(M.n):
-            assert R.is_independent(S) == (set(S) <= keep and M.is_independent(S)), (M, S)
-            assert C.is_independent(S) == (v not in S and M.is_independent(set(S) | {v})), (
-                M, S)
 
 
 def test_graphic_and_linear_rank_match_references():
@@ -287,9 +211,7 @@ def test_graphic_and_linear_rank_match_references():
 
 
 def test_rank_axioms_exhaustive():
-    # minors take their rank from the parent's closed form
-    minors = [X for _, _, R, _, C in small_minors() for X in (R, C)]
-    for M in small_instances() + minors:
+    for M in small_instances():
         if M.n > 6:
             continue
         sets = list(subsets(M.n))

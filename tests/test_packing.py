@@ -251,6 +251,21 @@ def test_packing_matches_the_plain_bfs():
     _same_cover(K10, range(0, 45, 2), 2)
 
 
+def test_cover_builds_at_most_one_part_per_element():
+    # min(m, |A|) parts: a non-loop finds an empty part among the first |A|
+    # and no part takes a loop, so the parts and certificates of the plain
+    # BFS with all m parts come out unchanged
+    rng = random.Random(53)
+    for _, M in small_matroid_family():
+        A = [e for e in range(M.n) if rng.random() < 0.6]
+        for m in range(max(len(A) - 2, 1), len(A) + 4):
+            _same_cover(M, A, m)
+    U = UniformMatroid(3, 9)
+    assert pack_into_independent(U, (0, 1), 10**30) == [frozenset({0, 1})]
+    loop = GraphicMatroid(2, [(0, 1), (1, 1)])
+    assert pack_into_independent(loop, (0, 1), 10**9) == CoverCertificate(frozenset({1}), 10**9)
+
+
 def _count_circuit_queries(monkeypatch, cls):
     calls = []
     query = cls.fundamental_circuit
