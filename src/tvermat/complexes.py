@@ -286,11 +286,16 @@ def chessboard(k, m, trunc=None, cap=DEFAULT_FACE_CAP, relative=False):
     """Chessboard complex C(k, m): partial placements of non-attacking rooks.
 
     Built as the k-fold deleted join of U(1, m), so the cell in row r and
-    column c is the vertex r*m + c.  f_0 = k*m meets the cap before the k
-    copies are listed.
+    column c is the vertex r*m + c.  Each level is counted before the k
+    copies are listed, f_d = C(k, d+1) m!/(m-d-1)!, so the cap names the
+    dimension the build would; a negative ``trunc`` lists one copy.
     """
     if k < 1 or m < 1:
         raise InputError(f"need k >= 1 and m >= 1, got k={k}, m={m}")
-    if trunc is None or trunc >= 0:
-        _check_cap(k * m, 0, cap)
+    if trunc is not None and trunc < 0:  # the empty complex or an input error
+        return deleted_join([UniformMatroid(1, m)], trunc, cap)
+    f = 1
+    for d in range(min(k, m) if trunc is None else min(k, m, trunc + 1)):
+        f = f * (k - d) * (m - d) // (d + 1)
+        _check_cap(f, d, cap)
     return deleted_join([UniformMatroid(1, m)] * k, trunc, cap, relative)

@@ -4,7 +4,9 @@ A matroid here is an immutable oracle over elements 0..n-1, given by its
 rank function, which determines it (Whitney 1935).  Each family states its
 rank in closed form as ``_rank``; a set is independent iff its rank equals
 its size, and ``_indep`` is overridden only where a measured workload needs
-the shortcut (uniform and partition matroids in base packing).
+the shortcut (uniform and partition matroids in base packing).  Graphic,
+uniform and partition matroids answer packing's exchange query,
+``fundamental_circuit``, in closed form.
 ``_ground_rank`` is overridden where the rank of the whole ground set has
 a closed form, so a large declared ground set is never built.
 ``_extensions``, the elements that keep a face independent, is overridden
@@ -235,6 +237,12 @@ class PartitionMatroid(Matroid):
             if counts[i] > self.capacities[i]:
                 return False
         return True
+
+    def fundamental_circuit(self, part, x):
+        """The members of ``part`` in the block of x when they fill it."""
+        i = self._block_of[x]
+        same = self.blocks[i].intersection(part)
+        return sorted(same) if len(same) == self.capacities[i] else None
 
 
 def colourful_matroid(r, d):

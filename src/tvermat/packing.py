@@ -6,8 +6,9 @@ grow their total size by one.  Sources are uncovered elements; following an
 arc x -> y (y in part i, y in the fundamental circuit of x w.r.t. part i)
 means "swap x into part i, y out"; a sink is an element insertable into some
 part outright.  Both come from one query per (x, part),
-``Matroid.fundamental_circuit``, which graphic and uniform matroids answer in
-closed form and the other oracles by independence calls.  Applying a
+``Matroid.fundamental_circuit``, which graphic, uniform and partition
+matroids answer in closed form and linear and explicit ones by independence
+calls.  Applying a
 BFS-shortest path keeps all swaps simultaneously valid.  When no augmenting
 path exists, the set of reachable elements is an exact Edmonds-style
 certificate of maximality.  A run keeps its state across augmentations in

@@ -48,6 +48,7 @@ _PARTITIONS = [
     ("part_3_3_2_cap122", [3, 3, 2], [1, 2, 2]),
     ("part_1x2_cap1", [1, 1], [1, 1]),
     ("part_5_cap2", [5], [2]),
+    ("part_3_2_cap20", [3, 2], [2, 0]),  # a zero-capacity block: two loops
 ]
 
 

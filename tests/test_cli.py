@@ -127,8 +127,12 @@ def u3_9(tmp_path_factory):
     return str(path)
 
 
-CAP_EXCEEDED = {"error": "face cap exceeded at dimension 0: 5000001 > 5000000",
-                "progress": {"cap": 5000000, "dimension": 0}}
+def _cap_exceeded(dim):
+    return {"error": f"face cap exceeded at dimension {dim}: 5000001 > 5000000",
+            "progress": {"cap": 5000000, "dimension": dim}}
+
+
+CAP_EXCEEDED = _cap_exceeded(0)
 
 
 def _tverberg_exhausted(t):
@@ -159,6 +163,14 @@ HOSTILE = [
     ("chessboard-k", ["chessboard", "--k", str(10**9), "--m", "2"], 3, CAP_EXCEEDED),
     ("homology-chessboard", ["homology", "--chessboard", "1000000,1000000", "--up-to", "1"],
      3, CAP_EXCEEDED),
+    # each chessboard level is counted before the k copies are listed
+    ("chessboard-k-max-dim-1", ["chessboard", "--k", str(10**9), "--m", "2", "--max-dim", "-1"],
+     0, {"complete": False, "f_vector": [1], "num_faces": 0}),
+    ("chessboard-k-max-dim-5", ["chessboard", "--k", str(10**9), "--m", "2", "--max-dim", "-5"],
+     2, {"error": "max_dim must be >= -1, got -5"}),
+    ("chessboard-m-2-20", ["chessboard", "--k", "3", "--m", str(2**20)], 3, _cap_exceeded(1)),
+    ("homology-chessboard-2-20", ["homology", "--chessboard", f"2,{2**20}", "--up-to", "0"],
+     3, _cap_exceeded(1)),
     ("complex-max-dim", ["complex", "--matroid", "U3_9", "--max-dim", str(10**30)], 0, None),
     ("chessboard-max-dim", ["chessboard", "--k", "3", "--m", "4", "--max-dim", str(10**30)],
      0, None),

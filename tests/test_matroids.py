@@ -182,6 +182,20 @@ def test_extensions_match_the_independence_loop():
                 assert M._extensions(face, start) == want, (name, face, start)
 
 
+def test_fundamental_circuits_match_the_independence_loop():
+    # graphic, uniform and partition matroids answer in closed form; the
+    # generic loop of independence calls is the reference
+    for name, M in small_matroid_family():
+        for part in subsets(M.n):
+            base = frozenset(part)
+            if not M._indep(base):
+                continue
+            for x in range(M.n):
+                if x not in base:
+                    want = Matroid.fundamental_circuit(M, base, x)
+                    assert M.fundamental_circuit(set(base), x) == want, (name, part, x)
+
+
 def test_explicit_matches_builtins():
     for M in small_instances():
         if M.n > 6:

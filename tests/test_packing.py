@@ -21,6 +21,7 @@ from tvermat import (
     GraphicMatroid,
     InputError,
     PackingCertificate,
+    PartitionMatroid,
     UniformMatroid,
     colourful_matroid,
     max_disjoint_bases,
@@ -266,27 +267,34 @@ def test_cover_builds_at_most_one_part_per_element():
     assert pack_into_independent(loop, (0, 1), 10**9) == CoverCertificate(frozenset({1}), 10**9)
 
 
-def _count_circuit_queries(monkeypatch, cls):
+def _count_calls(monkeypatch, cls, name="fundamental_circuit"):
     calls = []
-    query = cls.fundamental_circuit
+    method = getattr(cls, name)
 
-    def counted(self, part, x):
+    def counted(self, *args):
         calls.append(1)
-        return query(self, part, x)
+        return method(self, *args)
 
-    monkeypatch.setattr(cls, "fundamental_circuit", counted)
+    monkeypatch.setattr(cls, name, counted)
     return calls
 
 
 def test_packing_circuit_queries_pinned(monkeypatch):
     # the plain BFS asks every full part before the one open part: 16,512
     # queries for U(2,256) and 6,714 for K16 with lexicographic edges
-    calls = _count_circuit_queries(monkeypatch, UniformMatroid)
+    calls = _count_calls(monkeypatch, UniformMatroid)
     b, _, _ = max_disjoint_bases(UniformMatroid(2, 256))
     assert b == 128 and len(calls) == 256  # one per augmentation
-    calls = _count_circuit_queries(monkeypatch, GraphicMatroid)
+    calls = _count_calls(monkeypatch, GraphicMatroid)
     b, _, _ = max_disjoint_bases(complete_graph(16))
     assert b == 8 and len(calls) == 5347
+
+
+def test_partition_packing_indep_calls_pinned(monkeypatch):
+    # the generic circuit loop made 24,750 independence calls here
+    calls = _count_calls(monkeypatch, PartitionMatroid, "_indep")
+    b, _, _ = max_disjoint_bases(colourful_matroid(50, 3))
+    assert b == 50 and len(calls) <= 50
 
 
 def test_uniform_packing_is_linear():
