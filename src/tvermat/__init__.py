@@ -34,6 +34,7 @@ from .complexes import (
     as_complex,
     chessboard,
     deleted_join,
+    enumerate_faces,
 )
 from .homology import (
     BettiVector,
@@ -54,7 +55,6 @@ from .tverberg import (
     TverbergWitness,
     choose_prime,
     dold_inequality_holds,
-    enumerate_faces,
     find_tverberg,
     random_point_config,
     threshold_t,

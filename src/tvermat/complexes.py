@@ -4,8 +4,9 @@ chessboards.
 Faces are sorted tuples of encoded vertex ids, stored per dimension in
 lexicographic order; the empty face is implicit (f_{-1} = 1).  A deleted join
 of k matroids on a ground set of size n has the labeled vertices
-copy*n + element with 0-based copies.  One builder, ``deleted_join``, makes
-every complex from matroids: the independence complex is its one-factor case,
+copy*n + element with 0-based copies.  One walk, ``enumerate_faces``, lists a
+matroid's independent sets; one builder, ``deleted_join``, makes every complex
+from matroids: the independence complex is its one-factor case, the walk
 stored whole, and the chessboard C(k, m) is the k-fold deleted join of U(1, m).
 A join built ``relative`` to its first vertex stores only the faces off its
 star, all homology needs, and its exact f-vector.
@@ -14,10 +15,9 @@ Materialization is dimension-truncated: ``trunc`` is the largest dimension
 enumerated, ``complete`` records whether any faces beyond it exist.  Counts at
 each materialized dimension are exact.  A per-dimension face cap (default
 5e6, on stored faces and others) turns combinatorial blowup into a distinct
-resource-limit error; levels fill in order, so it names the lowest over-full
-dimension.  A d-face costs 48 + 8(d+1) bytes, its list slot included (87
-bytes a face for C(6,8) through dimension 5), so a level of 5-faces at the
-cap holds 0.5 GB.
+resource-limit error that names the lowest over-full dimension.  A d-face
+costs 48 + 8(d+1) bytes, its list slot included (87 bytes a face for C(6,8)
+through dimension 5), so a level of 5-faces at the cap holds 0.5 GB.
 """
 
 from bisect import bisect_left
@@ -81,27 +81,46 @@ class SimplicialComplex:
         return f"SimplicialComplex(f={self.f_vector()}, {kind})"
 
 
+def enumerate_faces(M, max_size):
+    """Nonempty independent sets of M with at most max_size elements in
+    lexicographic order ((0,) < (0,1) < (0,2) < (1,) ...), each built when it
+    is asked for by a depth-first walk: ``M._extensions`` is asked once for
+    the empty face and once per face it extends (hereditarity).  One face,
+    grown and undone in place, and one iterator per depth keep its memory
+    linear in the depth; no depth exhausts the call stack."""
+    face = []
+    rests = [iter(M._extensions(()))] if max_size > 0 else []  # left at each depth
+    while rests:
+        for e in rests[-1]:
+            face.append(e)
+            yield tuple(face)
+            if len(face) < max_size:
+                rests.append(iter(M._extensions(face)))
+                break
+            face.pop()
+        else:
+            rests.pop()
+            if face:
+                face.pop()
+
+
 def independent_sets(M, max_dim, cap):
     """Nonempty independent sets of M with at most max_dim+1 elements.
 
-    Returns dim -> lexicographically sorted faces.  Faces of size s+1 extend
-    faces of size s by a larger element, one ``M._extensions`` call a face,
-    so enumeration is exhaustive by hereditarity; loops never appear.  A
-    level is abandoned with a ResourceLimitError as soon as it holds more
-    than ``cap`` faces.
+    Returns dim -> lexicographically sorted faces: ``enumerate_faces``
+    grouped by size, so loops never appear.  A level that passes ``cap``
+    ends the walk with a ResourceLimitError.  The walk fills deeper levels
+    first, so it is redone below that level before the error, and a lower
+    over-full level is named instead.
     """
     by_dim = {}
-    level = [()]
-    for d in range(max_dim + 1):
-        nxt = []
-        for face in level:
-            for e in M._extensions(face, face[-1] + 1 if face else 0):
-                nxt.append(face + (e,))
-                if len(nxt) > cap:
-                    _check_cap(len(nxt), d, cap)
-        if not nxt:
-            break
-        by_dim[d] = level = nxt
+    for face in enumerate_faces(M, max_dim + 1):
+        level = by_dim.setdefault(len(face) - 1, [])
+        level.append(face)
+        if len(level) > cap:
+            by_dim = level = None  # the redo holds no level of this walk
+            independent_sets(M, len(face) - 2, cap)
+            _check_cap(cap + 1, len(face) - 1, cap)
     return by_dim
 
 
@@ -184,7 +203,7 @@ def deleted_join(matroids, trunc=None, cap=DEFAULT_FACE_CAP, relative=False):
 
     # per matroid: element part -> its extensions; the empty part's, the
     # non-loops, count f_0, which meets the cap before any per-copy state
-    asked = {i: {(): M._extensions((), 0) if rank[i] else []} for i, M in distinct.items()}
+    asked = {i: {(): M._extensions(())} for i, M in distinct.items()}
     _check_cap(sum(len(asked[i][()]) * c for i, c in copies.items()), 0, cap)
     ext = [{} for _ in mats]  # per copy: encoded part -> its children, once asked
 
@@ -197,8 +216,7 @@ def deleted_join(matroids, trunc=None, cap=DEFAULT_FACE_CAP, relative=False):
         if kids is None:
             memo, key = asked[id(mats[c])], tuple([v - c * n for v in part])
             if key not in memo:
-                memo[key] = (mats[c]._extensions(key, key[-1] + 1 if key else 0)
-                             if len(key) < rank[id(mats[c])] else [])
+                memo[key] = mats[c]._extensions(key) if len(key) < rank[id(mats[c])] else []
             kids = ext[c][part] = [(c * n + e, e) for e in memo[key]]
         return kids
 

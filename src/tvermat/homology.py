@@ -366,10 +366,15 @@ def join_connectivity(matroids, c, cap=DEFAULT_FACE_CAP, context=None):
 
 
 def _fold_connectivity(M, k, c, cap, context):
-    """``join_connectivity`` of k copies of M; f_0 = k * |non-loops| meets the
-    cap, as in ``deleted_join``, before the k copies are listed."""
-    if c >= -1 and k * M.n > cap:
-        _check_cap(k * len(M._extensions((), 0)), 0, cap)
+    """``join_connectivity`` of k copies of M.  Before the k copies are
+    listed, f_0 = k * l for the l non-loops meets the cap, as in
+    ``deleted_join``, and so does f_1 >= C(k, 2) * l * (l - 1) when edges are
+    built: two distinct non-loops in two copies always form an edge."""
+    if c >= -1 and k * M.n > cap or c >= 0 and k * (k - 1) * M.n * M.n > 2 * cap:
+        ell = len(M._extensions(()))
+        _check_cap(k * ell, 0, cap)
+        if c >= 0:
+            _check_cap(k * (k - 1) // 2 * ell * (ell - 1), 1, cap)
     return join_connectivity([M] * k, c, cap, context)
 
 

@@ -4,15 +4,16 @@ A matroid here is an immutable oracle over elements 0..n-1, given by its
 rank function, which determines it (Whitney 1935).  Each family states its
 rank in closed form as ``_rank``; a set is independent iff its rank equals
 its size, and ``_indep`` is overridden only where a measured workload needs
-the shortcut (uniform and partition matroids in base packing).  Graphic,
+the shortcut (partition matroids in base packing).  Graphic,
 uniform and partition matroids answer packing's exchange query,
 ``fundamental_circuit``, in closed form.
 ``_ground_rank`` is overridden where the rank of the whole ground set has
 a closed form, so a large declared ground set is never built.
-``_extensions``, the elements that keep a face independent, is overridden
-by graphic matroids alone: face enumeration labels a forest's trees once
-instead of ranking every candidate edge.  Loops (elements in no
-independent singleton) stay in the ground set and lie in no face.
+``_extensions``, the larger elements that keep a sorted face independent,
+drives every face enumeration.  Graphic matroids label a forest's trees
+once instead of ranking every candidate edge, and uniform matroids answer
+with a range and no oracle call.  Loops (elements in no independent
+singleton) stay in the ground set and lie in no face.
 """
 
 from fractions import Fraction
@@ -53,11 +54,11 @@ class Matroid:
         overrides this and never builds the ground set."""
         return self._rank(frozenset(range(self.n)))
 
-    def _extensions(self, face, start):
-        """The elements e >= start outside the independent tuple ``face``
-        with face + e independent."""
+    def _extensions(self, face):
+        """The elements e past the last of the sorted independent ``face``
+        (any e for the empty face) with face + e independent."""
         base = frozenset(face)
-        return [e for e in range(start, self.n) if e not in base and self._indep(base | {e})]
+        return [e for e in range(face[-1] + 1 if face else 0, self.n) if self._indep(base | {e})]
 
     # -- public oracle ----------------------------------------------------
 
@@ -82,10 +83,8 @@ class Matroid:
         return [y for y in sorted(base) if self._indep((base - {y}) | {x})]
 
     def loops(self):
-        return [e for e in range(self.n) if not self._indep(frozenset((e,)))]
-
-    def non_loops(self):
-        return [e for e in range(self.n) if self._indep(frozenset((e,)))]
+        """The elements in no independent set: no extension of the empty face."""
+        return sorted(set(range(self.n)).difference(self._extensions(())))
 
     def __repr__(self):
         return f"{type(self).__name__}(n={self.n})"
@@ -103,11 +102,11 @@ class UniformMatroid(Matroid):
     def _rank(self, ids):
         return min(len(ids), self.r)
 
-    def _indep(self, ids):
-        return len(ids) <= self.r
-
     def _ground_rank(self):
         return self.r
+
+    def _extensions(self, face):
+        return range(face[-1] + 1 if face else 0, self.n if len(face) < self.r else 0)
 
     def fundamental_circuit(self, part, x):
         return None if len(part) < self.r else sorted(part)
@@ -154,9 +153,9 @@ class GraphicMatroid(Matroid):
                 merges += 1
         return merges
 
-    def _extensions(self, face, start):
-        """The edges e >= start whose ends lie in different trees of the
-        forest ``face``, whose components are labelled once."""
+    def _extensions(self, face):
+        """The edges past the last of ``face`` whose ends lie in different
+        trees of that forest, whose components are labelled once."""
         label = {}  # vertex -> its tree's label; an untouched vertex is its own
         for e in face:
             u, v = self.edges[e]
@@ -165,7 +164,7 @@ class GraphicMatroid(Matroid):
                 if lx == lv:
                     label[x] = lu
             label[u] = label[v] = lu
-        get = label.get
+        get, start = label.get, face[-1] + 1 if face else 0
         return [e for e, (u, v) in enumerate(self.edges[start:], start) if get(u, u) != get(v, v)]
 
     def fundamental_circuit(self, part, x):

@@ -240,7 +240,7 @@ def pack_k_bases(M, k, deadline=None):
     if k >= M.n and k * M.rank() > M.n:
         # each non-loop fits a part of its own, so the run would end reaching
         # the loops L: k*r(L) + |E - L| < k*r(E), found with no part built
-        reached = frozenset(range(M.n)).difference(M._extensions((), 0))
+        reached = frozenset(M.loops())
     else:
         union = _Union(M, range(M.n), k)
         reached = union.grow(k * union.full, deadline)

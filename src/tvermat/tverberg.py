@@ -17,7 +17,7 @@ from math import isqrt, lcm
 from operator import le
 
 from .errors import InputError, PreconditionError, ResourceLimitError
-from .complexes import DEFAULT_FACE_CAP
+from .complexes import DEFAULT_FACE_CAP, enumerate_faces
 from .lp import hulls_intersect
 from .matroids import _is_prime
 from .packing import _check_family, max_disjoint_bases
@@ -92,32 +92,6 @@ class SearchResult:
     tuples_examined: int  # t-tuples whose proper prefixes all have meeting boxes
     faces_enumerated: int  # faces built, in lexicographic order
     subtrees_pruned: int  # proper prefixes whose boxes miss
-
-
-def enumerate_faces(M, max_size):
-    """Nonempty independent sets of size <= max_size in lexicographic order
-    ((0,) < (0,1) < (0,2) < (1,) ...), each built when it is asked for by a
-    depth-first walk that grows only independent faces (hereditarity).  The
-    walk keeps one face and its id set, grown and undone in place, and the
-    elements left at each depth on a list, so its memory is linear in the
-    depth and no depth exhausts the call stack."""
-    face, ids = [], set()
-    rests = [iter(range(M.n))]  # rests[j]: the elements left at depth j
-    while rests:
-        for e in rests[-1]:
-            ids.add(e)
-            if M._indep(ids):
-                face.append(e)
-                yield tuple(face)
-                if len(face) < max_size:
-                    rests.append(iter(range(e + 1, M.n)))
-                    break
-                face.pop()
-            ids.discard(e)
-        else:
-            rests.pop()
-            if face:
-                ids.discard(face.pop())
 
 
 def _bbox(points):
@@ -208,7 +182,7 @@ def find_tverberg(M, cfg, t, max_tuples=None, deadline=None, cap=DEFAULT_FACE_CA
     """
     if t < 1:
         raise InputError(f"t must be positive, got {t}")
-    non_loops = M.non_loops()
+    non_loops = M._extensions(())
     if not cfg.covers(non_loops):
         raise InputError("configuration misses coordinates for some non-loop element")
     rho = M.rank()

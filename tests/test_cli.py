@@ -200,6 +200,27 @@ def test_hostile_k_ends_in_one_small_report(u3_9, argv, code, payload):
         assert rep["payload"] == payload
 
 
+def test_scan_meets_the_cap_at_the_edge_count(tmp_path):
+    # two distinct non-loops in two copies form an edge, so f_1 >= 3 * l(l-1)
+    # meets the cap before the copies are listed; growing the level to the
+    # cap came to 18 MB traced here
+    path = tmp_path / "u1_20000.matroid"
+    write_matroid(path, UniformMatroid(1, 20000))
+    out = io.StringIO()
+    tracemalloc.start()
+    try:
+        with contextlib.redirect_stdout(out):
+            code = main(["conjecture-scan", "--matroid", str(path), "--k", "3",
+                         "--max-faces", "100000"])
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert code == 3 and json.loads(out.getvalue())["payload"] == {
+        "error": "face cap exceeded at dimension 1: 100001 > 100000",
+        "progress": {"cap": 100000, "dimension": 1}}
+    assert peak < 10 * 2**20, peak
+
+
 def test_verify_corollary_and_conn(files, capsys):
     code, out = run(capsys, "verify-corollary", "--matroid", files["u2_4.matroid"], "--k", "2")
     assert code == 0

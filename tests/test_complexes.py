@@ -10,6 +10,7 @@ from oracles import brute_deleted_join
 from tvermat import (
     GraphicMatroid,
     InputError,
+    Matroid,
     ResourceLimitError,
     UniformMatroid,
     as_complex,
@@ -17,6 +18,7 @@ from tvermat import (
     colourful_matroid,
     deleted_join,
 )
+from tvermat.complexes import enumerate_faces
 
 K4 = GraphicMatroid(4, [(0, 1), (0, 2), (0, 3), (1, 2), (1, 3), (2, 3)])
 
@@ -153,9 +155,9 @@ class _AskCounting(UniformMatroid):
         super().__init__(r, n)
         self.asked = []
 
-    def _extensions(self, face, start):
+    def _extensions(self, face):
         self.asked.append(tuple(face))
-        return super()._extensions(face, start)
+        return super()._extensions(face)
 
 
 def test_join_asks_each_element_part_once():
@@ -168,6 +170,30 @@ def test_join_asks_each_element_part_once():
             X = deleted_join([M] * 3, trunc, relative=relative)
             parts = [s for k in range(min(trunc, 2) + 1) for s in combinations(range(7), k)]
             assert X.f_vector() and sorted(M.asked) == sorted(parts), (trunc, relative)
+
+
+def test_enumerate_faces_asks_each_face_it_extends_once(monkeypatch):
+    # one _extensions call for the empty face and one per face below
+    # max_size, in the walk's order; a uniform walk makes no _indep call
+    indep = []
+    monkeypatch.setattr(Matroid, "_indep", lambda self, ids: indep.append(ids))
+    for s in (1, 2, 3):
+        M = _AskCounting(3, 7)
+        faces = list(enumerate_faces(M, s))
+        assert faces == sorted(f for k in range(1, s + 1) for f in combinations(range(7), k))
+        assert M.asked == [()] + [f for f in faces if len(f) < s], s
+    assert not indep
+
+
+def test_one_factor_cap_names_the_lowest_over_full_dimension():
+    # the walk fills U(3,60)'s 34,220 triangles first, then its 1,770 edges
+    with pytest.raises(ResourceLimitError) as err:
+        as_complex(UniformMatroid(3, 60), 2, 1000)
+    assert err.value.progress == {"dimension": 1, "cap": 1000}
+    with pytest.raises(ResourceLimitError) as err:
+        as_complex(UniformMatroid(3, 60), 2, 50)
+    assert err.value.progress == {"dimension": 0, "cap": 50}
+    assert as_complex(UniformMatroid(3, 60), 2, 34220).f_vector() == (60, 1770, 34220)
 
 
 def test_chessboard_cap_checked_while_a_level_grows():

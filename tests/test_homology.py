@@ -17,6 +17,7 @@ from tvermat import (
     GraphicMatroid,
     HypothesisViolation,
     PartitionMatroid,
+    ResourceLimitError,
     SimplicialComplex,
     UniformMatroid,
     as_complex,
@@ -35,6 +36,7 @@ from tvermat import homology
 from tvermat.homology import (
     _element_matching,
     _facets,
+    _fold_connectivity,
     _morse_complex,
     _rank_sparse_exact,
     join_connectivity,
@@ -571,6 +573,27 @@ def test_verify_corollary_examples():
     rep = verify_corollary(colourful_matroid(2, 1), 2)
     assert rep.bound == 0 and rep.verified
     assert rep.context["b"] == 2 and rep.context["rank"] == 2
+
+
+def test_fold_connectivity_matches_the_join_loop():
+    # the f_0 and f_1 counts checked before the k copies are listed name the
+    # dimension the build would: the same report or the same cap error
+    def outcome(check, *args):
+        try:
+            return check(*args)
+        except ResourceLimitError as err:
+            return str(err), err.progress
+
+    early = 0
+    for name, M in small_matroid_family(explicit_count=12):
+        for k in (1, 2, 3):
+            for c in (-2, -1, 0, 1):
+                for cap in (0, 1, 2, 4, 8, 16, 32, 64, 128):
+                    want = outcome(join_connectivity, [M] * k, c, cap, {"k": k})
+                    got = outcome(_fold_connectivity, M, k, c, cap, {"k": k})
+                    assert got == want, (name, k, c, cap)
+                    early += isinstance(got, tuple) and got[1]["dimension"] == 1
+    assert early > 100
 
 
 def test_conjecture_scan_chessboard_thresholds():

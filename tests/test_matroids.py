@@ -110,6 +110,7 @@ def test_loops():
     assert L.loops() == [1]
     P = PartitionMatroid([[0], [1]], [1, 0])
     assert P.loops() == [1]
+    assert UniformMatroid(0, 3).loops() == [0, 1, 2] and UniformMatroid(1, 3).loops() == []
 
 
 def test_validate_matroid():
@@ -169,17 +170,16 @@ def test_uniform_fundamental_circuit_matches_generic():
 
 
 def test_extensions_match_the_independence_loop():
-    # the graphic hook labels the forest's trees once; every other family
-    # keeps the default loop over _indep
+    # the graphic hook labels the forest's trees once and the uniform one is
+    # a range; every other family keeps the default loop over _indep
     for name, M in small_matroid_family():
         for face in subsets(M.n):
             base = frozenset(face)
             if not M._indep(base):
                 continue
-            for start in range(M.n + 1):
-                want = [e for e in range(start, M.n)
-                        if e not in base and M._indep(base | {e})]
-                assert M._extensions(face, start) == want, (name, face, start)
+            want = [e for e in range(face[-1] + 1 if face else 0, M.n)
+                    if M._indep(base | {e})]
+            assert list(M._extensions(face)) == want, (name, face)
 
 
 def test_fundamental_circuits_match_the_independence_loop():

@@ -7,9 +7,11 @@ ENTRY_POINTS from that file without changing it and resolves each name.
 
 import importlib
 import importlib.util
+import inspect
 from pathlib import Path
 
 import tvermat.matroids
+import tvermat.tverberg
 
 TRACING = Path(__file__).resolve().parents[1] / "perfbench" / "tracing.py"
 
@@ -27,6 +29,8 @@ def test_tracer_entry_points_resolve():
     for module, attribute, _layer in entry_points:
         target = getattr(importlib.import_module(module), attribute, None)
         assert callable(target), f"{module}.{attribute}"
+    # generators are timed per resumption; a plain iterator would read as 0 s
+    assert inspect.isgeneratorfunction(tvermat.tverberg.enumerate_faces)
     # the oracles are wrapped at class level, each class's own _indep
     assert any("_indep" in vars(cls) for cls in vars(tvermat.matroids).values()
                if isinstance(cls, type) and issubclass(cls, tvermat.matroids.Matroid))
