@@ -22,7 +22,7 @@ through dimension 5), so a level of 5-faces at the cap holds 0.5 GB.
 
 from bisect import bisect_left
 from collections import Counter
-from itertools import chain
+from itertools import chain, islice
 
 from .errors import InputError, ResourceLimitError
 from .matroids import UniformMatroid
@@ -85,9 +85,9 @@ def enumerate_faces(M, max_size):
     """Nonempty independent sets of M with at most max_size elements in
     lexicographic order ((0,) < (0,1) < (0,2) < (1,) ...), each built when it
     is asked for by a depth-first walk: ``M._extensions`` is asked once for
-    the empty face and once per face it extends (hereditarity).  One face,
-    grown and undone in place, and one iterator per depth keep its memory
-    linear in the depth; no depth exhausts the call stack."""
+    the empty face and once per face it extends (hereditarity).  It holds
+    one face and one answer per depth, a range for uniform matroids and up
+    to n elements otherwise, and no depth exhausts the call stack."""
     face = []
     rests = [iter(M._extensions(()))] if max_size > 0 else []  # left at each depth
     while rests:
@@ -105,22 +105,23 @@ def enumerate_faces(M, max_size):
 
 
 def independent_sets(M, max_dim, cap):
-    """Nonempty independent sets of M with at most max_dim+1 elements.
-
-    Returns dim -> lexicographically sorted faces: ``enumerate_faces``
-    grouped by size, so loops never appear.  A level that passes ``cap``
-    ends the walk with a ResourceLimitError.  The walk fills deeper levels
-    first, so it is redone below that level before the error, and a lower
-    over-full level is named instead.
-    """
-    by_dim = {}
+    """Nonempty independent sets of M with at most max_dim+1 elements, max_dim
+    below M's rank: dim -> lexicographically sorted faces, ``enumerate_faces``
+    grouped by size.  The walk fills deeper levels first, so once it holds
+    more than ``cap`` elements the levels are listed one at a time from
+    dimension 0 instead, and the first over ``cap`` faces raises."""
+    by_dim, held = {}, 0
     for face in enumerate_faces(M, max_dim + 1):
-        level = by_dim.setdefault(len(face) - 1, [])
-        level.append(face)
-        if len(level) > cap:
-            by_dim = level = None  # the redo holds no level of this walk
-            independent_sets(M, len(face) - 2, cap)
-            _check_cap(cap + 1, len(face) - 1, cap)
+        by_dim.setdefault(len(face) - 1, []).append(face)
+        held += len(face)
+        if held > cap:
+            break
+    else:
+        return by_dim
+    by_dim.clear()
+    for d in range(max_dim + 1):  # no level below the rank is empty
+        by_dim[d] = list(islice((s for s in enumerate_faces(M, d + 1) if len(s) > d), cap + 1))
+        _check_cap(len(by_dim[d]), d, cap)
     return by_dim
 
 

@@ -196,6 +196,26 @@ def test_one_factor_cap_names_the_lowest_over_full_dimension():
     assert as_complex(UniformMatroid(3, 60), 2, 34220).f_vector() == (60, 1770, 34220)
 
 
+def test_one_factor_cap_holds_the_levels_below_a_deep_walk():
+    # a walk 1,500 deep passes a cap of 1 at every level: f_0 = 1500 decides,
+    # with no redo per level on the call stack
+    with pytest.raises(ResourceLimitError) as err:
+        as_complex(UniformMatroid(1500, 1500), 1499, 1)
+    assert err.value.progress == {"dimension": 0, "cap": 1}
+    # the walk reaches 30-element faces first; holding the cap's worth of
+    # them and redoing each level below came to 4.9 MB traced here, the
+    # levels 0..2 alone (1,770 edges and 2,001 triangles) to 0.25 MB
+    tracemalloc.start()
+    try:
+        with pytest.raises(ResourceLimitError) as err:
+            as_complex(UniformMatroid(30, 60), 29, 2000)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert err.value.progress == {"dimension": 2, "cap": 2000}
+    assert peak < 400_000, peak
+
+
 def test_chessboard_cap_checked_while_a_level_grows():
     # C(8, 20) has 10,640 edges; the level stops at cap + 1 of them
     with pytest.raises(ResourceLimitError) as err:
