@@ -8,8 +8,8 @@ copy*n + element with 0-based copies.  One walk, ``enumerate_faces``, lists a
 matroid's independent sets; one builder, ``deleted_join``, makes every complex
 from matroids: the independence complex is its one-factor case, the walk
 stored whole, and the chessboard C(k, m) is the k-fold deleted join of U(1, m).
-A join built ``relative`` to its first vertex stores only the faces off its
-star, all homology needs, and its exact f-vector.
+A join built ``relative`` stores only the faces off a contractible union U
+of vertex stars, all homology needs, and its exact f-vector.
 
 Materialization is dimension-truncated: ``trunc`` is the largest dimension
 enumerated, ``complete`` records whether any faces beyond it exist.  Counts at
@@ -43,14 +43,16 @@ class SimplicialComplex:
 
     faces_by_dim: dict dim -> lexicographically sorted list of sorted tuples;
     builders hand their levels over already sorted.  ``f`` is the f-vector.
-    A complex relative to its first vertex has ``vertices``, all in order."""
+    A complex stored off the stars of its ``apexes``, the first vertex
+    first, has ``vertices``, all in order."""
 
-    def __init__(self, faces_by_dim, trunc, complete, f=None, vertices=None):
+    def __init__(self, faces_by_dim, trunc, complete, f=None, vertices=None, apexes=None):
         self.faces_by_dim = faces_by_dim
         self.trunc = trunc
         self.complete = complete
         self.f = f or tuple(len(faces_by_dim[d]) for d in range(len(faces_by_dim)))
         self.vertices = vertices
+        self.apexes = apexes
 
     # -- queries -----------------------------------------------------------
 
@@ -174,13 +176,19 @@ def deleted_join(matroids, trunc=None, cap=DEFAULT_FACE_CAP, relative=False):
     copy.  A level is abandoned with a ResourceLimitError once it holds more
     than ``cap`` faces.
 
-    ``relative`` (k >= 2) stores the faces s off the star of the first vertex
-    v1 = (c1, e1), v1 not in s and s + v1 no face.  The faces holding v1 are
-    t + v1 for the star faces t one size down, a transient level: a child t
-    of a star face leaves it iff it adds e1, or t[-1] lies in copy c1 and is
-    no child of (v1,) + t[:-1] there.  The top's star is counted, its leavers
-    built, and every child in copy c1 leaves: (v1,) + t has trunc + 2
-    elements, past the build, exact unless copy c1 is cut below its rank.
+    ``relative`` (k >= 2) stores only the faces off U, the union of the
+    closed stars of the vertices in F: the first vertex v1 and, in each later
+    copy of rank >= 2, the vertex of the least non-loop element F does not
+    use yet.  Any of them span a face, so their stars meet in the star of
+    that face, a cone, and U is contractible (nerve theorem).  A face in U,
+    transient, carries a mask: bit i while F[i] is not in it but extends it,
+    and HOLD once it holds a vertex of F.  A child clears the bit of the
+    vertex of F with its element (or holds it), and that of its copy if its
+    part spans that copy's element of F: at most two, so a face with three
+    bits keeps all its children in U.  Faces of mask 0 are stored.  The
+    faces holding v1, t + v1 for the faces t of bit v1 one size down, are
+    counted, never built, and so is every face of U at the top.  Rank-1
+    copies stay out of F, so chessboards keep F = {v1}.
     """
     mats = list(matroids)
     if not mats:
@@ -248,53 +256,124 @@ def deleted_join(matroids, trunc=None, cap=DEFAULT_FACE_CAP, relative=False):
 
     if not fresh[0]:  # no vertex: the bound decides
         return SimplicialComplex({}, trunc, trunc >= top)
-    v1, e1 = fresh[0][0]
-    c1 = v1 // n
-    by_dim, f, star, off = {}, [], [()], []
+    apexes, c1 = [fresh[0][0][0]], fresh[0][0][0] // n  # F, v1 first
+    for c in range(c1 + 1, len(mats) if relative else 0):
+        if rank[id(mats[c])] > 1:
+            taken = {v % n for v in apexes}
+            e = next((e for e in asked[id(mats[c])][()] if e not in taken), None)
+            apexes += [] if e is None else [c * n + e]
+    cbit, at, head = [0] * len(mats), {}, {}  # a copy's bit (bit 0 is HOLD), F by element, by copy
+    for i, v in enumerate(apexes):
+        cbit[v // n], at[v % n], head[v // n] = 2 << i, v, v
+    spans = [{} for _ in mats]
+
+    def spanning(c, part):
+        """The children v of copy c's encoded part that span the element of
+        w, copy c's vertex of F, with the part: v is no child of part + w, or
+        w none of part + v.  A part of trunc elements below the rank, whose
+        sets the build never asks for, takes independence calls instead."""
+        out = spans[c].get(part)
+        if out is None:
+            w, M = head[c], mats[c]
+            if len(part) + 2 > rank[id(M)]:  # past the rank: every child spans
+                out = {v for v, _ in children(c, part)}
+            elif len(part) < trunc:
+                keep = children(c, tuple(sorted(part + (w,))))
+                out = {v for v, e in children(c, part) if (v, e) not in keep and (
+                    v > w or (w, w - c * n) not in children(c, part + (v,)))}
+            else:
+                base = frozenset([v - c * n for v in part + (w,)])
+                out = {v for v, e in children(c, part) if not M._indep(base | {e})}
+            out.discard(w)
+            spans[c][part] = out
+        return out
+
+    by_dim, f, star, off, hots = {}, [], {(2 << len(apexes)) - 2: [()]}, [], {}
+    fspan = set().union(*(spanning(v // n, ()) for v in apexes[1:]))  # by a lone element
     for d in range(trunc + 1):
-        cone = len(star)  # the d-faces t + v1 of the star faces t below
-        nstar, noff = [], []
-        if relative and 0 < d == trunc:  # count the top's star, build its leavers
-            loose = [{e for _, e in children(j, ())} for j in range(len(mats))]
-            width = 0
-            for face in star:
-                c = face[-1] // n
-                used = set(map(n.__rmod__, face))
-                for v, e in children(c, face[bisect_left(face, c * n):]):  # its own copy
-                    if e not in used:
-                        if e == e1 or c == c1:
-                            noff.append(face + (v,))
-                        else:
+        cone = sum(len(level) for m, level in star.items() if m & 2)  # the faces t + v1
+        counted = relative and 0 < d == trunc  # the top's faces in U are counted
+        nstar, noff, width, reach = {}, [], 0, False
+        for m, level in star.items():
+            same, hot, room = [], hots.get(m), cap - cone - width - len(noff)
+            add = same.append
+            if hot is None:  # a child that clears bits whatever its part -> its mask
+                hot = hots[m] = {}
+                for v in fspan.union(j * n + e for e, u in at.items() if m & cbit[u // n]
+                                     for j in range(len(mats))):
+                    u = at.get(v % n)  # v's element is used, or v is u
+                    mm = m if u is None else m & ~cbit[u // n] | (v == u)
+                    hot[v] = mm & ~cbit[v // n] if v in fspan else mm
+            for face in level:
+                if face:
+                    c = face[-1] // n
+                    part = face[bisect_left(face, c * n):]
+                    own = ext[c].get(part)  # children() inlined: a call a face costs more
+                    if own is None:
+                        own = children(c, part)
+                    kids = chain(own, fresh[c + 1]) if own else fresh[c + 1]
+                    used = set(map(n.__rmod__, face))
+                else:
+                    c, part, used, kids = c1, (), (), islice(fresh[0], 1, None)
+                span, spot = (), hot  # the children that may clear a bit
+                if m & cbit[c]:
+                    span = spans[c].get(part)
+                    if span is None:
+                        span = spanning(c, part)
+                    if span:
+                        spot = hot.keys() | span
+                if counted:  # count a child in U, and whether it has a bit it does not hold
+                    last, lost = width, 0
+                    for v, e in kids:
+                        if e not in used:
+                            if v in spot:
+                                mm = hot.get(v, m) & ~cbit[c] if v in span else hot.get(v, m)
+                                if not mm:
+                                    noff.append(face + (v,))
+                                    continue
+                                lost += mm < 2
                             width += 1
-                for j in range(c + 1, len(mats)):  # every unused non-loop; e1 leaves
-                    width += len(loose[j]) - len(used & loose[j])
-                    if e1 in loose[j]:
-                        noff.append(face + (j * n + e1,))
-                        width -= 1
-                if cone + width + len(noff) > cap:
+                    reach = reach or m > 1 and width - last > lost
+                    if cone + width + len(noff) > cap:
+                        break
+                    continue
+                for v, e in kids:
+                    if e not in used:
+                        if v in spot:
+                            mm = hot.get(v, m) & ~cbit[c] if v in span else hot.get(v, m)
+                            if mm != m:
+                                if mm:
+                                    nstar.setdefault(mm, []).append(face + (v,))
+                                    width += 1
+                                else:
+                                    noff.append(face + (v,))
+                                room -= 1
+                                continue
+                        add(face + (v,))
+                if len(same) > room:
                     break
-        else:
-            for t in grow(star, cap - cone, []):
-                v = t[-1]
-                if v != v1:  # below the top, a child in copy c1 is looked up
-                    (nstar if v % n != e1 and (v // n != c1 or d < trunc and (v, v % n) in
-                                               children(c1, (v1,) + t[:-1])) else noff).append(t)
-            width = len(nstar)
-        grow(off, cap - cone - width, noff)
+            width += len(same)
+            nstar.setdefault(m, []).extend(same)
+            if cone + width + len(noff) > cap:
+                break
+        if not counted:
+            reach = any(m > 1 and level for m, level in nstar.items())
+        grow(off, cap - cone - width, noff)  # the children of stored faces are stored
         count = cone + width + len(noff)
         _check_cap(count, d, cap)
         if not count:
             break
-        noff.sort()  # two sorted runs: the leavers and the children of off
-        by_dim[d] = noff if relative else [(v1,) + t for t in star] + sorted(nstar + noff)
+        noff.sort()
+        by_dim[d] = noff if relative else [(apexes[0],) + t for t in star.get(2, ())] + sorted(
+            nstar.get(2, []) + noff)
         star, off = nstar, noff
         f.append(count)
-    # a face of dimension trunc+1 is t + v1 for a star face t, or extends an
-    # off-star one; copy c1's complex cut below its rank has one anyway
-    complete = trunc >= top or (trunc >= rank[id(mats[c1])] - 1 and not width
-                                and not grow(off, 0, []))
+    # a face of dimension trunc+1 less a vertex of F in it, or else its last
+    # vertex, is a top face with a bit of F it does not hold, or a stored one
+    complete = trunc >= top or not (reach or grow(off, 0, []))
     return SimplicialComplex(by_dim, trunc, complete, tuple(f),
-                             [v for v, _ in fresh[0]] if relative else None)
+                             [v for v, _ in fresh[0]] if relative else None,
+                             apexes if relative else None)
 
 
 # compatibility name: the benchmark's tracer wraps this binding

@@ -1,11 +1,17 @@
 """Exact reduced rational homology and the connectivity verifiers built on it.
 
-Betti numbers come from a discrete Morse reduction of X relative to the star
-of its first vertex v1, a cone: through dimension top, less some top faces,
-it is a subcomplex L with H~_j(L) = 0 for j < top, so H_i(X, L) = H~_i(X)
-for i < top, and the chains are the faces s without v1 and with s + v1 no
-face.  The element matching (Jonsson 2008, *Simplicial Complexes of Graphs*,
-LNM 1928) would pair the star first, so it runs on them from the second
+Betti numbers come from a discrete Morse reduction of X relative to U, the
+union of the closed stars of the vertices in F: the first vertex v1, and for
+a deleted join built relative also, in each later copy of rank >= 2, the
+vertex of the least non-loop element F does not use yet (``deleted_join``).
+Vertices of distinct copies with distinct elements span a face, so the stars
+of any of them meet in the star of a face, a cone, and U is contractible by
+the nerve theorem (Bjorner 1995).  Through dimension top it is a subcomplex
+L with H~_j(L) = 0 for j < top, so H_i(X, L) = H~_i(X) for i < top, and the
+chains are the faces s holding no v in F with s + v no face.  Rank-1 copies
+stay out of F, which would leave more critical cells on chessboards.  The
+element matching (Jonsson 2008, *Simplicial Complexes of Graphs*, LNM 1928)
+would pair the star of v1 first, so it runs on the chains from the second
 vertex on: each vertex v in ascending order pairs each unmatched face s
 without v with s + v when that face is unmatched too.  Its acyclicity is
 re-checked by a topological order of the modified Hasse graph, so the Morse
@@ -76,9 +82,10 @@ def boundary_matrix(X, i):
 
 
 def _element_matching(X, top):
-    """The element matching on the faces of X of dimensions -1..top off the
-    star of the first vertex v1: a stored X is cut to them, and a raise
-    checks that no face of a relative X holds v1 (the first of each level).
+    """The element matching on the faces of X of dimensions -1..top off U:
+    a stored X is cut off the star of its first vertex v1, and a raise
+    checks that no face of a relative X holds a vertex of F, v1 the first
+    of each level.
 
     For each later vertex v in ascending order, every unmatched face s
     without v is paired with t = s + v when t is an unmatched face too.  A
@@ -94,6 +101,10 @@ def _element_matching(X, top):
     levels = [[()]] + [X.faces(d) for d in range(top + 2)]
     if X.vertices and any(level and level[0][0] == vertices[0] for level in levels[1:]):
         raise RuntimeError(f"a stored face holds the first vertex {vertices[0]}")
+    others = (X.apexes or [])[1:]
+    held = others and set(others).intersection(chain.from_iterable(chain.from_iterable(levels)))
+    if held:
+        raise RuntimeError(f"a stored face holds the apex {min(held)}")
     levels = off_star(levels, vertices[0]) if vertices else levels[:-1]
     free = [set(level) for level in levels]
     up = [{} for _ in levels]
@@ -131,7 +142,7 @@ def _morse_map(pairs, rows, cells):
     paired s, through t, to each other facet r of t with coefficient
     -[t:s][t:r], a +-1 pivot; ``steps[i]`` lists the indices of those r
     with [t:r], walked once through ``combinations``: a facet paired
-    downward, or one of the star, which is no chain of the pair, ends its
+    downward, or one of U, which is no chain of the pair, ends its
     paths.  A directed cycle of the modified Hasse graph (each pair's edge
     reversed) stays within two adjacent dimensions, so a Kahn order over the
     pairs of each size, s before every paired face it steps to, certifies
@@ -259,11 +270,10 @@ class BettiVector:
 
 def _morse_complex(X, top):
     """The Morse complex of the element matching on the faces of X of
-    dimensions -1..top off the star of the first vertex: the critical faces
-    by size (dimension + 1) and the boundary maps, maps[i] from critical
-    i-faces to critical (i-1)-faces for i = 0..top.  A facet in the star is
-    no chain, so it drops out of every boundary; a map into no critical face
-    is not flowed.
+    dimensions -1..top off U: the critical faces by size (dimension + 1)
+    and the boundary maps, maps[i] from critical i-faces to critical
+    (i-1)-faces for i = 0..top.  A facet in U is no chain, so it drops out
+    of every boundary; a map into no critical face is not flowed.
     """
     up, critical = _element_matching(X, top)
     maps = [_morse_map(up[k], critical[k], critical[k + 1]) for k in range(top + 1)]
@@ -275,11 +285,10 @@ def betti_reduced(X, up_to):
 
     Requires materialization through dimension up_to+1 (the image of the next
     boundary map); faces above it are ignored.  X may be stored or built
-    relative to its first vertex.  The ranks are taken on the Morse complex
-    of the element matching on the faces off the first vertex's star through
-    dimension up_to+1, or the dimension of X if that is lower (the Betti
-    numbers above it are 0), so beta_i = c_i - rank d_i - rank d_(i+1) with
-    c_i the critical i-faces.  Every rank is exact; each coboundary skips the rows
+    relative.  The ranks are taken on the Morse complex of the element
+    matching on the faces off U through dimension up_to+1, or the dimension
+    of X if that is lower (the Betti numbers above it are 0), so beta_i =
+    c_i - rank d_i - rank d_(i+1) with c_i the critical i-faces.  Every rank is exact; each coboundary skips the rows
     that led a pivot of the map below it.
     """
     if up_to < 0:
@@ -355,8 +364,8 @@ def homologically_connected(X, c):
 
 def join_connectivity(matroids, c, cap=DEFAULT_FACE_CAP, context=None):
     """The c-connectivity check of the deleted join of ``matroids`` through
-    dimension c+1, relative to its first vertex for k >= 2 copies; a bound
-    below -1 is vacuous.  ``context`` is copied into the report."""
+    dimension c+1, built relative for k >= 2 copies; a bound below -1 is
+    vacuous.  ``context`` is copied into the report."""
     if c < -1:
         rep = ConnectivityReport(c, True, note="bound below -1 is vacuous")
     else:
@@ -365,16 +374,21 @@ def join_connectivity(matroids, c, cap=DEFAULT_FACE_CAP, context=None):
     return rep
 
 
-def _fold_connectivity(M, k, c, cap, context):
-    """``join_connectivity`` of k copies of M.  Before the k copies are
-    listed, f_0 = k * l for the l non-loops meets the cap, as in
-    ``deleted_join``, and so does f_1 >= C(k, 2) * l * (l - 1) when edges are
-    built: two distinct non-loops in two copies always form an edge."""
+def _fold_caps(M, k, c, cap):
+    """Before k copies of M are listed for a check through degree c, f_0 =
+    k * l for the l non-loops meets the cap, as in ``deleted_join``, and so
+    does f_1 >= C(k, 2) * l * (l - 1) when edges are built: two distinct
+    non-loops in two copies always form an edge."""
     if c >= -1 and k * M.n > cap or c >= 0 and k * (k - 1) * M.n * M.n > 2 * cap:
         ell = len(M._extensions(()))
         _check_cap(k * ell, 0, cap)
         if c >= 0:
             _check_cap(k * (k - 1) // 2 * ell * (ell - 1), 1, cap)
+
+
+def _fold_connectivity(M, k, c, cap, context):
+    """``join_connectivity`` of k copies of M, after ``_fold_caps``."""
+    _fold_caps(M, k, c, cap)
     return join_connectivity([M] * k, c, cap, context)
 
 
@@ -466,8 +480,9 @@ def conjecture_scan(M, k, cap=DEFAULT_FACE_CAP, deadline=None):
     if k < 1:
         raise InputError(f"k must be positive, got {k}")
     rho = M.rank()
-    b, _, _ = max_disjoint_bases(M, deadline)
     c = k * rho - 2
-    rep = _fold_connectivity(M, k, c, cap, {"b": b, "rank": rho, "k": k, "target": c})
+    _fold_caps(M, k, c, cap)  # the bound needs no b, and a cap report carries none
+    b, _, _ = max_disjoint_bases(M, deadline)
+    rep = join_connectivity([M] * k, c, cap, {"b": b, "rank": rho, "k": k, "target": c})
     return ConjectureRecord(b=b, rank=rho, k=k, target=c, verified=rep.verified,
                             report=rep)

@@ -127,6 +127,13 @@ def u3_9(tmp_path_factory):
     return str(path)
 
 
+@pytest.fixture(scope="module")
+def u1_2_20(tmp_path_factory):
+    path = tmp_path_factory.mktemp("hostile") / "u1_2_20.matroid"
+    write_matroid(path, UniformMatroid(1, 2**20))
+    return str(path)
+
+
 def _cap_exceeded(dim):
     return {"error": f"face cap exceeded at dimension {dim}: 5000001 > 5000000",
             "progress": {"cap": 5000000, "dimension": dim}}
@@ -140,11 +147,14 @@ def _tverberg_exhausted(t):
             "tuples_examined": 0, "witness": None}
 
 
-# (id, argv, exit code, payload or None): "U3_9" stands for the U(3,9) file.
-# A huge --k is never built into k parts or k copies: pack certifies with
-# the loops, none here (k >= n = 9), and the scans meet the face cap at
-# f_0 = 9k; a cover builds at most |A| parts, a chessboard meets the cap at
-# f_0 = k*m, and a search reads at most cap + 1 faces whatever t is
+# (id, argv, exit code, payload or None[, seconds]): "U3_9" and "U1_2_20"
+# stand for the U(3,9) and U(1, 2**20) files; a row ends within 2 s unless
+# it names its own bound.  A huge --k is never built into k parts or k
+# copies: pack certifies with the loops, none here (k >= n = 9), and the
+# scans meet the face cap at f_0 = 9k; a cover builds at most |A| parts, a
+# chessboard meets the cap at f_0 = k*m, and a search reads at most cap + 1
+# faces whatever t is.  conjecture-scan meets the cap at f_1 before it packs
+# b(M), 2**20 one-element bases of U(1, 2**20), which its report never shows
 HOSTILE = [
     *((f"{k}-{command}", [command, "--matroid", "U3_9", "--k", str(k)],
        0 if command == "pack" else 3,
@@ -176,18 +186,20 @@ HOSTILE = [
      0, None),
     ("inequality-d", ["inequality", "--b", "64", "--d", str(10**20), "--p", "3"], 0, None),
     ("prime-b", ["prime", "--b", str(10**30)], 0, None),
+    ("conjecture-scan-u1-2-20", ["conjecture-scan", "--matroid", "U1_2_20", "--k", "3"], 3,
+     _cap_exceeded(1), 1.0),
 ]
 
 
-@pytest.mark.parametrize("argv, code, payload", [row[1:] for row in HOSTILE],
+@pytest.mark.parametrize("argv, code, payload, seconds", [(*row[1:], 2.0)[:4] for row in HOSTILE],
                          ids=[row[0] for row in HOSTILE])
-def test_hostile_k_ends_in_one_small_report(u3_9, argv, code, payload):
+def test_hostile_k_ends_in_one_small_report(u3_9, u1_2_20, argv, code, payload, seconds):
     out = io.StringIO()
     tracemalloc.start()
     t0 = time.monotonic()
     try:
         with contextlib.redirect_stdout(out):
-            got = main([u3_9 if a == "U3_9" else a for a in argv])
+            got = main([{"U3_9": u3_9, "U1_2_20": u1_2_20}.get(a, a) for a in argv])
         elapsed = time.monotonic() - t0
         peak = tracemalloc.get_traced_memory()[1]
     finally:
@@ -195,7 +207,7 @@ def test_hostile_k_ends_in_one_small_report(u3_9, argv, code, payload):
     rep = json.loads(out.getvalue())  # exactly one report
     assert got == code == EXIT_CODES[rep["outcome"]]
     assert len(out.getvalue()) < 64 * 2**10
-    assert elapsed < 2.0 and peak < 50 * 2**20
+    assert elapsed < seconds and peak < 50 * 2**20
     if payload is not None:
         assert rep["payload"] == payload
 

@@ -294,49 +294,64 @@ def test_first_copy_cut_below_its_rank_is_incomplete():
 
 
 def _relative_levels(mats, trunc):
-    """The levels a build relative to the first vertex v1 stores, by brute
-    force: the faces s without v1 and s + v1 no face; at the top, where v1's
-    copy c1 is cut below its rank, the star faces inside copy c1 stay too."""
+    """(stored levels, f-vector, complete) of a build through ``trunc``
+    relative to U, by brute force.  F holds the first vertex v1 and, for each
+    later copy of rank >= 2, the vertex of its least non-loop element that F
+    does not use yet; a level keeps the faces s with, for each vertex f of F,
+    f not in s and s + f no face."""
     faces, _ = brute_deleted_join(mats, trunc + 1)
+    f = tuple(len(faces[d]) for d in range(trunc + 1) if d in faces)
     if not faces:
-        return []
+        return [], f, True
     n, (v1,) = mats[0].n, faces[0][0]
-    cut = trunc < mats[v1 // n].rank() - 1
-    levels = []
-    for d in range(trunc + 1):
-        above = set(faces.get(d + 1, ()))
-        levels.append([s for s in faces.get(d, ()) if v1 not in s and (
-            (v1,) + s not in above or d == trunc and cut and {v // n for v in s} == {v1 // n})])
-    return levels[:len(deleted_join(mats, trunc).f_vector())]
+    apexes = [v1]
+    for c in range(v1 // n + 1, len(mats)):
+        free = [e for e in range(n) if mats[c].is_independent([e])
+                and e not in {v % n for v in apexes}]
+        if mats[c].rank() >= 2 and free:
+            apexes.append(c * n + free[0])
+    above = [set(faces.get(d + 1, ())) for d in range(len(f))]
+    return [[s for s in faces[d] if all(v not in s and tuple(sorted(s + (v,))) not in above[d]
+                                        for v in apexes)] for d in range(len(f))], \
+        f, trunc + 1 not in faces
 
 
 def test_counted_top_star_matches_the_built_star():
-    # a relative build counts the star faces of its top level and builds
-    # only the children that leave the star; the stored build builds them
-    # all.  Cases: e1 = 0 a loop of copy 1; e1 = 1, which a copy-1 part
-    # {0} extends in its own copy; K4's triangles, whose parts leave the
-    # star in copy c1 itself; U(3,5), cut below its rank at trunc 0 and 1;
-    # v1 in a later copy; a cone over v1, whose top star alone makes the
-    # build incomplete.  trunc 0 counts nothing.
+    # a relative build counts the faces of its top level in U and builds
+    # only the children that may leave U; the stored build builds them all.
+    # Cases: e1 = 0 a loop of copy 1; e1 = 1, which a copy-1 part {0}
+    # extends in its own copy; K4's triangles, whose parts leave the star in
+    # copy c1 itself; U(3,5), cut below its rank at trunc 0 and 1; v1 in a
+    # later copy; a cone over v1, whose top star alone makes the build
+    # incomplete; rank-1 copies, which F skips, between and beside rank-2
+    # ones; parallel edges, whose part {e} spans the element of F in copies
+    # after the first.  trunc 0 counts nothing.
     loop_first = GraphicMatroid(4, [(1, 1), (0, 1), (1, 2), (2, 3), (0, 3), (0, 2)])
     apex, base = GraphicMatroid(3, [(0, 1), (1, 1), (2, 2)]), GraphicMatroid(3, [(0, 0), (0, 1), (1, 2)])
+    parallel = GraphicMatroid(3, [(0, 1), (0, 1), (1, 2), (1, 2), (0, 2)])
+    u27, u17 = UniformMatroid(2, 7), UniformMatroid(1, 7)
     cases = ([UniformMatroid(2, 6), loop_first, UniformMatroid(3, 6)],
              [loop_first, UniformMatroid(2, 6)], [K4] * 2, [UniformMatroid(3, 5)] * 2,
-             [UniformMatroid(0, 6), K4, UniformMatroid(2, 6)], [apex, base])
-    for mats in cases:
-        for trunc in range(min(sum(M.rank() for M in mats), mats[0].n) + 1):
+             [UniformMatroid(0, 6), K4, UniformMatroid(2, 6)], [apex, base],
+             [u27, u17, u17, u27], [u17, u27, u27], [parallel] * 3)
+    for mats in cases:  # four copies only through 3: brute force takes 3 s at 4
+        top = min(sum(M.rank() for M in mats), mats[0].n if len(mats) < 4 else 3)
+        for trunc in range(top + 1):
             rel, stored = deleted_join(mats, trunc, relative=True), deleted_join(mats, trunc)
             assert (rel.f_vector(), rel.complete) == (stored.f_vector(), stored.complete), \
                 (mats, trunc)
-            assert list(rel.faces_by_dim.values()) == _relative_levels(mats, trunc), (mats, trunc)
+            assert (list(rel.faces_by_dim.values()), rel.f_vector(), rel.complete) == \
+                _relative_levels(mats, trunc), (mats, trunc)
 
 
 def test_counted_top_star_pins_and_caps():
-    # the f-vector counts the top's star faces the relative build never
-    # stores; a cap that fires inside that level ends as the stored build's
+    # the f-vector counts the top's faces in U the relative build never
+    # stores; a cap that fires inside that level ends as the stored build's.
+    # U(3,9)^{*3} stores 440 faces (4,082 off the star of v1 alone), K5^{*2}
+    # 409 (1,121), as the brute force of _relative_levels gives
     K5 = GraphicMatroid(5, [(a, b) for a in range(5) for b in range(a + 1, 5)])
-    for mats, f, stored in (([UniformMatroid(3, 9)] * 3, (27, 324, 2268, 9828), [2, 48, 560, 3472]),
-                            ([K5] * 2, (20, 180, 940, 3050), [1, 21, 189, 910])):
+    for mats, f, stored in (([UniformMatroid(3, 9)] * 3, (27, 324, 2268, 9828), [0, 0, 26, 414]),
+                            ([K5] * 2, (20, 180, 940, 3050), [0, 3, 52, 354])):
         X = deleted_join(mats, 3, relative=True)
         assert (X.f_vector(), [len(X.faces(d)) for d in range(4)]) == (f, stored)
         for cap in (f[2], f[2] + 1, (f[2] + f[3]) // 2, f[3] - stored[3], f[3] - 1, f[3]):
