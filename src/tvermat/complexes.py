@@ -9,7 +9,7 @@ matroid's independent sets; one builder, ``deleted_join``, makes every complex
 from matroids: the independence complex is its one-factor case, the walk
 stored whole, and the chessboard C(k, m) is the k-fold deleted join of U(1, m).
 A join built ``relative`` stores only the faces off a contractible union U
-of vertex stars, all homology needs, and its exact f-vector.
+of vertex stars, all homology needs, and its exact f-vector; else U is empty.
 
 Materialization is dimension-truncated: ``trunc`` is the largest dimension
 enumerated, ``complete`` records whether any faces beyond it exist.  Counts at
@@ -176,19 +176,20 @@ def deleted_join(matroids, trunc=None, cap=DEFAULT_FACE_CAP, relative=False):
     copy.  A level is abandoned with a ResourceLimitError once it holds more
     than ``cap`` faces.
 
-    ``relative`` (k >= 2) stores only the faces off U, the union of the
-    closed stars of the vertices in F: the first vertex v1 and, in each later
-    copy of rank >= 2, the vertex of the least non-loop element F does not
-    use yet.  Any of them span a face, so their stars meet in the star of
-    that face, a cone, and U is contractible (nerve theorem).  A face in U,
-    transient, carries a mask: bit i while F[i] is not in it but extends it,
-    and HOLD once it holds a vertex of F.  A child clears the bit of the
-    vertex of F with its element (or holds it), and that of its copy if its
-    part spans that copy's element of F: at most two, so a face with three
-    bits keeps all its children in U.  Faces of mask 0 are stored.  The
-    faces holding v1, t + v1 for the faces t of bit v1 one size down, are
-    counted, never built, and so is every face of U at the top.  Rank-1
-    copies stay out of F, so chessboards keep F = {v1}.
+    Only the faces off U, the union of the closed stars of the vertices in F,
+    are stored, and F is empty unless ``relative`` (k >= 2): a stored build
+    grows each level from the one below.  Otherwise F holds the first vertex
+    v1 and, in each later copy of rank >= 2, the vertex of the least non-loop
+    element F does not use yet.  Any of them span a face, so their stars meet
+    in the star of that face, a cone, and U is contractible (nerve theorem).
+    A face in U, transient, carries a mask: bit i while F[i] is not in it but
+    extends it, and HOLD once it holds a vertex of F.  A child clears the bit
+    of the vertex of F with its element (or holds it), and that of its copy if
+    its part spans that copy's element of F: at most two, so a face with three
+    bits keeps all its children in U.  Faces of mask 0 are stored.  The faces
+    holding v1, t + v1 for the faces t of bit v1 one size down, are counted,
+    never built, and so is every face of U at the top.  Rank-1 copies stay out
+    of F, so chessboards keep F = {v1}.
     """
     mats = list(matroids)
     if not mats:
@@ -237,13 +238,11 @@ def deleted_join(matroids, trunc=None, cap=DEFAULT_FACE_CAP, relative=False):
         for face in level:
             if face:
                 c = face[-1] // n
-                cands = fresh[c + 1]
                 part = face[bisect_left(face, c * n):]
                 same = ext[c].get(part)  # children() inlined: a call a face costs more
                 if same is None:
                     same = children(c, part)
-                if same:
-                    cands = chain(same, cands)
+                cands = chain(same, fresh[c + 1]) if same else fresh[c + 1]
                 used = set(map(n.__rmod__, face))
             else:
                 cands, used = fresh[0], ()
@@ -252,12 +251,11 @@ def deleted_join(matroids, trunc=None, cap=DEFAULT_FACE_CAP, relative=False):
                     append(face + (v,))
             if len(nxt) > stop:
                 break
-        return nxt
 
     if not fresh[0]:  # no vertex: the bound decides
         return SimplicialComplex({}, trunc, trunc >= top)
-    apexes, c1 = [fresh[0][0][0]], fresh[0][0][0] // n  # F, v1 first
-    for c in range(c1 + 1, len(mats) if relative else 0):
+    apexes = [fresh[0][0][0]] if relative else []  # F, v1 first; U is empty when stored
+    for c in range(fresh[0][0][0] // n + 1, len(mats) if relative else 0):
         if rank[id(mats[c])] > 1:
             taken = {v % n for v in apexes}
             e = next((e for e in asked[id(mats[c])][()] if e not in taken), None)
@@ -288,11 +286,12 @@ def deleted_join(matroids, trunc=None, cap=DEFAULT_FACE_CAP, relative=False):
             spans[c][part] = out
         return out
 
-    by_dim, f, star, off, hots = {}, [], {(2 << len(apexes)) - 2: [()]}, [], {}
+    by_dim, f, hots = {}, [], {}
+    star, off = ({(2 << len(apexes)) - 2: [()]}, []) if apexes else ({}, [()])  # () has all bits
     fspan = set().union(*(spanning(v // n, ()) for v in apexes[1:]))  # by a lone element
     for d in range(trunc + 1):
         cone = sum(len(level) for m, level in star.items() if m & 2)  # the faces t + v1
-        counted = relative and 0 < d == trunc  # the top's faces in U are counted
+        counted = 0 < d == trunc  # the top's faces in U are counted
         nstar, noff, width, reach = {}, [], 0, False
         for m, level in star.items():
             same, hot, room = [], hots.get(m), cap - cone - width - len(noff)
@@ -314,7 +313,7 @@ def deleted_join(matroids, trunc=None, cap=DEFAULT_FACE_CAP, relative=False):
                     kids = chain(own, fresh[c + 1]) if own else fresh[c + 1]
                     used = set(map(n.__rmod__, face))
                 else:
-                    c, part, used, kids = c1, (), (), islice(fresh[0], 1, None)
+                    c, part, used, kids = apexes[0] // n, (), (), islice(fresh[0], 1, None)
                 span, spot = (), hot  # the children that may clear a bit
                 if m & cbit[c]:
                     span = spans[c].get(part)
@@ -363,17 +362,22 @@ def deleted_join(matroids, trunc=None, cap=DEFAULT_FACE_CAP, relative=False):
         _check_cap(count, d, cap)
         if not count:
             break
-        noff.sort()
-        by_dim[d] = noff if relative else [(apexes[0],) + t for t in star.get(2, ())] + sorted(
-            nstar.get(2, []) + noff)
-        star, off = nstar, noff
+        if star:  # children of faces in U came first; grow's alone are in order
+            noff.sort()
+        star, off, by_dim[d] = nstar, noff, noff
         f.append(count)
+
+    def extends(face):
+        """Whether a stored face has a child; its last part is asked last."""
+        c, used = face[-1] // n, set(map(n.__rmod__, face))
+        return any(e not in used for _, e in fresh[c + 1]) or any(
+            e not in used for _, e in children(c, face[bisect_left(face, c * n):]))
+
     # a face of dimension trunc+1 less a vertex of F in it, or else its last
     # vertex, is a top face with a bit of F it does not hold, or a stored one
-    complete = trunc >= top or not (reach or grow(off, 0, []))
+    complete = trunc >= top or not (reach or any(map(extends, off)))
     return SimplicialComplex(by_dim, trunc, complete, tuple(f),
-                             [v for v, _ in fresh[0]] if relative else None,
-                             apexes if relative else None)
+                             *(([v for v, _ in fresh[0]], apexes) if relative else ()))
 
 
 # compatibility name: the benchmark's tracer wraps this binding

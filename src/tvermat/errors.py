@@ -10,7 +10,7 @@ class InputError(ValueError):
 
 
 class PreconditionError(InputError):
-    """A documented operation precondition was violated (e.g. contracting a loop)."""
+    """A documented precondition was violated (e.g. Betti numbers past the built faces)."""
 
 
 class ResourceLimitError(RuntimeError):

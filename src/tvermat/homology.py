@@ -288,8 +288,8 @@ def betti_reduced(X, up_to):
     relative.  The ranks are taken on the Morse complex of the element
     matching on the faces off U through dimension up_to+1, or the dimension
     of X if that is lower (the Betti numbers above it are 0), so beta_i =
-    c_i - rank d_i - rank d_(i+1) with c_i the critical i-faces.  Every rank is exact; each coboundary skips the rows
-    that led a pivot of the map below it.
+    c_i - rank d_i - rank d_(i+1), c_i the critical i-faces.  Every rank is
+    exact; each coboundary skips the rows that led a pivot of the map below it.
     """
     if up_to < 0:
         raise InputError(f"up_to must be >= 0, got {up_to}")
@@ -386,12 +386,6 @@ def _fold_caps(M, k, c, cap):
             _check_cap(k * (k - 1) // 2 * ell * (ell - 1), 1, cap)
 
 
-def _fold_connectivity(M, k, c, cap, context):
-    """``join_connectivity`` of k copies of M, after ``_fold_caps``."""
-    _fold_caps(M, k, c, cap)
-    return join_connectivity([M] * k, c, cap, context)
-
-
 def _ceil_div(a, b):
     return -(-a // b)
 
@@ -457,7 +451,8 @@ def verify_corollary(M, k, cap=DEFAULT_FACE_CAP, deadline=None):
         raise RuntimeError("a group holds more than m packed bases")
     c = (b * rho) // (m + 1) - 2
     context["m"] = m
-    return _fold_connectivity(M, k, c, cap, context)
+    _fold_caps(M, k, c, cap)
+    return join_connectivity([M] * k, c, cap, context)
 
 
 @dataclass

@@ -63,6 +63,17 @@ def test_k_fold_deleted_join_chessboards():
     assert sum((-1) ** d * count for d, count in enumerate(c34.f)) == 0
 
 
+def _assert_builds_match_brute_force(mats, trunc):
+    # the stored build has every face; the relative build, stored off U, has
+    # the same f-vector and completeness (a stored build is one with U empty)
+    faces, complete = brute_deleted_join(mats, trunc)
+    X = deleted_join(mats, trunc)
+    assert (X.faces_by_dim, X.complete) == (faces, complete), (mats, trunc)
+    rel = deleted_join(mats, trunc, relative=True)
+    assert (rel.f_vector(), rel.complete) == (
+        tuple(len(faces[d]) for d in range(len(faces))), complete), (mats, trunc)
+
+
 def test_deleted_join_matches_brute_force():
     fam = [M for _, M in small_matroid_family(explicit_count=10)]
     cases = [[M] * k for M in fam for k in (1, 2, 3) if k * M.n <= 15]
@@ -73,12 +84,11 @@ def test_deleted_join_matches_brute_force():
     cases += [ms[i:i + k] for ms in by_size.values() for k in (2, 3)
               for i in range(0, len(ms) - k + 1, k) if k * ms[0].n <= 15]
     cases += [[UniformMatroid(1, m)] * k for k in (4, 5) for m in (2, 3)]
+    # a rank-0 first copy puts the first vertex in a later copy
+    cases += [[UniformMatroid(0, 5), UniformMatroid(2, 5), UniformMatroid(3, 5)]]
     for mats in cases:
         for trunc in range(-1, mats[0].n + 1):
-            X = deleted_join(mats, trunc)
-            faces, complete = brute_deleted_join(mats, trunc)
-            assert X.faces_by_dim == faces, (mats, trunc)
-            assert X.complete == complete, (mats, trunc)
+            _assert_builds_match_brute_force(mats, trunc)
     for k, m in ((3, 4), (4, 3), (2, 5)):
         assert chessboard(k, m).faces_by_dim == brute_deleted_join(
             [UniformMatroid(1, m)] * k, min(k, m) - 1)[0]
@@ -91,10 +101,7 @@ def test_deleted_join_with_loop_and_parallel_edge_matches_brute_force():
     for mats in ([G], [G, G], [G, G, G], [G, UniformMatroid(2, 6)],
                  [UniformMatroid(3, 6), G]):
         for trunc in range(-1, G.n + 1):
-            X = deleted_join(mats, trunc)
-            faces, complete = brute_deleted_join(mats, trunc)
-            assert X.faces_by_dim == faces, (mats, trunc)
-            assert X.complete == complete, (mats, trunc)
+            _assert_builds_match_brute_force(mats, trunc)
 
 
 def test_chessboard_facets():
@@ -267,8 +274,8 @@ def _cap_outcome(build):
 
 
 def test_relative_builds_count_every_face_against_the_cap():
-    # the relative build stores only the faces off the first vertex's star
-    # but counts the star and its cone too: every cap ends the same way
+    # the relative build stores only the faces off U, the union of the stars
+    # of F, but counts the faces in U too: every cap ends the same way
     for mats, trunc in (([UniformMatroid(1, 4)] * 3, 2), ([UniformMatroid(2, 5)] * 2, 3),
                         ([UniformMatroid(0, 6), K4, UniformMatroid(2, 6)], 3)):
         total = sum(deleted_join(mats, trunc).f_vector())
@@ -278,9 +285,10 @@ def test_relative_builds_count_every_face_against_the_cap():
 
 
 def test_first_copy_cut_below_its_rank_is_incomplete():
-    # the first copy's complex cut below its rank files the top's children in
-    # that copy off the star unchecked; the first vertex 0 is a coloop here,
-    # so the only faces above the top hold it
+    # the first copy's complex cut below its rank; the first vertex 0 is a
+    # coloop here, so the only faces above the top hold it.  A stored build
+    # (U empty) finds them as children of its top faces, a relative one as
+    # cones over its top faces in U
     bridge = GraphicMatroid(3, [(0, 1), (1, 2), (1, 2)])
     for mats in ([UniformMatroid(2, 2), UniformMatroid(0, 2)],
                  [UniformMatroid(3, 3), UniformMatroid(1, 3)],
