@@ -15,9 +15,9 @@ that would say otherwise did not parse; ``--help`` prints usage and exits 0.
 Identical inputs and seed give byte-identical stdout; wall time is reported
 only under ``--timings`` (it is the one intentionally nondeterministic field,
 so it defaults to null).  ``--threads`` is accepted and ignored: every search
-runs on the calling thread.  A ``homology --up-to`` above
-formats.MAX_GROUND_SIZE (2**20) is an input error; the Betti numbers above
-the complex's dimension are 0 and are not computed.
+runs on the calling thread.  A ``homology --up-to`` above MAX_UP_TO (2**12)
+is an input error, so its list of Betti numbers stays small; those above the
+complex's dimension are 0 and are not computed.
 
 File formats (all versioned with a leading format-version field):
 
@@ -75,6 +75,8 @@ from .tverberg import (
     random_point_config,
     verify_theorem,
 )
+
+MAX_UP_TO = 1 << 12  # far above any complex built: dimension d holds 2**(d+1) - 1 faces
 
 EXIT_CODES = {
     "verified": 0,
@@ -248,11 +250,7 @@ def _load_config(args, inputs, n):
 
 
 def _complex_payload(X, export):
-    payload = {
-        "f_vector": [1, *X.f_vector()],
-        "complete": X.complete,
-        "num_faces": X.num_faces(),
-    }
+    payload = {"f_vector": [1, *X.f_vector()], "complete": X.complete, "num_faces": X.num_faces()}
     if export:
         formats.write_faces(export, X)
         payload["exported"] = export
@@ -284,13 +282,9 @@ def dispatch(args, inputs, params):
         M = load_matroid(args.matroid)
         params["subset"] = args.subset
         subset = None if args.subset is None else _parse_ids(args.subset)
-        r = M.rank(subset)
-        return "verified", {
-            "rank": r,
-            "ground_size": M.n,
-            "subset_size": M.n if subset is None else len(set(subset)),
-            "loops": M.loops(),
-        }
+        return "verified", {"rank": M.rank(subset), "ground_size": M.n,
+                            "subset_size": M.n if subset is None else len(set(subset)),
+                            "loops": M.loops()}
 
     if cmd == "bases":
         M = load_matroid(args.matroid)
@@ -340,8 +334,8 @@ def dispatch(args, inputs, params):
         if len(given) != 1:
             raise InputError("give exactly one of --matroid, --chessboard, --faces")
         params["up-to"] = args.up_to
-        if args.up_to > formats.MAX_GROUND_SIZE:
-            raise InputError(f"--up-to {args.up_to} exceeds the cap {formats.MAX_GROUND_SIZE}")
+        if args.up_to > MAX_UP_TO:
+            raise InputError(f"--up-to {args.up_to} exceeds the cap {MAX_UP_TO}")
         if args.matroid:
             M = load_matroid(args.matroid)
             X = as_complex(M, args.up_to + 1, args.max_faces)
@@ -357,11 +351,7 @@ def dispatch(args, inputs, params):
             inputs[args.faces] = _digest(args.faces)
             X = formats.read_faces(args.faces)
         bv = betti_reduced(X, args.up_to)
-        payload = {
-            "betti": list(bv.betti),
-            "up_to": bv.up_to,
-            "f_vector": [1, *X.f_vector()],
-        }
+        payload = {"betti": list(bv.betti), "up_to": bv.up_to, "f_vector": [1, *X.f_vector()]}
         if args.export_boundary:
             written = []
             for i in range(args.up_to + 2):

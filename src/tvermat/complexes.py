@@ -173,8 +173,10 @@ def deleted_join(matroids, trunc=None, cap=DEFAULT_FACE_CAP, relative=False):
     stored whole.  For k >= 2 no factor complex is built: levels fill in
     lexicographic order, a face growing by a larger vertex, either one of
     its last part's ``children`` or an element no part uses in a later
-    copy.  A level is abandoned with a ResourceLimitError once it holds more
-    than ``cap`` faces.
+    copy.  Siblings, consecutive faces with one parent, share one set of
+    that parent's elements, and a child's element is tested against it and
+    the face's last element.  A level is abandoned with a ResourceLimitError
+    once it holds more than ``cap`` faces.
 
     Only the faces off U, the union of the closed stars of the vertices in F,
     are stored, and F is empty unless ``relative`` (k >= 2): a stored build
@@ -234,7 +236,7 @@ def deleted_join(matroids, trunc=None, cap=DEFAULT_FACE_CAP, relative=False):
 
     def grow(level, stop, nxt):
         """Append the children of ``level`` to ``nxt`` till it passes ``stop``."""
-        append = nxt.append
+        append, parent = nxt.append, None
         for face in level:
             if face:
                 c = face[-1] // n
@@ -243,11 +245,14 @@ def deleted_join(matroids, trunc=None, cap=DEFAULT_FACE_CAP, relative=False):
                 if same is None:
                     same = children(c, part)
                 cands = chain(same, fresh[c + 1]) if same else fresh[c + 1]
-                used = set(map(n.__rmod__, face))
+                if face[:-1] != parent:  # siblings share their parent's elements
+                    parent = face[:-1]
+                    used = set(map(n.__rmod__, parent))
+                le = face[-1] % n
             else:
-                cands, used = fresh[0], ()
+                cands, used, le = fresh[0], (), None
             for v, e in cands:
-                if e not in used:
+                if e not in used and e != le:
                     append(face + (v,))
             if len(nxt) > stop:
                 break
@@ -286,7 +291,7 @@ def deleted_join(matroids, trunc=None, cap=DEFAULT_FACE_CAP, relative=False):
             spans[c][part] = out
         return out
 
-    by_dim, f, hots = {}, [], {}
+    by_dim, f, hots, parent = {}, [], {}, None
     star, off = ({(2 << len(apexes)) - 2: [()]}, []) if apexes else ({}, [()])  # () has all bits
     fspan = set().union(*(spanning(v // n, ()) for v in apexes[1:]))  # by a lone element
     for d in range(trunc + 1):
@@ -311,9 +316,13 @@ def deleted_join(matroids, trunc=None, cap=DEFAULT_FACE_CAP, relative=False):
                     if own is None:
                         own = children(c, part)
                     kids = chain(own, fresh[c + 1]) if own else fresh[c + 1]
-                    used = set(map(n.__rmod__, face))
+                    if face[:-1] != parent:  # siblings share their parent's elements
+                        parent = face[:-1]
+                        used = set(map(n.__rmod__, parent))
+                    le = face[-1] % n
                 else:
                     c, part, used, kids = apexes[0] // n, (), (), islice(fresh[0], 1, None)
+                    le = None
                 span, spot = (), hot  # the children that may clear a bit
                 if m & cbit[c]:
                     span = spans[c].get(part)
@@ -324,7 +333,7 @@ def deleted_join(matroids, trunc=None, cap=DEFAULT_FACE_CAP, relative=False):
                 if counted:  # count a child in U, and whether it has a bit it does not hold
                     last, lost = width, 0
                     for v, e in kids:
-                        if e not in used:
+                        if e not in used and e != le:
                             if v in spot:
                                 mm = hot.get(v, m) & ~cbit[c] if v in span else hot.get(v, m)
                                 if not mm:
@@ -337,7 +346,7 @@ def deleted_join(matroids, trunc=None, cap=DEFAULT_FACE_CAP, relative=False):
                         break
                     continue
                 for v, e in kids:
-                    if e not in used:
+                    if e not in used and e != le:
                         if v in spot:
                             mm = hot.get(v, m) & ~cbit[c] if v in span else hot.get(v, m)
                             if mm != m:

@@ -90,12 +90,14 @@ def _element_matching(X, top):
     For each later vertex v in ascending order, every unmatched face s
     without v is paired with t = s + v when t is an unmatched face too.  A
     face waits at one vertex: its first, then, while t is free but t - v is
-    taken, the vertex after v.  It leaves once matched, or once its size or
-    the size below has no free face left: free sets only shrink.  A stage's
-    pairs (t - v, t) are disjoint, so its visiting order is free.  Returns
-    ``up`` and ``critical`` by face size k = dimension + 1: up[k] maps each
-    paired k-face s to (t, sign of s in the boundary of t), and critical[k]
-    lists the unpaired k-faces in lexicographic order.
+    taken, the vertex after v.  On its first visit t starts with v, since
+    v1's star is cut and the vertices ascend, so t - v is its tail, of sign
+    +1; only a requeued face looks v up.  It leaves once matched, or once
+    its size or the size below has no free face left: free sets only
+    shrink.  A stage's pairs (t - v, t) are disjoint, so its visiting order
+    is free.  Returns ``up`` and ``critical`` by face size k = dimension +
+    1: up[k] maps each paired k-face s to (t, sign of s in the boundary of
+    t), and critical[k] lists the unpaired k-faces in lexicographic order.
     """
     vertices = X.vertices or [v for (v,) in X.faces(0)]
     levels = [[()]] + [X.faces(d) for d in range(top + 2)]
@@ -117,7 +119,16 @@ def _element_matching(X, top):
             queued = waiting[k].pop(v, ())
             if not (lower and upper):
                 continue
-            for t in chain(level[lo:start[k]], queued):
+            for t in level[lo:start[k]]:  # v first: v1's star is cut, vertices ascend
+                if t in upper:
+                    s = t[1:]
+                    if s in lower:
+                        lower.remove(s)
+                        upper.remove(t)
+                        up[k - 1][s] = (t, 1)
+                    elif k > 1:
+                        waiting[k].setdefault(t[1], []).append(t)
+            for t in queued:
                 if t in upper:
                     i = t.index(v)
                     s = t[:i] + t[i + 1:]
@@ -141,23 +152,25 @@ def _morse_map(pairs, rows, cells):
     ``pairs``, a critical one P + its row.  A gradient path steps from a
     paired s, through t, to each other facet r of t with coefficient
     -[t:s][t:r], a +-1 pivot; ``steps[i]`` lists the indices of those r
-    with [t:r], walked once through ``combinations``: a facet paired
+    with it, walked once through ``combinations``: a facet paired
     downward, or one of U, which is no chain of the pair, ends its
     paths.  A directed cycle of the modified Hasse graph (each pair's edge
     reversed) stays within two adjacent dimensions, so a Kahn order over the
     pairs of each size, s before every paired face it steps to, certifies
     that the whole matching is acyclic; a cycle raises RuntimeError.  Where
     the paths from a face end, its ``flow`` (a row's own unit), is built in
-    reverse order for each paired face from its steps' flows, then for each
-    cell from its facets' flows, which is its column.
+    reverse order for each paired face from its steps' flows (the first
+    one's copied), then for each cell from its facets' flows, which is its
+    column.
     """
     index = {face: i for i, face in enumerate(chain(pairs, rows))}
     npairs, k = len(pairs), len(next(iter(pairs), ()))
     signs = ((-1, 1) * (k + 1))[k + 1:]  # as in _facets, for the (k+1)-faces t
     steps, indegree, get = [], [0] * npairs, index.get
-    for i, (t, _) in enumerate(pairs.values()):
+    flips = {1: [-e for e in signs], -1: signs}  # -[t:s][t:r] by the pair's sign [t:s]
+    for i, (t, sign) in enumerate(pairs.values()):
         steps.append(walk := [])
-        for r, e in zip(combinations(t, k), signs):
+        for r, e in zip(combinations(t, k), flips[sign]):
             j = get(r, i)  # a facet with no index reads as s: skipped
             if j != i:
                 walk.append((j, e))
@@ -177,17 +190,19 @@ def _morse_map(pairs, rows, cells):
         return SparseIntMatrix(0, len(cells), [[] for _ in cells])
     flow = [None] * npairs + [{r: 1} for r in range(len(rows))]
 
-    def flowed(walk, sign):
-        acc = {}
-        for j, e in walk:
+    def flowed(walk):  # the first step's flow is copied, not summed into {}
+        if not walk:
+            return {}
+        (j, e), *rest = walk
+        acc = dict(flow[j]) if e == 1 else {r: -v for r, v in flow[j].items()}
+        for j, e in rest:
             for r, v in flow[j].items():
                 acc[r] = acc.get(r, 0) + e * v
-        return {r: sign * v for r, v in acc.items() if v}
-    pair_signs = [-e for _, e in pairs.values()]
-    for i in reversed(order):
-        flow[i] = flowed(steps[i], pair_signs[i])
-    cols = [sorted(flowed([(j, e) for r, e in _facets(c) if (j := index.get(r)) is not None],
-                          1).items()) for c in cells]
+        return {r: v for r, v in acc.items() if v} if rest else acc
+    for i in reversed(order):  # no step: the paths end at once, with no call
+        flow[i] = flowed(walk) if (walk := steps[i]) else {}
+    cols = [sorted(flowed([(j, e) for r, e in _facets(c) if (j := index.get(r)) is not None]
+                          ).items()) for c in cells]
     return SparseIntMatrix(len(rows), len(cells), cols)
 
 

@@ -310,18 +310,21 @@ def exact_betti(X, up_to):
 
 
 def element_matching(X, top):
-    """The element matching on the faces of the stored complex X of
-    dimensions -1..top off the star of its first vertex v1, as
+    """The element matching on the faces of X of dimensions -1..top off
+    the star of its first vertex v1, as
     ``homology._element_matching`` returns it: (up, critical) by face size.
 
     A face s is off the star when v1 is not in s and s + v1 is not a stored
-    face.  Each later vertex v in ascending order visits every face t holding
-    it, of every size, and pairs t with s = t - v when both are still
-    unmatched.
+    face.  A relative join carries its vertices and stores only faces off U,
+    which holds the star, so there only the empty face is cut.  Each later
+    vertex v in ascending order visits every face t holding it, of every
+    size, and pairs t with s = t - v when both are still unmatched.
     """
-    vertices = [v for (v,) in X.faces(0)]
+    vertices = X.vertices or [v for (v,) in X.faces(0)]
     levels = [[()]] + [X.faces(d) for d in range(top + 1)]
-    if vertices:
+    if X.vertices:
+        levels[0] = []
+    elif vertices:
         stored = set(X.all_faces()) | {()}
         v1 = vertices[0]
         levels = [[s for s in level if v1 not in s and tuple(sorted(s + (v1,))) not in stored]

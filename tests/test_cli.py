@@ -91,14 +91,16 @@ def test_homology_through_the_top_coboundary(capsys):
 
 def test_huge_up_to_ends_in_a_report(capsys):
     # above the complex's dimension every Betti number is 0 and is not
-    # computed; an --up-to above the ground-size cap is an input error
-    t0 = time.monotonic()
-    code, out = run(capsys, "homology", "--chessboard", "3,4", "--up-to", "100000000")
-    assert time.monotonic() - t0 < 2.0
-    rep = json.loads(out)
-    assert code == 2 and rep["outcome"] == "input-error"
-    assert rep["payload"] == {"error": "--up-to 100000000 exceeds the cap 1048576"}
-    for up_to in (99, 1_000_000):
+    # computed; an --up-to above 2**12 is an input error, so the zeros
+    # listed stay a few kilobytes
+    for up_to in (1_000_000, 100_000_000):
+        t0 = time.monotonic()
+        code, out = run(capsys, "homology", "--chessboard", "3,4", "--up-to", str(up_to))
+        assert time.monotonic() - t0 < 2.0
+        rep = json.loads(out)
+        assert code == 2 and rep["outcome"] == "input-error"
+        assert rep["payload"] == {"error": f"--up-to {up_to} exceeds the cap 4096"}
+    for up_to in (99, 4096):
         code, out = run(capsys, "homology", "--chessboard", "3,4", "--up-to", str(up_to))
         assert code == 0
         assert json.loads(out)["payload"] == {
@@ -181,6 +183,11 @@ HOSTILE = [
     ("chessboard-m-2-20", ["chessboard", "--k", "3", "--m", str(2**20)], 3, _cap_exceeded(1)),
     ("homology-chessboard-2-20", ["homology", "--chessboard", f"2,{2**20}", "--up-to", "0"],
      3, _cap_exceeded(1)),
+    # the Betti numbers above the dimension are listed as zeros, at most 2**12 of them
+    ("homology-up-to-2-12", ["homology", "--chessboard", "3,4", "--up-to", str(2**12)], 0,
+     None),
+    ("homology-up-to-10-6", ["homology", "--chessboard", "3,4", "--up-to", str(10**6)], 2,
+     {"error": "--up-to 1000000 exceeds the cap 4096"}),
     ("complex-max-dim", ["complex", "--matroid", "U3_9", "--max-dim", str(10**30)], 0, None),
     ("chessboard-max-dim", ["chessboard", "--k", "3", "--m", "4", "--max-dim", str(10**30)],
      0, None),

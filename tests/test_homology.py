@@ -187,9 +187,17 @@ def test_morse_critical_cell_counts():
     assert _critical_counts(chessboard(6, 8, trunc=5), 5) == {3: 14, 4: 1330, 5: 429}
 
 
+# gapped, negative vertex ids put the first vertex's cut and the buckets off 0..n-1
+GAPPED = list(combinations((-7, 3, 40, 41), 3)) + [(-7, 41, 99), (40, 41, 99), (-2, 3),
+                                                    (-2, 40, 99)]
+
+
 def test_element_matching_matches_the_reference():
     # skipping a size whose free faces have run out pairs the same faces; the
-    # faces off the first vertex's star hold about half of all pairs
+    # faces off the first vertex's star hold about half of all pairs.  A
+    # face's first visit pairs it with its tail: the gapped, negative vertex
+    # ids and the relative joins, whose vertices include those of F, test
+    # that every face in a vertex's first bucket starts with that vertex
     k6 = GraphicMatroid(6, list(combinations(range(6), 2)))
     k5 = GraphicMatroid(5, list(combinations(range(5), 2)))
     cases = [(chessboard(k, m, trunc), trunc)
@@ -197,7 +205,10 @@ def test_element_matching_matches_the_reference():
     cases += [(deleted_join([UniformMatroid(3, 9)] * 3, 3), 3),
               (deleted_join([k5] * 2, 3), 3), (as_complex(k6, 4), 4)]
     cases += [(from_facets([]), 1), (from_facets([(0,)]), 1),
-              (from_facets([(0, 1), (1, 2), (0, 2)]), 2), (full_simplex(6), 3)]
+              (from_facets([(0, 1), (1, 2), (0, 2)]), 2), (full_simplex(6), 3),
+              (from_facets(GAPPED), 3)]
+    cases += [(chessboard(k, m, 3, relative=True), 3) for k, m in ((3, 4), (4, 5), (5, 6))]
+    cases += [(deleted_join([UniformMatroid(3, 9)] * 3, 3, relative=True), 3)]
     paired = 0
     for X, top in cases:
         for t in range(top + 1):
@@ -218,9 +229,7 @@ def test_morse_complex_matches_the_reference():
              for k in range(1, 6) for m in range(1, 7) for top in range(min(k, m) + 1)]
     cases += [(deleted_join([UniformMatroid(3, 9)] * 3, 3), 3),
               (deleted_join([k5] * 2, 3), 3), (as_complex(k6, 4), 4)]
-    gapped = from_facets(list(combinations((-7, 3, 40, 41), 3))
-                         + [(-7, 41, 99), (40, 41, 99), (-2, 3), (-2, 40, 99)])
-    cases += [(gapped, top) for top in range(4)]
+    cases += [(from_facets(GAPPED), top) for top in range(4)]
     entries = 0
     for X, top in cases:
         critical, maps = _morse_complex(X, top)
