@@ -17,7 +17,12 @@ only under ``--timings`` (it is the one intentionally nondeterministic field,
 so it defaults to null).  ``--threads`` is accepted and ignored: every search
 runs on the calling thread.  A ``homology --up-to`` above MAX_UP_TO (2**12)
 is an input error, so its list of Betti numbers stays small; those above the
-complex's dimension are 0 and are not computed.
+complex's dimension are 0 and are not computed.  So is a ``pack --k`` above
+MAX_EMPTY_BASES (2**12) on a rank-0 matroid, whose k bases are all empty.
+A command runs with the cyclic garbage collector paused and restores the
+caller's setting on every exit: tvermat makes no reference cycles, so a
+collection would only re-walk the face lists.  The leak guard in test_cli
+checks that the cyclic garbage left does not grow with the instance.
 
 File formats (all versioned with a leading format-version field):
 
@@ -41,6 +46,7 @@ File formats (all versioned with a leading format-version field):
 
 import argparse
 import functools
+import gc
 import hashlib
 import re
 import sys
@@ -77,6 +83,7 @@ from .tverberg import (
 )
 
 MAX_UP_TO = 1 << 12  # far above any complex built: dimension d holds 2**(d+1) - 1 faces
+MAX_EMPTY_BASES = 1 << 12  # pack --k on a rank-0 matroid lists k empty bases
 
 EXIT_CODES = {
     "verified": 0,
@@ -236,6 +243,8 @@ def _load_config(args, inputs, n):
         inputs[args.points] = _digest(args.points)
         return formats.read_points(args.points)
     if args.random_points is not None:
+        if args.random_points < 0:
+            raise InputError(f"--random-points must be >= 0, got {args.random_points}")
         if args.dim is None:
             raise InputError("--random-points requires --dim")
         inputs["random-points"] = {
@@ -304,6 +313,9 @@ def dispatch(args, inputs, params):
             raise InputError("pack takes either --k or --subset/--m, not both")
         if args.k is not None and args.subset is None:
             params["k"] = args.k
+            if args.k > MAX_EMPTY_BASES and M.rank() == 0:
+                raise InputError(f"--k {args.k} exceeds the cap {MAX_EMPTY_BASES} "
+                                 "on a rank-0 matroid")
             res = pack_k_bases(M, args.k, deadline)
             if isinstance(res, BasePacking):
                 return "verified", {"packed": True, "bases": res.bases}
@@ -458,37 +470,43 @@ def dispatch(args, inputs, params):
 
 
 def main(argv=None):
-    args = _UNPARSED
-    inputs = {}
-    params = {}
-    t0 = time.monotonic()
+    collecting = gc.isenabled()  # the collector is paused: see the module docstring
+    gc.disable()
     try:
-        args = build_parser().parse_args(argv)
-        outcome, payload = dispatch(args, inputs, params)
-    except HypothesisViolation as exc:
-        outcome, payload = "hypothesis-violated", {
-            "error": str(exc),
-            "certificate": exc.certificate,
+        args = _UNPARSED
+        inputs = {}
+        params = {}
+        t0 = time.monotonic()
+        try:
+            args = build_parser().parse_args(argv)
+            outcome, payload = dispatch(args, inputs, params)
+        except HypothesisViolation as exc:
+            outcome, payload = "hypothesis-violated", {
+                "error": str(exc),
+                "certificate": exc.certificate,
+            }
+        except ResourceLimitError as exc:
+            outcome, payload = "resource-limit", {
+                "error": str(exc),
+                "progress": exc.progress,
+            }
+        except (InputError, OSError) as exc:
+            outcome, payload = "input-error", {"error": str(exc)}
+        elapsed = time.monotonic() - t0
+        report = {
+            "format-version": formats.FORMAT_VERSION,
+            "command": args.command,
+            "inputs": inputs,
+            "parameters": {**params, "seed": args.seed},
+            "outcome": outcome,
+            "payload": payload,
+            "wall-time-s": round(elapsed, 6) if args.timings else None,
         }
-    except ResourceLimitError as exc:
-        outcome, payload = "resource-limit", {
-            "error": str(exc),
-            "progress": exc.progress,
-        }
-    except (InputError, OSError) as exc:
-        outcome, payload = "input-error", {"error": str(exc)}
-    elapsed = time.monotonic() - t0
-    report = {
-        "format-version": formats.FORMAT_VERSION,
-        "command": args.command,
-        "inputs": inputs,
-        "parameters": {**params, "seed": args.seed},
-        "outcome": outcome,
-        "payload": payload,
-        "wall-time-s": round(elapsed, 6) if args.timings else None,
-    }
-    sys.stdout.write(formats.render_report(report, args.format))
-    return EXIT_CODES[outcome]
+        sys.stdout.write(formats.render_report(report, args.format))
+        return EXIT_CODES[outcome]
+    finally:
+        if collecting:
+            gc.enable()
 
 
 if __name__ == "__main__":

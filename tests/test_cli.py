@@ -1,6 +1,7 @@
 """CLI contract: exit codes, report schema, determinism, golden output."""
 
 import contextlib
+import gc
 import hashlib
 import io
 import json
@@ -136,6 +137,13 @@ def u1_2_20(tmp_path_factory):
     return str(path)
 
 
+@pytest.fixture(scope="module")
+def u0_3(tmp_path_factory):
+    path = tmp_path_factory.mktemp("hostile") / "u0_3.matroid"
+    write_matroid(path, UniformMatroid(0, 3))
+    return str(path)
+
+
 def _cap_exceeded(dim):
     return {"error": f"face cap exceeded at dimension {dim}: 5000001 > 5000000",
             "progress": {"cap": 5000000, "dimension": dim}}
@@ -149,11 +157,12 @@ def _tverberg_exhausted(t):
             "tuples_examined": 0, "witness": None}
 
 
-# (id, argv, exit code, payload or None[, seconds]): "U3_9" and "U1_2_20"
-# stand for the U(3,9) and U(1, 2**20) files; a row ends within 2 s unless
-# it names its own bound.  A huge --k is never built into k parts or k
-# copies: pack certifies with the loops, none here (k >= n = 9), and the
-# scans meet the face cap at f_0 = 9k; a cover builds at most |A| parts, a
+# (id, argv, exit code, payload or None[, seconds]): "U3_9", "U0_3" and
+# "U1_2_20" stand for the U(3,9), U(0,3) and U(1, 2**20) files; a row ends
+# within 2 s unless it names its own bound.  A huge --k is never built into k
+# parts or k copies: pack certifies with the loops, none here (k >= n = 9),
+# and lists at most 2**12 empty bases of a rank-0 matroid; the scans meet the
+# face cap at f_0 = 9k; a cover builds at most |A| parts, a
 # chessboard meets the cap at f_0 = k*m, and a search reads at most cap + 1
 # faces whatever t is.  conjecture-scan meets the cap at f_1 before it packs
 # b(M), 2**20 one-element bases of U(1, 2**20), which its report never shows
@@ -195,18 +204,80 @@ HOSTILE = [
     ("prime-b", ["prime", "--b", str(10**30)], 0, None),
     ("conjecture-scan-u1-2-20", ["conjecture-scan", "--matroid", "U1_2_20", "--k", "3"], 3,
      _cap_exceeded(1), 1.0),
+    ("pack-rank-0-k-2-12", ["pack", "--matroid", "U0_3", "--k", str(2**12)], 0,
+     {"packed": True, "bases": [[]] * 2**12}),
+    *((f"pack-rank-0-k-{k}", ["pack", "--matroid", "U0_3", "--k", str(k)], 2,
+       {"error": f"--k {k} exceeds the cap 4096 on a rank-0 matroid"}, 1.0)
+      for k in (10**6, 2**20 + 1)),
 ]
+
+
+def _input_errors(template):
+    return {v: (2, {"error": template.format(v)}) for v in (0, -1)}
+
+
+_RANDOM_9 = ["--matroid", "U3_9", "--random-points", "9", "--dim", "2"]
+# (id, argv without the value, {value: (exit code, payload)}): every integer
+# flag at 0 and -1
+EDGES = [
+    ("pack-k", ["pack", "--matroid", "U3_9", "--k"], _input_errors("k must be positive, got {}")),
+    ("pack-m", ["pack", "--matroid", "U3_9", "--subset", "0,1", "--m"],
+     _input_errors("m must be positive, got {}")),
+    ("verify-claim-m", ["verify-claim", "--matroid", "U3_9", "--sets", "0,1;2,3", "--m"],
+     _input_errors("m must be positive, got {}")),
+    ("verify-corollary-k", ["verify-corollary", "--matroid", "U3_9", "--k"],
+     _input_errors("k must be positive, got {}")),
+    ("conjecture-scan-k", ["conjecture-scan", "--matroid", "U3_9", "--k"],
+     _input_errors("k must be positive, got {}")),
+    ("tverberg-t", ["tverberg", *_RANDOM_9, "--t"], _input_errors("t must be positive, got {}")),
+    *((f"{command}-dim", [command, "--matroid", "U3_9", "--random-points", "9", *t, "--dim"],
+       _input_errors("dimension must be >= 1, got {}"))
+      for command, t in (("tverberg", ["--t", "2"]), ("verify-theorem", []))),
+    *((f"{command}-random-points", [command, "--matroid", "U3_9", "--dim", "2", *t,
+                                    "--random-points"],
+       {0: (2, {"error": "configuration misses coordinates for some non-loop element"}),
+        -1: (2, {"error": "--random-points must be >= 0, got -1"})})
+      for command, t in (("tverberg", ["--t", "2"]), ("verify-theorem", []))),
+    ("complex-max-dim", ["complex", "--matroid", "U3_9", "--max-dim"],
+     {0: (0, {"complete": False, "f_vector": [1, 9], "num_faces": 9}),
+      -1: (0, {"complete": False, "f_vector": [1], "num_faces": 0})}),
+    ("chessboard-k", ["chessboard", "--m", "4", "--k"],
+     _input_errors("need k >= 1 and m >= 1, got k={}, m=4")),
+    ("chessboard-m", ["chessboard", "--k", "3", "--m"],
+     _input_errors("need k >= 1 and m >= 1, got k=3, m={}")),
+    ("homology-up-to", ["homology", "--chessboard", "3,4", "--up-to"],
+     {0: (0, {"betti": [0], "f_vector": [1, 12, 36], "up_to": 0}),
+      -1: (2, {"error": "up_to must be >= 0, got -1"})}),
+    ("max-faces", ["complex", "--matroid", "U3_9", "--max-dim", "2", "--max-faces"],
+     {0: (3, {"error": "face cap exceeded at dimension 0: 1 > 0",
+              "progress": {"cap": 0, "dimension": 0}}),
+      -1: (2, {"error": "--max-faces must be >= 0, got -1"})}),
+    ("max-tuples", ["tverberg", *_RANDOM_9, "--t", "2", "--max-tuples"],
+     {0: (3, {"error": "tuple cap 0 exceeded",
+              "progress": {"faces": 38, "subtrees_pruned": 0, "tuples_examined": 1}}),
+      -1: (2, {"error": "--max-tuples must be >= 0, got -1"})}),
+    ("prime-b", ["prime", "--b"], _input_errors("b must be positive, got {}")),
+    ("inequality-b", ["inequality", "--d", "2", "--p", "3", "--b"],
+     _input_errors("need b >= 1 and d >= 1, got b={}, d=2")),
+    ("inequality-d", ["inequality", "--b", "64", "--p", "3", "--d"],
+     _input_errors("need b >= 1 and d >= 1, got b=64, d={}")),
+    ("inequality-p", ["inequality", "--b", "64", "--d", "2", "--p"],
+     _input_errors("p must be prime, got {}")),
+]
+HOSTILE += [(f"{name}-{v}", [*argv, str(v)], code, payload)
+            for name, argv, outcomes in EDGES for v, (code, payload) in outcomes.items()]
 
 
 @pytest.mark.parametrize("argv, code, payload, seconds", [(*row[1:], 2.0)[:4] for row in HOSTILE],
                          ids=[row[0] for row in HOSTILE])
-def test_hostile_k_ends_in_one_small_report(u3_9, u1_2_20, argv, code, payload, seconds):
+def test_hostile_k_ends_in_one_small_report(u3_9, u0_3, u1_2_20, argv, code, payload, seconds):
     out = io.StringIO()
     tracemalloc.start()
     t0 = time.monotonic()
     try:
         with contextlib.redirect_stdout(out):
-            got = main([{"U3_9": u3_9, "U1_2_20": u1_2_20}.get(a, a) for a in argv])
+            got = main([{"U3_9": u3_9, "U0_3": u0_3, "U1_2_20": u1_2_20}.get(a, a)
+                        for a in argv])
         elapsed = time.monotonic() - t0
         peak = tracemalloc.get_traced_memory()[1]
     finally:
@@ -847,3 +918,108 @@ def test_large_primes_answer_fast(tmp_path, capsys):
     p = json.loads(out)["payload"]["prime"]
     assert 16 * p * p >= 10**38 >= 4 * p * p
     assert time.monotonic() - t0 < 1.0
+
+
+@pytest.fixture(scope="module")
+def leak_files(tmp_path_factory):
+    root = tmp_path_factory.mktemp("leak")
+    k6 = [(u, v) for u in range(6) for v in range(u + 1, 6)]
+    for name, M in (("u1_3", UniformMatroid(1, 3)), ("u1_7", UniformMatroid(1, 7)),
+                    ("u2_4", UniformMatroid(2, 4)), ("u2_40", UniformMatroid(2, 40)),
+                    ("u3_9", UniformMatroid(3, 9)), ("k6", GraphicMatroid(6, k6))):
+        write_matroid(root / f"{name}.matroid", M)
+    for n in (4, 40):
+        write_points(root / f"line{n}.pts", PointConfig(1, {i: (Fraction(i),) for i in range(n)}))
+    return root
+
+
+# (small argv, larger argv) for every command family; "@" names a file of
+# leak_files.  The larger run builds many more faces, parts or tuples.
+LEAK_PAIRS = {
+    "rank": (["rank", "--matroid", "@u2_4.matroid"],
+             ["rank", "--matroid", "@k6.matroid", "--subset", "0,1,2,3,4,5,6,7"]),
+    "bases": (["bases", "--matroid", "@u2_4.matroid"], ["bases", "--matroid", "@u2_40.matroid"]),
+    "pack-k": (["pack", "--matroid", "@u2_4.matroid", "--k", "2"],
+               ["pack", "--matroid", "@k6.matroid", "--k", "3"]),
+    "pack-m": (["pack", "--matroid", "@u2_4.matroid", "--subset", "0,1,2", "--m", "2"],
+               ["pack", "--matroid", "@u2_40.matroid", "--subset", ",".join(map(str, range(40))),
+                "--m", "20"]),
+    "complex": (["complex", "--matroid", "@u2_4.matroid", "--max-dim", "1"],
+                ["complex", "--matroid", "@k6.matroid", "--max-dim", "3"]),
+    "chessboard": (["chessboard", "--k", "2", "--m", "3"], ["chessboard", "--k", "5", "--m", "6"]),
+    "homology-chessboard": (["homology", "--chessboard", "2,3", "--up-to", "1"],
+                            ["homology", "--chessboard", "5,7", "--up-to", "3"]),
+    "homology-matroid": (["homology", "--matroid", "@u2_4.matroid", "--up-to", "1"],
+                         ["homology", "--matroid", "@k6.matroid", "--up-to", "3"]),
+    "verify-claim": (["verify-claim", "--matroid", "@u2_4.matroid", "--sets", "0,1;2,3",
+                      "--m", "1"],
+                     ["verify-claim", "--matroid", "@u3_9.matroid", "--sets", "0,1,2;3,4,5;6,7,8",
+                      "--m", "1"]),
+    "verify-corollary": (["verify-corollary", "--matroid", "@u2_4.matroid", "--k", "2"],
+                         ["verify-corollary", "--matroid", "@u3_9.matroid", "--k", "3"]),
+    "verify-matroid-conn": (["verify-matroid-conn", "--matroid", "@u2_4.matroid"],
+                            ["verify-matroid-conn", "--matroid", "@k6.matroid"]),
+    "conjecture-scan": (["conjecture-scan", "--matroid", "@u1_3.matroid", "--k", "2"],
+                        ["conjecture-scan", "--matroid", "@u1_7.matroid", "--k", "5"]),
+    "hulls": (["hulls", "--points", "@line4.pts", "--sets", "0,2;1"],
+              ["hulls", "--points", "@line40.pts", "--sets",
+               ";".join(f"{i},{39 - i}" for i in range(20))]),
+    "tverberg": (["tverberg", "--matroid", "@u2_4.matroid", "--points", "@line4.pts", "--t", "2"],
+                 ["tverberg", "--matroid", "@u3_9.matroid", "--random-points", "9", "--dim", "2",
+                  "--t", "3"]),
+    "verify-theorem": (["verify-theorem", "--matroid", "@u2_4.matroid", "--points", "@line4.pts"],
+                       ["verify-theorem", "--matroid", "@u2_40.matroid", "--points",
+                        "@line40.pts"]),
+    "prime": (["prime", "--b", "64"], ["prime", "--b", str(10**30)]),
+    "inequality": (["inequality", "--b", "64", "--d", "1", "--p", "3"],
+                   ["inequality", "--b", str(10**30), "--d", "40", "--p", "1000003"]),
+}
+
+
+@pytest.mark.parametrize("family", LEAK_PAIRS)
+def test_commands_leave_no_cycles_that_grow(leak_files, family):
+    # main pauses the cyclic collector, which is safe only while tvermat makes
+    # no reference cycles: what a collection finds after a command (the json
+    # encoder's closures, 33 objects on Python 3.11) must not grow with the
+    # instance
+    collecting = gc.isenabled()
+    gc.disable()
+    found = []
+    try:
+        with contextlib.redirect_stdout(io.StringIO()):
+            main(["prime", "--b", "64"])  # a process's first command also builds the parser
+        gc.collect()
+        for argv in LEAK_PAIRS[family]:
+            with contextlib.redirect_stdout(io.StringIO()):
+                code = main([str(leak_files / a[1:]) if a[0] == "@" else a for a in argv])
+            assert code in (0, 1), argv
+            found.append(gc.collect())
+    finally:
+        if collecting:
+            gc.enable()
+    assert found[0] == found[1], found
+
+
+@pytest.mark.parametrize("collecting", [True, False])
+def test_main_restores_the_collector(leak_files, collecting):
+    # the caller's collector setting comes back after every exit code and
+    # after the SystemExit that --help raises
+    u1_3, u2_4 = str(leak_files / "u1_3.matroid"), str(leak_files / "u2_4.matroid")
+    runs = [(["prime", "--b", "64"], 0),
+            (["verify-claim", "--matroid", u1_3, "--sets", "0;1,2", "--m", "1"], 1),
+            (["prime", "--b", "0"], 2),
+            (["prime"], 2),  # an argument error
+            (["verify-corollary", "--matroid", u2_4, "--k", "2", "--max-faces", "3"], 3),
+            (["prime", "--help"], "SystemExit(0)")]
+    was = gc.isenabled()
+    try:
+        for argv, code in runs:
+            (gc.enable if collecting else gc.disable)()
+            with contextlib.redirect_stdout(io.StringIO()):
+                try:
+                    got = main(argv)
+                except SystemExit as exc:
+                    got = f"SystemExit({exc.code})"
+            assert (got, gc.isenabled()) == (code, collecting), argv
+    finally:
+        (gc.enable if was else gc.disable)()
