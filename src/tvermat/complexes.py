@@ -4,10 +4,11 @@ chessboards.
 Faces are sorted tuples of encoded vertex ids, stored per dimension in
 lexicographic order; the empty face is implicit (f_{-1} = 1).  A deleted join
 of k matroids on a ground set of size n has the labeled vertices
-copy*n + element with 0-based copies.  One walk, ``enumerate_faces``, lists a
-matroid's independent sets; one builder, ``deleted_join``, makes every complex
-from matroids: the independence complex is its one-factor case, the walk
-stored whole, and the chessboard C(k, m) is the k-fold deleted join of U(1, m).
+copy*n + element with 0-based copies.  One lazy walk, ``enumerate_faces``,
+lists a matroid's independent sets for the Tverberg search; one builder,
+``deleted_join``, makes every complex from matroids: the independence complex
+is its one-factor case, ``independent_sets`` built level by level, and the
+chessboard C(k, m) is the k-fold deleted join of U(1, m).
 A join built ``relative`` stores only the faces off a contractible union U
 of vertex stars, all homology needs, and its exact f-vector; else U is empty.
 
@@ -23,6 +24,7 @@ through dimension 5), so a level of 5-faces at the cap holds 0.5 GB.
 from bisect import bisect_left
 from collections import Counter
 from itertools import chain, islice
+from sys import maxsize
 
 from .errors import InputError, ResourceLimitError
 from .matroids import UniformMatroid
@@ -89,7 +91,8 @@ def enumerate_faces(M, max_size):
     is asked for by a depth-first walk: ``M._extensions`` is asked once for
     the empty face and once per face it extends (hereditarity).  It holds
     one face and one answer per depth, a range for uniform matroids and up
-    to n elements otherwise, and no depth exhausts the call stack."""
+    to n elements otherwise, and no depth exhausts the call stack.  Only the
+    Tverberg search reads it; ``independent_sets`` builds stored levels."""
     face = []
     rests = [iter(M._extensions(()))] if max_size > 0 else []  # left at each depth
     while rests:
@@ -108,22 +111,15 @@ def enumerate_faces(M, max_size):
 
 def independent_sets(M, max_dim, cap):
     """Nonempty independent sets of M with at most max_dim+1 elements, max_dim
-    below M's rank: dim -> lexicographically sorted faces, ``enumerate_faces``
-    grouped by size.  The walk fills deeper levels first, so once it holds
-    more than ``cap`` elements the levels are listed one at a time from
-    dimension 0 instead, and the first over ``cap`` faces raises."""
-    by_dim, held = {}, 0
-    for face in enumerate_faces(M, max_dim + 1):
-        by_dim.setdefault(len(face) - 1, []).append(face)
-        held += len(face)
-        if held > cap:
-            break
-    else:
-        return by_dim
-    by_dim.clear()
-    for d in range(max_dim + 1):  # no level below the rank is empty
-        by_dim[d] = list(islice((s for s in enumerate_faces(M, d + 1) if len(s) > d), cap + 1))
-        _check_cap(len(by_dim[d]), d, cap)
+    below M's rank: dim -> lexicographically sorted faces, built level by
+    level, each face's children from one ``M._extensions`` call.  A level
+    stops at cap + 1 faces (no list is longer than sys.maxsize), so the
+    first over-full level raises."""
+    by_dim, level = {}, [()]
+    for d in range(max_dim + 1):
+        level = by_dim[d] = list(islice((face + (e,) for face in level
+                                         for e in M._extensions(face)), min(cap + 1, maxsize)))
+        _check_cap(len(level), d, cap)
     return by_dim
 
 

@@ -145,8 +145,10 @@ def _element_matching(X, top):
 
 def _morse_map(pairs, rows, cells):
     """The Morse boundary from the critical faces ``cells`` to the critical
-    faces ``rows``, one size down; ``pairs`` is the matching between those
-    two sizes, each paired face s -> (its partner t, the sign [t:s]).
+    faces ``rows``, one size down, as its coboundary rows: one dict per row,
+    cell index -> nonzero entry, filled in cell order ([] for no row).
+    ``pairs`` is the matching between those two sizes, each paired face
+    s -> (its partner t, the sign [t:s]).
 
     Each face is hashed once, to an index: a paired face its place 0..P-1 in
     ``pairs``, a critical one P + its row.  A gradient path steps from a
@@ -161,7 +163,7 @@ def _morse_map(pairs, rows, cells):
     the paths from a face end, its ``flow`` (a row's own unit), is built in
     reverse order for each paired face from its steps' flows (the first
     one's copied), then for each cell from its facets' flows, which is its
-    column.
+    column, spread over the rows.
     """
     index = {face: i for i, face in enumerate(chain(pairs, rows))}
     npairs, k = len(pairs), len(next(iter(pairs), ()))
@@ -187,7 +189,7 @@ def _morse_map(pairs, rows, cells):
         raise RuntimeError(f"matching has a cycle: {npairs - len(order)} pairs of "
                            f"size-{k} faces are not ordered")
     if not rows:
-        return SparseIntMatrix(0, len(cells), [[] for _ in cells])
+        return []
     flow = [None] * npairs + [{r: 1} for r in range(len(rows))]
 
     def flowed(walk):  # the first step's flow is copied, not summed into {}
@@ -201,9 +203,11 @@ def _morse_map(pairs, rows, cells):
         return {r: v for r, v in acc.items() if v} if rest else acc
     for i in reversed(order):  # no step: the paths end at once, with no call
         flow[i] = flowed(walk) if (walk := steps[i]) else {}
-    cols = [sorted(flowed([(j, e) for r, e in _facets(c) if (j := index.get(r)) is not None]
-                          ).items()) for c in cells]
-    return SparseIntMatrix(len(rows), len(cells), cols)
+    out = [{} for _ in rows]
+    for c, cell in enumerate(cells):
+        for r, v in flowed([(j, e) for f, e in _facets(cell) if (j := get(f)) is not None]).items():
+            out[r][c] = v
+    return out
 
 
 def _rank_sparse_exact(rows):
@@ -260,20 +264,6 @@ def _rank_sparse_exact(rows):
     return leads
 
 
-def _coboundary_leads(mat, cleared):
-    """Exact pivot leads of the boundary map ``mat``, eliminated as its
-    transpose: one coboundary row per face of the lower dimension, keyed by
-    the faces of the upper one.  The rows named in ``cleared`` are skipped.
-    """
-    rows = [{} for _ in range(mat.nrows)]
-    for j, col in enumerate(mat.cols):
-        for r, v in col:
-            rows[r][j] = v
-    return set(_rank_sparse_exact(
-        [row for r, row in enumerate(rows) if r not in cleared]
-    ))
-
-
 @dataclass
 class BettiVector:
     """Reduced rational Betti numbers beta_0..beta_D (augmented chain complex)."""
@@ -286,9 +276,10 @@ class BettiVector:
 def _morse_complex(X, top):
     """The Morse complex of the element matching on the faces of X of
     dimensions -1..top off U: the critical faces by size (dimension + 1)
-    and the boundary maps, maps[i] from critical i-faces to critical
-    (i-1)-faces for i = 0..top.  A facet in U is no chain, so it drops out
-    of every boundary; a map into no critical face is not flowed.
+    and the boundary maps as ``_morse_map`` rows, maps[i] from critical
+    i-faces to critical (i-1)-faces for i = 0..top.  A facet in U is no
+    chain, so it drops out of every boundary; a map into no critical face is
+    not flowed.
     """
     up, critical = _element_matching(X, top)
     maps = [_morse_map(up[k], critical[k], critical[k + 1]) for k in range(top + 1)]
@@ -304,7 +295,7 @@ def betti_reduced(X, up_to):
     matching on the faces off U through dimension up_to+1, or the dimension
     of X if that is lower (the Betti numbers above it are 0), so beta_i =
     c_i - rank d_i - rank d_(i+1), c_i the critical i-faces.  Every rank is
-    exact; each coboundary skips the rows that led a pivot of the map below it.
+    exact, on a map's coboundary rows less those that led a pivot below it.
     """
     if up_to < 0:
         raise InputError(f"up_to must be >= 0, got {up_to}")
@@ -320,8 +311,8 @@ def betti_reduced(X, up_to):
     # and ddx = 0 puts the coboundary of c in the span over Q of the rows
     # after it, so the skipped rows leave the rank unchanged.
     ranks, leads = [], set()
-    for mat in maps:
-        leads = _coboundary_leads(mat, leads)
+    for rows in maps:
+        leads = set(_rank_sparse_exact([row for r, row in enumerate(rows) if r not in leads]))
         ranks.append(len(leads))
     betti = [cells[i] - ranks[i] - ranks[i + 1] for i in range(top + 1)] + [0] * (up_to - top)
     if any(b < 0 for b in betti):

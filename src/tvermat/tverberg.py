@@ -116,7 +116,7 @@ class _LazyFaces(list):
     more than ``cap`` of them is a ResourceLimitError."""
 
     def __init__(self, faces, cap):
-        self.source = islice(faces, cap + 1)
+        self.source = faces
         self.cap = cap
 
     def reach(self, i):

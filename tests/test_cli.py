@@ -173,13 +173,11 @@ HOSTILE = [
        if command == "pack" else CAP_EXCEEDED)
       for k in (2**20 + 1, 10**8, 10**9, 10**30)
       for command in ("pack", "verify-corollary", "conjecture-scan")),
-    *((f"pack-m-{m}", ["pack", "--matroid", "U3_9", "--subset", "0,1", "--m", str(m)], 0,
-       {"covered": True, "parts": [[0, 1]]}) for m in (10**9, 10**30)),
     ("verify-claim-m", ["verify-claim", "--matroid", "U3_9", "--sets", "0,1;2,3",
                         "--m", str(10**9)], 0, None),
     *((f"tverberg-t-{t}", ["tverberg", "--matroid", "U3_9", "--random-points", "9",
                            "--dim", "2", "--t", str(t)], 0, _tverberg_exhausted(t))
-      for t in (10**8, 10**30)),
+      for t in (10**8,)),
     ("chessboard-m", ["chessboard", "--k", "3", "--m", str(10**30)], 3, CAP_EXCEEDED),
     ("chessboard-k", ["chessboard", "--k", str(10**9), "--m", "2"], 3, CAP_EXCEEDED),
     ("homology-chessboard", ["homology", "--chessboard", "1000000,1000000", "--up-to", "1"],
@@ -212,57 +210,88 @@ HOSTILE = [
 ]
 
 
+BIG = (2**20, 2**20 + 1, 10**9, 10**30)
+
+
 def _input_errors(template):
     return {v: (2, {"error": template.format(v)}) for v in (0, -1)}
 
 
+def _big(outcome):
+    return {v: outcome(v) for v in BIG}
+
+
 _RANDOM_9 = ["--matroid", "U3_9", "--random-points", "9", "--dim", "2"]
+_U3_9_COMPLEX = {"complete": True, "f_vector": [1, 9, 36, 84], "num_faces": 129}
 # (id, argv without the value, {value: (exit code, payload)}): every integer
-# flag at 0 and -1
+# flag at 0, -1 and each value in BIG; a None payload is a witness search's.
+# f_0 = 4k or 3m passes the face cap from 10**9 on, f_1 before
 EDGES = [
-    ("pack-k", ["pack", "--matroid", "U3_9", "--k"], _input_errors("k must be positive, got {}")),
+    ("pack-k", ["pack", "--matroid", "U3_9", "--k"], _input_errors("k must be positive, got {}")
+     | _big(lambda k: (0, {"packed": False, "certificate": {"k": k, "witness_set": []}}))),
     ("pack-m", ["pack", "--matroid", "U3_9", "--subset", "0,1", "--m"],
-     _input_errors("m must be positive, got {}")),
+     _input_errors("m must be positive, got {}")
+     | _big(lambda m: (0, {"covered": True, "parts": [[0, 1]]}))),
     ("verify-claim-m", ["verify-claim", "--matroid", "U3_9", "--sets", "0,1;2,3", "--m"],
-     _input_errors("m must be positive, got {}")),
+     _input_errors("m must be positive, got {}")
+     | _big(lambda m: (0, {"betti_checked": [], "bound": -1, "first_nonvanishing": None,
+                           "context": {"k": 2, "m": m, "total": 4}, "f_vector": [1, 18],
+                           "num_faces": 18, "vanishing": [], "verified": True}))),
     ("verify-corollary-k", ["verify-corollary", "--matroid", "U3_9", "--k"],
-     _input_errors("k must be positive, got {}")),
+     _input_errors("k must be positive, got {}") | _big(lambda k: (3, CAP_EXCEEDED))),
     ("conjecture-scan-k", ["conjecture-scan", "--matroid", "U3_9", "--k"],
-     _input_errors("k must be positive, got {}")),
-    ("tverberg-t", ["tverberg", *_RANDOM_9, "--t"], _input_errors("t must be positive, got {}")),
+     _input_errors("k must be positive, got {}") | _big(lambda k: (3, CAP_EXCEEDED))),
+    ("tverberg-t", ["tverberg", *_RANDOM_9, "--t"], _input_errors("t must be positive, got {}")
+     | _big(lambda t: (0, _tverberg_exhausted(t)))),
     *((f"{command}-dim", [command, "--matroid", "U3_9", "--random-points", "9", *t, "--dim"],
-       _input_errors("dimension must be >= 1, got {}"))
+       _input_errors("dimension must be >= 1, got {}")
+       | _big(lambda d: (2, {"error": f"9 random points in dimension {d} exceed the cap of "
+                                      "1048576 coordinates"})))
       for command, t in (("tverberg", ["--t", "2"]), ("verify-theorem", []))),
     *((f"{command}-random-points", [command, "--matroid", "U3_9", "--dim", "2", *t,
                                     "--random-points"],
        {0: (2, {"error": "configuration misses coordinates for some non-loop element"}),
-        -1: (2, {"error": "--random-points must be >= 0, got -1"})})
+        -1: (2, {"error": "--random-points must be >= 0, got -1"})} | _big(lambda n: (0, None)))
       for command, t in (("tverberg", ["--t", "2"]), ("verify-theorem", []))),
     ("complex-max-dim", ["complex", "--matroid", "U3_9", "--max-dim"],
      {0: (0, {"complete": False, "f_vector": [1, 9], "num_faces": 9}),
-      -1: (0, {"complete": False, "f_vector": [1], "num_faces": 0})}),
+      -1: (0, {"complete": False, "f_vector": [1], "num_faces": 0})}
+     | _big(lambda d: (0, _U3_9_COMPLEX))),
     ("chessboard-k", ["chessboard", "--m", "4", "--k"],
-     _input_errors("need k >= 1 and m >= 1, got k={}, m=4")),
+     _input_errors("need k >= 1 and m >= 1, got k={}, m=4")
+     | _big(lambda k: (3, _cap_exceeded(int(k < 10**9))))),
     ("chessboard-m", ["chessboard", "--k", "3", "--m"],
-     _input_errors("need k >= 1 and m >= 1, got k=3, m={}")),
+     _input_errors("need k >= 1 and m >= 1, got k=3, m={}")
+     | _big(lambda m: (3, _cap_exceeded(int(m < 10**9))))),
     ("homology-up-to", ["homology", "--chessboard", "3,4", "--up-to"],
      {0: (0, {"betti": [0], "f_vector": [1, 12, 36], "up_to": 0}),
-      -1: (2, {"error": "up_to must be >= 0, got -1"})}),
+      -1: (2, {"error": "up_to must be >= 0, got -1"})}
+     | _big(lambda u: (2, {"error": f"--up-to {u} exceeds the cap 4096"}))),
     ("max-faces", ["complex", "--matroid", "U3_9", "--max-dim", "2", "--max-faces"],
      {0: (3, {"error": "face cap exceeded at dimension 0: 1 > 0",
               "progress": {"cap": 0, "dimension": 0}}),
-      -1: (2, {"error": "--max-faces must be >= 0, got -1"})}),
+      -1: (2, {"error": "--max-faces must be >= 0, got -1"})} | _big(lambda c: (0, _U3_9_COMPLEX))),
+    ("tverberg-max-faces", ["tverberg", *_RANDOM_9, "--t", "2", "--max-faces"],
+     {0: (3, {"error": "face cap 0 exceeded", "progress": {"cap": 0, "faces": 1}}),
+      -1: (2, {"error": "--max-faces must be >= 0, got -1"})} | _big(lambda c: (0, None))),
     ("max-tuples", ["tverberg", *_RANDOM_9, "--t", "2", "--max-tuples"],
      {0: (3, {"error": "tuple cap 0 exceeded",
               "progress": {"faces": 38, "subtrees_pruned": 0, "tuples_examined": 1}}),
-      -1: (2, {"error": "--max-tuples must be >= 0, got -1"})}),
-    ("prime-b", ["prime", "--b"], _input_errors("b must be positive, got {}")),
+      -1: (2, {"error": "--max-tuples must be >= 0, got -1"})} | _big(lambda t: (0, None))),
+    ("prime-b", ["prime", "--b"], _input_errors("b must be positive, got {}")
+     | {b: (0, {"b": b, "prime": p}) for b, p in zip(BIG, (509, 509, 15809, 499999999999999))}),
     ("inequality-b", ["inequality", "--d", "2", "--p", "3", "--b"],
-     _input_errors("need b >= 1 and d >= 1, got b={}, d=2")),
+     _input_errors("need b >= 1 and d >= 1, got b={}, d=2")
+     | _big(lambda b: (0, {"b": b, "d": 2, "holds": True, "p": 3}))),
     ("inequality-d", ["inequality", "--b", "64", "--p", "3", "--d"],
-     _input_errors("need b >= 1 and d >= 1, got b=64, d={}")),
+     _input_errors("need b >= 1 and d >= 1, got b=64, d={}")
+     | _big(lambda d: (0, {"b": 64, "d": d, "holds": True, "p": 3}))),
     ("inequality-p", ["inequality", "--b", "64", "--d", "2", "--p"],
-     _input_errors("p must be prime, got {}")),
+     _input_errors("p must be prime, got {}")
+     | _big(lambda p: (2, {"error": f"p must be prime, got {p}" if p < 2**64
+                           else f"primality is decided only below 2**64, got {p}"}))),
+    ("tverberg-seed", ["tverberg", *_RANDOM_9, "--t", "2", "--seed"],
+     {v: (0, None) for v in (0, -1, *BIG)}),
 ]
 HOSTILE += [(f"{name}-{v}", [*argv, str(v)], code, payload)
             for name, argv, outcomes in EDGES for v, (code, payload) in outcomes.items()]

@@ -1,6 +1,7 @@
 """Complex-engine tests: independence complexes, deleted joins, chessboards."""
 
 import tracemalloc
+from fractions import Fraction
 from itertools import combinations
 
 import pytest
@@ -10,6 +11,7 @@ from oracles import brute_deleted_join
 from tvermat import (
     GraphicMatroid,
     InputError,
+    LinearMatroid,
     Matroid,
     ResourceLimitError,
     UniformMatroid,
@@ -18,7 +20,7 @@ from tvermat import (
     colourful_matroid,
     deleted_join,
 )
-from tvermat.complexes import enumerate_faces
+from tvermat.complexes import DEFAULT_FACE_CAP, enumerate_faces, independent_sets
 
 K4 = GraphicMatroid(4, [(0, 1), (0, 2), (0, 3), (1, 2), (1, 3), (2, 3)])
 
@@ -192,8 +194,41 @@ def test_enumerate_faces_asks_each_face_it_extends_once(monkeypatch):
     assert not indep
 
 
+def test_independent_sets_match_the_grouped_walk():
+    # the level loop lists enumerate_faces grouped by size at every max_dim
+    # below the rank; at a cap equal to a level's size, or one less, it
+    # raises at the lowest level the grouped walk holds over the cap
+    linear = [(1, 0, 0), (0, 1, 0), (1, 1, 0), (0, 0, 0), (Fraction(1, 2), 0, 3), (2, 1, 3)]
+    mats = [*small_matroid_family(),
+            ("loop-and-parallels", GraphicMatroid(4, [(0, 1), (1, 1), (1, 2), (1, 2), (2, 3),
+                                                      (0, 3), (0, 2), (0, 2)])),
+            ("linear-q", LinearMatroid(linear)), ("linear-gf3", LinearMatroid(linear, field=3))]
+    checked = 0
+    for name, M in mats:
+        for max_dim in range(M.rank()):
+            walk = {}
+            for face in enumerate_faces(M, max_dim + 1):
+                walk.setdefault(len(face) - 1, []).append(face)
+            assert independent_sets(M, max_dim, DEFAULT_FACE_CAP) == walk, (name, max_dim)
+            for cap in {len(level) - less for level in walk.values() for less in (0, 1)}:
+                over = [d for d in sorted(walk) if len(walk[d]) > cap]
+                if not over:
+                    assert independent_sets(M, max_dim, cap) == walk, (name, max_dim, cap)
+                    continue
+                with pytest.raises(ResourceLimitError) as err:
+                    independent_sets(M, max_dim, cap)
+                assert err.value.progress == {"dimension": over[0], "cap": cap}, (name, cap)
+                checked += 1
+    assert checked > 400
+    # one _extensions call per face below the top, level by level
+    M = _AskCounting(3, 7)
+    levels = independent_sets(M, 2, DEFAULT_FACE_CAP)
+    assert M.asked == [(), *levels[0], *levels[1]]
+
+
 def test_one_factor_cap_names_the_lowest_over_full_dimension():
-    # the walk fills U(3,60)'s 34,220 triangles first, then its 1,770 edges
+    # U(3,60) has 1,770 edges and 34,220 triangles; the levels are built
+    # from dimension 0 up, so the edges meet the smaller cap first
     with pytest.raises(ResourceLimitError) as err:
         as_complex(UniformMatroid(3, 60), 2, 1000)
     assert err.value.progress == {"dimension": 1, "cap": 1000}
@@ -204,14 +239,14 @@ def test_one_factor_cap_names_the_lowest_over_full_dimension():
 
 
 def test_one_factor_cap_holds_the_levels_below_a_deep_walk():
-    # a walk 1,500 deep passes a cap of 1 at every level: f_0 = 1500 decides,
-    # with no redo per level on the call stack
+    # a complex 1,500 levels deep passes a cap of 1 at every level: f_0 =
+    # 1500 decides, before any level above is built
     with pytest.raises(ResourceLimitError) as err:
         as_complex(UniformMatroid(1500, 1500), 1499, 1)
     assert err.value.progress == {"dimension": 0, "cap": 1}
-    # the walk reaches 30-element faces first; holding the cap's worth of
-    # them and redoing each level below came to 4.9 MB traced here, the
-    # levels 0..2 alone (1,770 edges and 2,001 triangles) to 0.25 MB
+    # a depth-first walk reaches 30-element faces first, and holding the
+    # cap's worth of them came to 4.9 MB traced here; the levels 0..2 alone
+    # (1,770 edges and 2,001 triangles) hold 0.25 MB
     tracemalloc.start()
     try:
         with pytest.raises(ResourceLimitError) as err:

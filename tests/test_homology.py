@@ -221,8 +221,8 @@ def test_element_matching_matches_the_reference():
 def test_morse_complex_matches_the_reference():
     # the faces off the first vertex's star, cut by levels and flowed along
     # the Kahn order, give the reference's critical faces and every entry of
-    # every map; the gapped, negative vertex ids put the star's cut and the
-    # buckets off 0..n-1
+    # every map, read off its coboundary rows; the gapped, negative vertex
+    # ids put the star's cut and the buckets off 0..n-1
     k6 = GraphicMatroid(6, list(combinations(range(6), 2)))
     k5 = GraphicMatroid(5, list(combinations(range(5), 2)))
     cases = [(chessboard(k, m), top)
@@ -235,8 +235,10 @@ def test_morse_complex_matches_the_reference():
         critical, maps = _morse_complex(X, top)
         ref_critical, ref_maps = morse_complex(X, top)
         assert critical == ref_critical, (X, top)
-        for mat, ref in zip(maps, ref_maps, strict=True):
-            assert (mat.nrows, mat.ncols, sorted(mat.triplets())) == ref, (X, top)
+        for cells, rows, ref in zip(critical[1:], maps, ref_maps, strict=True):
+            triplets = sorted((r, c, v) for r, row in enumerate(rows) for c, v in row.items())
+            assert (len(rows), len(cells), triplets) == ref, (X, top)
+            assert all(list(row) == sorted(row) for row in rows), (X, top)  # in cell order
             entries += len(ref[2])
     assert entries > 2_500
 
@@ -378,8 +380,7 @@ def test_morse_complex_keeps_the_3_torsion():
     X = chessboard(5, 5, trunc=3)
     critical, maps = _morse_complex(X, 3)
     assert len(critical[3]) == 30
-    top = maps[3]
-    dense = [[dict(col).get(r, 0) for r in range(top.nrows)] for col in top.cols]
+    dense = [[row.get(c, 0) for c in range(len(critical[4]))] for row in maps[3]]
     assert column_rank(dense) == 30 and column_rank(dense, 3) == 29
     assert betti_reduced(X, 2).betti == (0, 0, 0) == exact_betti(X, 2)
 
