@@ -112,14 +112,18 @@ def enumerate_faces(M, max_size):
 def independent_sets(M, max_dim, cap):
     """Nonempty independent sets of M with at most max_dim+1 elements, max_dim
     below M's rank: dim -> lexicographically sorted faces, built level by
-    level, each face's children from one ``M._extensions`` call.  A level
-    stops at cap + 1 faces (no list is longer than sys.maxsize), so the
-    first over-full level raises."""
-    by_dim, level = {}, [()]
+    level.  Level 0 is the non-loops, from one ``M._extensions(())`` call;
+    level d+1 is ``M._children`` of level d, read as groups of siblings: a
+    child of P + e is P + e + x for a later sibling x of e, as P + x is a
+    face.  The family holds no state between levels, so memory is the
+    levels themselves and, for a graphic M, one forest labelling per depth
+    of the group being scanned.  A level stops at cap + 1 faces (no list is
+    longer than sys.maxsize), so the first over-full level raises."""
+    by_dim, stop = {}, min(cap + 1, maxsize)
     for d in range(max_dim + 1):
-        level = by_dim[d] = list(islice((face + (e,) for face in level
-                                         for e in M._extensions(face)), min(cap + 1, maxsize)))
-        _check_cap(len(level), d, cap)
+        kids = M._children(by_dim[d - 1]) if d else ((e,) for e in M._extensions(()))
+        by_dim[d] = list(islice(kids, stop))
+        _check_cap(len(by_dim[d]), d, cap)
     return by_dim
 
 

@@ -50,8 +50,16 @@ def _rational(tok):
 # -- matroid files (.matroid, JSON) -------------------------------------------
 
 
+def _integer(x, field):
+    """x, a JSON integer of the record's ``field``: a float, bool or string
+    coerced by int() would read as another matroid."""
+    if type(x) is not int:
+        raise InputError(f"{field}: expected a JSON integer, got {x!r:.40}")
+    return x
+
+
 def _ground_size(rec):
-    n = int(rec["size"])
+    n = _integer(rec["size"], "size")
     if n > MAX_GROUND_SIZE:
         raise InputError(f"ground set size {n} exceeds the cap {MAX_GROUND_SIZE}")
     return n
@@ -66,15 +74,17 @@ def matroid_from_record(rec):
     kind = rec.get("type")
     try:
         if kind == "uniform":
-            return UniformMatroid(int(rec["rank"]), _ground_size(rec))
+            return UniformMatroid(_integer(rec["rank"], "rank"), _ground_size(rec))
         if kind == "graphic":
             return GraphicMatroid(
-                int(rec["vertices"]), [(int(u), int(v)) for u, v in rec["edges"]]
+                _integer(rec["vertices"], "vertices"),
+                [(_integer(u, "edges"), _integer(v, "edges"))
+                 for u, v in rec["edges"]],
             )
         if kind == "partition":
             return PartitionMatroid(
-                [[int(e) for e in blk] for blk in rec["blocks"]],
-                [int(c) for c in rec["capacities"]],
+                [[_integer(e, "blocks") for e in blk] for blk in rec["blocks"]],
+                [_integer(c, "capacities") for c in rec["capacities"]],
             )
         if kind == "linear":
             field = rec.get("field", "Q")
@@ -88,7 +98,8 @@ def matroid_from_record(rec):
             return LinearMatroid(cols, field=p)
         if kind == "explicit":
             n = _ground_size(rec)
-            sets = [[int(e) for e in s] for s in rec["maximal_independent_sets"]]
+            sets = [[_integer(e, "maximal_independent_sets") for e in s]
+                    for s in rec["maximal_independent_sets"]]
             ok, witness = validate_matroid(n, sets)
             if not ok:
                 small, large = (sorted(s) for s in witness)

@@ -10,14 +10,20 @@ uniform and partition matroids answer packing's exchange query,
 ``_ground_rank`` is overridden where the rank of the whole ground set has
 a closed form, so a large declared ground set is never built.
 ``_extensions``, the larger elements that keep a sorted face independent,
-drives every face enumeration.  Graphic matroids label a forest's trees
-once instead of ranking every candidate edge, and uniform matroids answer
-with a range and no oracle call.  Loops (elements in no independent
+drives the Tverberg walk and the join.  Graphic matroids label a forest's
+trees once instead of ranking every candidate edge, and uniform matroids
+answer with a range and no oracle call.  ``_children`` grows a whole sorted
+level of the independence complex, by default with one ``_extensions``
+call per face; graphic matroids label each parent's forest once for its
+group of siblings, from a stack of one labelling per depth that holds only
+the vertices on the parent's edges.  Loops (elements in no independent
 singleton) stay in the ground set and lie in no face.
 """
 
 from fractions import Fraction
+from itertools import chain, groupby, islice
 from math import gcd
+from operator import itemgetter
 
 from .errors import InputError
 
@@ -59,6 +65,12 @@ class Matroid:
         (any e for the empty face) with face + e independent."""
         base = frozenset(face)
         return [e for e in range(face[-1] + 1 if face else 0, self.n) if self._indep(base | {e})]
+
+    def _children(self, level):
+        """The faces one element larger than ``level``, a complete,
+        lexicographically sorted list of nonempty independent sets of one
+        size, in order: one ``_extensions`` call per face."""
+        return (face + (e,) for face in level for e in self._extensions(face))
 
     # -- public oracle ----------------------------------------------------
 
@@ -167,6 +179,11 @@ class GraphicMatroid(Matroid):
         get, start = label.get, face[-1] + 1 if face else 0
         return [e for e, (u, v) in enumerate(self.edges[start:], start) if get(u, u) != get(v, v)]
 
+    def _children(self, level):
+        """The faces one edge larger than ``level`` (see ``Matroid``), with
+        one forest labelling per parent, not per face."""
+        return chain.from_iterable(_forest_children(self.edges, level))
+
     def fundamental_circuit(self, part, x):
         """The edges of the forest ``part`` on the path between the ends of x.
 
@@ -196,6 +213,49 @@ class GraphicMatroid(Matroid):
             w, e = via[w]
             path.append(e)
         return sorted(path)
+
+
+def _forest_children(edges, level):
+    """The faces one edge larger than a graphic ``level``, one iterator per
+    parent P: P + e + x, for a later sibling x of e, is a forest unless x
+    joins the two trees of P that e joins.  P's labels extend those of its
+    prefix one size down by one edge, so the scan keeps one labelling per
+    depth of P, of the vertices on P's edges."""
+    stack, prev = [{}], ()
+    for parent, group in groupby(level, itemgetter(slice(-1))):
+        depth = 0  # the labellings of the common prefix with prev stay
+        for a, b in zip(parent, prev):
+            if a != b:
+                break
+            depth += 1
+        del stack[depth + 1:]
+        for e in parent[depth:]:
+            stack.append(_joined(stack[-1], *edges[e]))
+        prev, get = parent, stack[-1].get
+        faces = list(group)
+        sibs = []  # (x, the unordered pair of P's trees that x joins)
+        for face in faces:
+            u, v = edges[face[-1]]
+            a, b = get(u, u), get(v, v)
+            sibs.append((face[-1], (a, b) if a < b else (b, a)))
+        yield (face + (x,) for i, face in enumerate(faces, 1) for pair in (sibs[i - 1][1],)
+               for x, p in islice(sibs, i, None) if p != pair)
+
+
+def _joined(label, u, v):
+    """A forest's tree labels (vertex -> label; a vertex not held is a tree
+    of its own) after the edge uv joins two of its trees."""
+    if u not in label:
+        u, v = v, u
+    out = label.copy()
+    lu = out.setdefault(u, u)
+    if u in label and v in label:  # v's tree may hold more vertices
+        lv = label[v]
+        for x, lx in label.items():
+            if lx == lv:
+                out[x] = lu
+    out[v] = lu
+    return out
 
 
 class PartitionMatroid(Matroid):

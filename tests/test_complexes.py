@@ -1,5 +1,6 @@
 """Complex-engine tests: independence complexes, deleted joins, chessboards."""
 
+import random
 import tracemalloc
 from fractions import Fraction
 from itertools import combinations
@@ -19,6 +20,7 @@ from tvermat import (
     chessboard,
     colourful_matroid,
     deleted_join,
+    matroids,
 )
 from tvermat.complexes import DEFAULT_FACE_CAP, enumerate_faces, independent_sets
 
@@ -194,14 +196,34 @@ def test_enumerate_faces_asks_each_face_it_extends_once(monkeypatch):
     assert not indep
 
 
-def test_independent_sets_match_the_grouped_walk():
+def _shuffled_complete_graph(nv, seed):
+    rng = random.Random(seed)
+    perm = list(range(nv))
+    rng.shuffle(perm)
+    edges = [tuple(sorted((perm[u], perm[v]))) for u, v in combinations(range(nv), 2)]
+    rng.shuffle(edges)
+    return GraphicMatroid(nv, edges)
+
+
+def test_independent_sets_match_the_grouped_walk(monkeypatch):
     # the level loop lists enumerate_faces grouped by size at every max_dim
     # below the rank; at a cap equal to a level's size, or one less, it
-    # raises at the lowest level the grouped walk holds over the cap
+    # raises at the lowest level the grouped walk holds over the cap.  The
+    # graphs test the sibling rule where it can break: trees that merge
+    # only through a later edge, parallel edges and loops on either side of
+    # the first non-loop
     linear = [(1, 0, 0), (0, 1, 0), (1, 1, 0), (0, 0, 0), (Fraction(1, 2), 0, 3), (2, 1, 3)]
     mats = [*small_matroid_family(),
             ("loop-and-parallels", GraphicMatroid(4, [(0, 1), (1, 1), (1, 2), (1, 2), (2, 3),
                                                       (0, 3), (0, 2), (0, 2)])),
+            ("disconnected", GraphicMatroid(9, [(5, 6), (0, 1), (6, 7), (1, 2), (0, 2), (5, 7),
+                                                (3, 4), (7, 8), (2, 3)])),
+            ("k6-shuffled", _shuffled_complete_graph(6, 7)),
+            ("k7-shuffled", _shuffled_complete_graph(7, 11)),
+            ("parallel-class", GraphicMatroid(4, [(0, 2), (1, 3), (1, 3), (0, 1), (1, 3),
+                                                  (2, 3)])),
+            ("loops-around-first", GraphicMatroid(4, [(2, 2), (0, 1), (1, 1), (1, 2), (0, 2),
+                                                      (3, 3), (2, 3)])),
             ("linear-q", LinearMatroid(linear)), ("linear-gf3", LinearMatroid(linear, field=3))]
     checked = 0
     for name, M in mats:
@@ -224,6 +246,22 @@ def test_independent_sets_match_the_grouped_walk():
     M = _AskCounting(3, 7)
     levels = independent_sets(M, 2, DEFAULT_FACE_CAP)
     assert M.asked == [(), *levels[0], *levels[1]]
+    # a graphic build asks _extensions for the empty face alone, _children
+    # once per level above 0, and labels one forest per prefix of a
+    # parent, not one per face: shuffled K6 through 4 has 1,635 faces below
+    # the top and 549 such prefixes
+    asked, grown, labelled = [], [], []
+    ext, kids, joined = GraphicMatroid._extensions, GraphicMatroid._children, matroids._joined
+    monkeypatch.setattr(GraphicMatroid, "_extensions",
+                        lambda self, face: asked.append(tuple(face)) or ext(self, face))
+    monkeypatch.setattr(GraphicMatroid, "_children",
+                        lambda self, level: grown.append(len(level)) or kids(self, level))
+    monkeypatch.setattr(matroids, "_joined", lambda *a: labelled.append(a) or joined(*a))
+    levels = independent_sets(_shuffled_complete_graph(6, 7), 4, DEFAULT_FACE_CAP)
+    assert asked == [()] and grown == [len(levels[d]) for d in range(4)]
+    assert sum(grown) == 1635
+    prefixes = sum(len({f[:i] for f in levels[d] for i in range(1, d + 1)}) for d in range(4))
+    assert len(labelled) == prefixes == 549
 
 
 def test_one_factor_cap_names_the_lowest_over_full_dimension():

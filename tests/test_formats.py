@@ -87,6 +87,22 @@ def test_matroid_record_rejections():
     assert lin.rank([0]) == 1 and lin.rank() == 1
     with pytest.raises(InputError):
         matroid_from_record({**gf3, "columns": [["1/3"]]})
+    # every integer field holds JSON integers: a float, bool or string is
+    # refused by name, not coerced into another matroid
+    good = {"uniform": {"type": "uniform", "rank": 2, "size": 5},
+            "graphic": {"type": "graphic", "vertices": 4, "edges": [[0, 1], [1, 2], [1, 3]]},
+            "partition": {"type": "partition", "blocks": [[0, 1], [2]], "capacities": [1, 1]},
+            "explicit": {"type": "explicit", "size": 3, "maximal_independent_sets": [[0, 1]]}}
+    for kind, field, value in (
+            ("uniform", "rank", 2.9), ("uniform", "size", "5"),
+            ("graphic", "vertices", 4.9), ("graphic", "edges", [[0.5, 1.7], [1, 2], [True, 3]]),
+            ("graphic", "edges", [[0, 1], [1, 2], [True, 3]]),
+            ("partition", "blocks", [[0, 1.0], [2]]), ("partition", "capacities", [1, True]),
+            ("explicit", "size", 3.0), ("explicit", "maximal_independent_sets", [[0, "1"]])):
+        rec = {"format-version": 1, **good[kind]}
+        matroid_from_record(rec)
+        with pytest.raises(InputError, match=f" record: {field}: expected a JSON integer, got "):
+            matroid_from_record({**rec, field: value})
 
 
 def test_points_round_trip(tmp_path):
