@@ -169,9 +169,9 @@ def _tverberg_exhausted(t):
 # "U1_2_20" and "HUGE_GRAPH" stand for the U(3,9), U(0,3) and U(1, 2**20)
 # files and three disjoint edges on 10**12 declared vertices; a row ends
 # within 2 s unless it names its own bound.  A huge --k is never built into k
-# parts or k copies: pack certifies with the loops, none here (k >= n = 9),
-# and lists at most 2**12 empty bases of a rank-0 matroid; the scans meet the
-# face cap at f_0 = 9k; a cover builds at most |A| parts, a
+# parts or k copies: pack certifies with the loops, none here (k >= n), and
+# lists at most 2**12 empty bases of a rank-0 matroid; the scans meet the
+# face cap at f_0 = nk, or find a rank-0 bound vacuous; a cover builds at most |A| parts, a
 # chessboard meets the cap at f_0 = k*m, and a search reads at most cap + 1
 # faces whatever t is.  conjecture-scan meets the cap at f_1 before it packs
 # b(M), 2**20 one-element bases of U(1, 2**20), which its report never shows
@@ -181,16 +181,44 @@ HOSTILE = [
        {"packed": False, "certificate": {"k": k, "witness_set": []}}
        if command == "pack" else CAP_EXCEEDED)
       for k in (10**8,) for command in ("pack", "verify-corollary", "conjecture-scan")),
+    # EDGES runs U(3,9) at the larger k; these run a graph, and at 2**20 + 1,
+    # where 3k stays below the cap, the scans run U(0,3)
+    *((f"{k}-{command}", [command, "--matroid", "HUGE_GRAPH", "--k", str(k)],
+       0 if command == "pack" else 3,
+       {"packed": False, "certificate": {"k": k, "witness_set": []}}
+       if command == "pack" else CAP_EXCEEDED)
+      for k in (10**9, 10**30) for command in ("pack", "verify-corollary", "conjecture-scan")),
+    ("1048577-pack", ["pack", "--matroid", "HUGE_GRAPH", "--k", str(2**20 + 1)], 0,
+     {"packed": False, "certificate": {"k": 2**20 + 1, "witness_set": []}}),
+    ("1048577-verify-corollary", ["verify-corollary", "--matroid", "U0_3", "--k", str(2**20 + 1)],
+     0, {"betti_checked": [], "bound": -2, "context": {"b": 0, "k": 2**20 + 1, "rank": 0},
+         "f_vector": [1], "first_nonvanishing": None, "note": "rank-0 matroid: bound is vacuous",
+         "num_faces": 0, "vanishing": [], "verified": True}),
+    ("1048577-conjecture-scan", ["conjecture-scan", "--matroid", "U0_3", "--k", str(2**20 + 1)],
+     0, {"b": 0, "k": 2**20 + 1, "rank": 0, "target": -2, "verdict": True,
+         "report": {"betti_checked": [], "bound": -2,
+                    "context": {"b": 0, "k": 2**20 + 1, "rank": 0, "target": -2},
+                    "f_vector": [1], "first_nonvanishing": None,
+                    "note": "bound below -1 is vacuous", "num_faces": 0, "vanishing": [],
+                    "verified": True}}),
+    ("verify-claim-m", ["verify-claim", "--matroid", "HUGE_GRAPH", "--sets", "0,1;2",
+                        "--m", str(10**9)], 0,
+     {"betti_checked": [], "bound": -1, "context": {"k": 2, "m": 10**9, "total": 3},
+      "f_vector": [1, 6], "first_nonvanishing": None, "num_faces": 6, "vanishing": [],
+      "verified": True}),
     *((f"tverberg-t-{t}", ["tverberg", "--matroid", "U3_9", "--random-points", "9",
                            "--dim", "2", "--t", str(t)], 0, _tverberg_exhausted(t))
       for t in (10**8,)),
     ("homology-chessboard", ["homology", "--chessboard", "1000000,1000000", "--up-to", "1"],
      3, CAP_EXCEEDED),
+    ("chessboard-m", ["chessboard", "--k", str(10**30), "--m", str(10**30)], 3, CAP_EXCEEDED),
+    ("chessboard-k", ["chessboard", "--k", str(10**9), "--m", "2"], 3, CAP_EXCEEDED),
     # each chessboard level is counted before the k copies are listed
     ("chessboard-k-max-dim-1", ["chessboard", "--k", str(10**9), "--m", "2", "--max-dim", "-1"],
      0, {"complete": False, "f_vector": [1], "num_faces": 0}),
     ("chessboard-k-max-dim-5", ["chessboard", "--k", str(10**9), "--m", "2", "--max-dim", "-5"],
      2, {"error": "max_dim must be >= -1, got -5"}),
+    ("chessboard-m-2-20", ["chessboard", "--k", "2", "--m", str(2**20)], 3, _cap_exceeded(1)),
     ("homology-chessboard-2-20", ["homology", "--chessboard", f"2,{2**20}", "--up-to", "0"],
      3, _cap_exceeded(1)),
     # the Betti numbers above the dimension are listed as zeros, at most 2**12 of them
@@ -200,7 +228,12 @@ HOSTILE = [
      {"error": "--up-to 1000000 exceeds the cap 4096"}),
     ("chessboard-max-dim", ["chessboard", "--k", "3", "--m", "4", "--max-dim", str(10**30)],
      0, None),
+    ("complex-max-dim", ["complex", "--matroid", "HUGE_GRAPH", "--max-dim", str(10**30)], 0,
+     {"complete": True, "f_vector": [1, 3, 3, 1], "num_faces": 7}),
     ("inequality-d", ["inequality", "--b", "64", "--d", str(10**20), "--p", "3"], 0, None),
+    # the largest b accepted; 2**128 is an input error
+    ("prime-b", ["prime", "--b", str(2**128 - 1)], 0,
+     {"b": 2**128 - 1, "prime": 9223372036854775783}),
     ("conjecture-scan-u1-2-20", ["conjecture-scan", "--matroid", "U1_2_20", "--k", "3"], 3,
      _cap_exceeded(1), 1.0),
     ("pack-rank-0-k-2-12", ["pack", "--matroid", "U0_3", "--k", str(2**12)], 0,
