@@ -179,16 +179,17 @@ def deleted_join(matroids, trunc=None, cap=DEFAULT_FACE_CAP, relative=False):
     once it holds more than ``cap`` faces.
 
     Only the faces off U, the union of the closed stars of the vertices in F,
-    are stored, and F is empty unless ``relative`` (k >= 2): a stored build
-    grows each level from the one below.  Otherwise F holds the first vertex
-    v1 and, in each later copy of rank >= 2, the vertex of the least non-loop
-    element F does not use yet.  Any of them span a face, so their stars meet
+    are stored, and F is empty unless ``relative`` (k >= 2): then every face
+    has mask 0 (below).  Otherwise F holds the first vertex v1 and, in each
+    later copy of rank >= 2, the vertex of the least non-loop element F does
+    not use yet.  Any of them span a face, so their stars meet
     in the star of that face, a cone, and U is contractible (nerve theorem).
     A face in U, transient, carries a mask: bit i while F[i] is not in it but
     extends it, and HOLD once it holds a vertex of F.  A child clears the bit
     of the vertex of F with its element (or holds it), and that of its copy if
     its part spans that copy's element of F: at most two, so a face with three
-    bits keeps all its children in U.  Faces of mask 0 are stored.  The faces
+    bits keeps all its children in U.  Faces of mask 0 are stored, and one
+    loop visits them first, with their children all stored.  The faces
     holding v1, t + v1 for the faces t of bit v1 one size down, are counted,
     never built, and so is every face of U at the top.  Rank-1 copies stay out
     of F, so chessboards keep F = {v1}.
@@ -234,29 +235,6 @@ def deleted_join(matroids, trunc=None, cap=DEFAULT_FACE_CAP, relative=False):
 
     fresh = _Suffixes(children, len(mats))  # fresh[j]: copies j..'s non-loop vertices
 
-    def grow(level, stop, nxt):
-        """Append the children of ``level`` to ``nxt`` till it passes ``stop``."""
-        append, parent = nxt.append, None
-        for face in level:
-            if face:
-                c = face[-1] // n
-                part = face[bisect_left(face, c * n):]
-                same = ext[c].get(part)  # children() inlined: a call a face costs more
-                if same is None:
-                    same = children(c, part)
-                cands = chain(same, fresh[c + 1]) if same else fresh[c + 1]
-                if face[:-1] != parent:  # siblings share their parent's elements
-                    parent = face[:-1]
-                    used = set(map(n.__rmod__, parent))
-                le = face[-1] % n
-            else:
-                cands, used, le = fresh[0], (), None
-            for v, e in cands:
-                if e not in used and e != le:
-                    append(face + (v,))
-            if len(nxt) > stop:
-                break
-
     if not fresh[0]:  # no vertex: the bound decides
         return SimplicialComplex({}, trunc, trunc >= top)
     apexes = [fresh[0][0][0]] if relative else []  # F, v1 first; U is empty when stored
@@ -292,14 +270,15 @@ def deleted_join(matroids, trunc=None, cap=DEFAULT_FACE_CAP, relative=False):
         return out
 
     by_dim, f, hots, parent = {}, [], {}, None
-    star, off = ({(2 << len(apexes)) - 2: [()]}, []) if apexes else ({}, [()])  # () has all bits
+    star = {0: [], (2 << len(apexes)) - 2: [()]}  # () has all bits: mask 0 when F is empty
     fspan = set().union(*(spanning(v // n, ()) for v in apexes[1:]))  # by a lone element
     for d in range(trunc + 1):
         cone = sum(len(level) for m, level in star.items() if m & 2)  # the faces t + v1
         counted = 0 < d == trunc  # the top's faces in U are counted
-        nstar, noff, width, reach = {}, [], 0, False
+        noff, width, reach = [], 0, False
+        nstar = {0: noff}  # the stored faces, visited first
         for m, level in star.items():
-            same, hot, room = [], hots.get(m), cap - cone - width - len(noff)
+            same, hot, room = [] if m else noff, hots.get(m), cap - cone - width - len(noff)
             add = same.append
             if hot is None:  # a child that clears bits whatever its part -> its mask
                 hot = hots[m] = {}
@@ -309,6 +288,8 @@ def deleted_join(matroids, trunc=None, cap=DEFAULT_FACE_CAP, relative=False):
                     mm = m if u is None else m & ~cbit[u // n] | (v == u)
                     hot[v] = mm & ~cbit[v // n] if v in fspan else mm
             for face in level:
+                if len(same) > room:
+                    break
                 if face:
                     c = face[-1] // n
                     part = face[bisect_left(face, c * n):]
@@ -320,9 +301,14 @@ def deleted_join(matroids, trunc=None, cap=DEFAULT_FACE_CAP, relative=False):
                         parent = face[:-1]
                         used = set(map(n.__rmod__, parent))
                     le = face[-1] % n
-                else:
-                    c, part, used, kids = apexes[0] // n, (), (), islice(fresh[0], 1, None)
-                    le = None
+                else:  # all the non-loops, or all but v1 when relative
+                    c, part, used, le = fresh[0][0][0] // n, (), (), None
+                    kids = islice(fresh[0], 1, None) if m else fresh[0]
+                if not m:  # no vertex of F extends a stored face: its children are stored
+                    for v, e in kids:
+                        if e not in used and e != le:
+                            add(face + (v,))
+                    continue
                 span, spot = (), hot  # the children that may clear a bit
                 if m & cbit[c]:
                     span = spans[c].get(part)
@@ -358,22 +344,20 @@ def deleted_join(matroids, trunc=None, cap=DEFAULT_FACE_CAP, relative=False):
                                 room -= 1
                                 continue
                         add(face + (v,))
-                if len(same) > room:
-                    break
-            width += len(same)
-            nstar.setdefault(m, []).extend(same)
+            if m:  # the stored faces' list is noff itself
+                width += len(same)
+                nstar.setdefault(m, []).extend(same)
             if cone + width + len(noff) > cap:
                 break
         if not counted:
             reach = any(m > 1 and level for m, level in nstar.items())
-        grow(off, cap - cone - width, noff)  # the children of stored faces are stored
         count = cone + width + len(noff)
         _check_cap(count, d, cap)
         if not count:
             break
-        if star:  # children of faces in U came first; grow's alone are in order
+        if apexes:  # children of faces in U came after the stored faces'
             noff.sort()
-        star, off, by_dim[d] = nstar, noff, noff
+        star, by_dim[d] = nstar, noff
         f.append(count)
 
     def extends(face):
@@ -384,7 +368,7 @@ def deleted_join(matroids, trunc=None, cap=DEFAULT_FACE_CAP, relative=False):
 
     # a face of dimension trunc+1 less a vertex of F in it, or else its last
     # vertex, is a top face with a bit of F it does not hold, or a stored one
-    complete = trunc >= top or not (reach or any(map(extends, off)))
+    complete = trunc >= top or not (reach or any(map(extends, star[0])))
     return SimplicialComplex(by_dim, trunc, complete, tuple(f),
                              *(([v for v, _ in fresh[0]], apexes) if relative else ()))
 

@@ -229,9 +229,7 @@ def _rank_sparse_exact(rows):
     leads = []
     while heap:
         c = heappop(heap)
-        group = buckets.pop(c, None)
-        if not group:
-            continue
+        group = buckets.pop(c)
         pi = min(range(len(group)), key=lambda i: len(group[i]))
         pivot = group[pi]
         leads.append(c)
@@ -439,23 +437,32 @@ def verify_corollary(M, k, cap=DEFAULT_FACE_CAP, deadline=None):
     (sizes within floor/ceil of b/k), and checks the floor of
     b*rank/(ceil(b/k)+1) - 2; "connectivity >= x" for real x means i-connected
     for every integer i <= x, so flooring is the faithful integer reading.
-    ``deadline`` bounds the packing step.
+    ``deadline`` bounds the packing step, which comes after the f_0 face cap
+    (every cap at rank 1).
     """
     if k < 1:
         raise InputError(f"k must be positive, got {k}")
-    b, _, _ = max_disjoint_bases(M, deadline)
     rho = M.rank()
+
+    def bound(b):  # the most bases a group holds, and the bound
+        m = _ceil_div(b, k)
+        return m, (b * rho) // (m + 1) - 2
+
+    # the caps before the packing: b >= 1 makes c >= -1, so f_0 meets the
+    # cap, and at rank 1 the bases are the non-loops, so c is known
+    if rho:
+        _fold_caps(M, k, bound(len(M._extensions(())))[1] if rho == 1 else -1, cap)
+    b, _, _ = max_disjoint_bases(M, deadline)
     context = {"b": b, "rank": rho, "k": k}
     if b == 0:
         return ConnectivityReport(-2, True, note="rank-0 matroid: bound is vacuous",
                                   context=context)
-    m = _ceil_div(b, k)
+    m, c = bound(b)
     # the packed bases are checked disjoint independent sets, so a group of
     # at most m of them is a union of at most m independent sets
     q, r = divmod(b, k)  # r groups of q + 1 bases, k - r of q
     if q + (r > 0) > m:
         raise RuntimeError("a group holds more than m packed bases")
-    c = (b * rho) // (m + 1) - 2
     context["m"] = m
     _fold_caps(M, k, c, cap)
     return join_connectivity([M] * k, c, cap, context)

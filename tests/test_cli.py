@@ -173,8 +173,9 @@ def _tverberg_exhausted(t):
 # lists at most 2**12 empty bases of a rank-0 matroid; the scans meet the
 # face cap at f_0 = nk, or find a rank-0 bound vacuous; a cover builds at most |A| parts, a
 # chessboard meets the cap at f_0 = k*m, and a search reads at most cap + 1
-# faces whatever t is.  conjecture-scan meets the cap at f_1 before it packs
-# b(M), 2**20 one-element bases of U(1, 2**20), which its report never shows
+# faces whatever t is.  conjecture-scan and verify-corollary meet the cap at
+# f_0 or f_1 before they pack b(M), 2**20 one-element bases of U(1, 2**20),
+# which a cap report never shows
 HOSTILE = [
     *((f"{k}-{command}", [command, "--matroid", "U3_9", "--k", str(k)],
        0 if command == "pack" else 3,
@@ -236,6 +237,10 @@ HOSTILE = [
      {"b": 2**128 - 1, "prime": 9223372036854775783}),
     ("conjecture-scan-u1-2-20", ["conjecture-scan", "--matroid", "U1_2_20", "--k", "3"], 3,
      _cap_exceeded(1), 1.0),
+    ("verify-corollary-u1-2-20", ["verify-corollary", "--matroid", "U1_2_20", "--k", "3"], 3,
+     _cap_exceeded(1), 1.0),
+    ("1048577-verify-corollary-u1-2-20",
+     ["verify-corollary", "--matroid", "U1_2_20", "--k", str(2**20 + 1)], 3, CAP_EXCEEDED, 1.0),
     ("pack-rank-0-k-2-12", ["pack", "--matroid", "U0_3", "--k", str(2**12)], 0,
      {"packed": True, "bases": [[]] * 2**12}),
     *((f"pack-rank-0-k-{k}", ["pack", "--matroid", "U0_3", "--k", str(k)], 2,
@@ -476,6 +481,60 @@ def test_input_error_exit_two(capsys):
     code, out = run(capsys, "bases", "--matroid", "/nonexistent/m.matroid")
     assert code == 2
     assert json.loads(out)["outcome"] == "input-error"
+
+
+# (id, argv, error): each ends in one input-error report with this text;
+# names ending in .matroid, .pts or .faces stand for the files of ``bad_inputs``
+_U24 = ["--matroid", "u2_4.matroid"]
+_NO_SOURCE = "give exactly one of --matroid, --chessboard, --faces"
+INPUT_ERRORS = [
+    ("rank-subset", ["rank", *_U24, "--subset", "0,x"], "bad id list '0,x'"),
+    ("tverberg-no-dim", ["tverberg", *_U24, "--random-points", "4", "--t", "2"],
+     "--random-points requires --dim"),
+    ("tverberg-no-points", ["tverberg", *_U24, "--t", "2"],
+     "provide --points FILE or --random-points N --dim D"),
+    ("pack-both", ["pack", *_U24, "--k", "2", "--subset", "0,1"],
+     "pack takes either --k or --subset/--m, not both"),
+    ("pack-neither", ["pack", *_U24], "pack needs either --k, or --subset with --m"),
+    ("homology-no-source", ["homology", "--up-to", "1"], _NO_SOURCE),
+    ("homology-two-sources",
+     ["homology", "--chessboard", "3,4", "--faces", "version_2.faces", "--up-to", "1"],
+     _NO_SOURCE),
+    ("verify-claim-files", ["verify-claim", *_U24, *_U24, "--sets", "0;1;2", "--m", "1"],
+     "2 matroid files for 3 sets"),
+    ("hulls-empty-group", ["hulls", "--points", "two.pts", "--sets", "0;;1"],
+     "every hull group needs at least one point id"),
+    ("hulls-missing-point", ["hulls", "--points", "two.pts", "--sets", "0;7"],
+     "point id 7 missing from configuration"),
+    ("matroid-list", ["bases", "--matroid", "list.matroid"],
+     "matroid record must be a JSON object"),
+    ("faces-version", ["homology", "--faces", "version_2.faces", "--up-to", "0"],
+     "unsupported format-version '2'"),
+    ("points-dimension", ["tverberg", *_U24, "--points", "dim_x.pts", "--t", "2"],
+     "bad dimension header 'd=x'"),
+]
+
+
+@pytest.fixture(scope="module")
+def bad_inputs(tmp_path_factory):
+    root = tmp_path_factory.mktemp("inputs")
+    write_matroid(root / "u2_4.matroid", UniformMatroid(2, 4))
+    texts = {"two.pts": "d=1\n0: 0\n1: 1\n", "list.matroid": "[1, 2]\n",
+             "version_2.faces": "format-version: 2\n0\n", "dim_x.pts": "d=x\n0: 0\n"}
+    for name, text in texts.items():
+        (root / name).write_text(text)
+    return root
+
+
+@pytest.mark.parametrize("argv, error", [row[1:] for row in INPUT_ERRORS],
+                         ids=[row[0] for row in INPUT_ERRORS])
+def test_input_errors_end_in_one_report(bad_inputs, capsys, argv, error):
+    named = [str(bad_inputs / a) if a.endswith((".matroid", ".pts", ".faces")) else a
+             for a in argv]
+    code, out = run(capsys, *named)
+    rep = json.loads(out)  # exactly one report
+    assert code == 2 and rep["outcome"] == "input-error"
+    assert rep["payload"] == {"error": error}
 
 
 def test_bad_budgets_are_input_errors(capsys):

@@ -90,6 +90,8 @@ def test_deleted_join_matches_brute_force():
     cases += [[UniformMatroid(1, m)] * k for k in (4, 5) for m in (2, 3)]
     # a rank-0 first copy puts the first vertex in a later copy
     cases += [[UniformMatroid(0, 5), UniformMatroid(2, 5), UniformMatroid(3, 5)]]
+    # no copy has a non-loop: the join has no vertex
+    cases += [[UniformMatroid(0, 3)] * k for k in (2, 3)]
     for mats in cases:
         for trunc in range(-1, mats[0].n + 1):
             _assert_builds_match_brute_force(mats, trunc)

@@ -34,6 +34,7 @@ from tvermat import (
 from tvermat.formats import jsonable
 from tvermat import homology
 from tvermat.homology import (
+    ConnectivityReport,
     _element_matching,
     _facets,
     _fold_caps,
@@ -41,6 +42,7 @@ from tvermat.homology import (
     _rank_sparse_exact,
     join_connectivity,
 )
+from tvermat.packing import max_disjoint_bases
 
 K4 = GraphicMatroid(4, [(0, 1), (0, 2), (0, 3), (1, 2), (1, 3), (2, 3)])
 
@@ -645,6 +647,40 @@ def test_fold_connectivity_matches_the_join_loop():
                     assert got == want, (name, k, c, cap)
                     early += isinstance(got, tuple) and got[1]["dimension"] == 1
     assert early > 100
+
+
+def test_verify_corollary_checks_the_caps_before_it_packs():
+    # the f_0 cap (every cap at rank 1) now comes before the packing: the
+    # same report or cap error as packing b(M) first
+    def outcome(M, k, cap, check):
+        try:
+            return check(M, k, cap)
+        except ResourceLimitError as err:
+            return str(err), err.progress
+
+    def packed_first(M, k, cap):
+        b, rho = max_disjoint_bases(M)[0], M.rank()
+        context = {"b": b, "rank": rho, "k": k}
+        if b == 0:
+            return ConnectivityReport(-2, True, note="rank-0 matroid: bound is vacuous",
+                                      context=context)
+        m = -(-b // k)
+        c = b * rho // (m + 1) - 2
+        context["m"] = m
+        _fold_caps(M, k, c, cap)
+        return join_connectivity([M] * k, c, cap, context)
+
+    extra = [UniformMatroid(1, 1), UniformMatroid(1, 2), UniformMatroid(0, 3),
+             GraphicMatroid(3, [(0, 1), (1, 1), (0, 1), (1, 2)]),
+             PartitionMatroid([[0, 1], [2, 3, 4]], [1, 0])]
+    early = 0
+    for M in [M for _, M in small_matroid_family()] + extra:
+        for k in (1, 2, 3, 4):
+            for cap in (0, 1, 2, 4, 8, 16, 32, 64, 128, 5_000_000):
+                want = outcome(M, k, cap, packed_first)
+                assert outcome(M, k, cap, verify_corollary) == want, (M, k, cap)
+                early += isinstance(want, tuple)
+    assert early > 1000
 
 
 def test_conjecture_scan_chessboard_thresholds():
